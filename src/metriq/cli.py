@@ -51,6 +51,7 @@ from .oscillator2d import (
 from .spinchain import (
     FermionQuadraticSpec,
     SpinChainSpec,
+    _basis_bits,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
@@ -468,10 +469,7 @@ def _build_fermion(p: dict) -> _Built:
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
     h = build_fermion_quadratic(spec)
     eta = fermion_metric(spec)
-    n = spec.n_sites
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-    u = _phase_diag(bits, ms.xis)
+    u = _phase_diag(_basis_bits(spec.n_sites), ms.xis)
     return _Built(h, eta, u)
 
 

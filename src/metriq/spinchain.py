@@ -7,7 +7,11 @@ fermions the empty state precedes the occupied one.  All metrics built here
 n_i)``) are diagonal in these bases, which keeps every similarity identity
 exact in floating point.
 
-Chains cap out at 12 sites (dense dimension 4096).
+Hamiltonians are summed term by term on basis indices, not from kron-embedded
+site operators: a flip on site ``k`` toggles bit ``n - 1 - k``, ``S^z`` is read
+from the bit table, and a fermion operator takes its Jordan-Wigner sign from
+the parity of the more significant bits.  Every builder reaches the cap of 12
+sites (dense dimension 4096).
 """
 from __future__ import annotations
 
@@ -84,11 +88,37 @@ def site_spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _sz_table(n_sites: int) -> np.ndarray:
-    """(dim, n_sites) array of S^z eigenvalues; up (+1/2) has bit 0."""
+def _basis_bits(n_sites: int) -> np.ndarray:
+    """(dim, n_sites) basis bits, site 0 most significant; 1 is down/occupied."""
     idx = np.arange(2**n_sites)
-    bits = (idx[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1
-    return 0.5 - bits.astype(float)
+    return (idx[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1
+
+
+def _assemble(n_sites: int, terms) -> np.ndarray:
+    """Dense sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
+
+    A factor is ``(kind, site)``: ``"+"``/``"-"`` are S^+/S^-, ``"z"`` is S^z,
+    ``"c"``/``"cd"`` are c/c^dag.  The last factor acts first; terms are added
+    in the order given, so the result does not depend on BLAS.
+    """
+    bits = _basis_bits(n_sites)
+    strings = (np.cumsum(bits, axis=1) - bits) & 1  # parity of the earlier sites
+    dim = 2**n_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for coef, factors in terms:
+        src = cur = np.arange(dim)
+        amp = np.ones(dim)
+        for kind, site in reversed(factors):
+            if kind == "z":
+                amp = amp * (0.5 - bits[cur, site])
+                continue
+            keep = bits[cur, site] == (kind in ("+", "c"))  # these clear a set bit
+            src, cur, amp = src[keep], cur[keep], amp[keep]
+            if kind in ("c", "cd"):
+                amp = amp * (1 - 2 * strings[cur, site])
+            cur = cur ^ (1 << (n_sites - 1 - site))
+        h[cur, src] += coef * amp
+    return h
 
 
 @dataclass(frozen=True)
@@ -192,50 +222,32 @@ def gradient_ws(n_sites: int, gamma: float, phi: float, xi: float = 0.0) -> tupl
 
 def build_zeta_metric(spec: SpinChainSpec) -> np.ndarray:
     """Diagonal chain metric ``prod_i exp(-2 gamma_i S_i^z)``."""
-    table = _sz_table(spec.n_sites)
+    table = 0.5 - _basis_bits(spec.n_sites)
     weights = np.exp(-2.0 * table @ np.asarray(spec.gammas))
     return np.diag(weights.astype(complex))
-
-
-def _site_pm(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
-    sx, sy, _ = spin_matrices(0.5)
-    sp = sx + 1j * sy
-    return _embed_site(sp, site, n_sites), _embed_site(sp.conj().T, site, n_sites)
 
 
 def _chain_hamiltonian(spec: SpinChainSpec, deformed: bool) -> np.ndarray:
     """Shared XXZ assembly; ``deformed`` toggles the w-dependent weights."""
     n = spec.n_sites
-    dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
     ws = np.asarray(spec.ws) if deformed else np.zeros(n, dtype=complex)
-
-    sz_ops = []
-    sp_ops = []
-    sm_ops = []
-    for i in range(n):
-        _, _, sz = site_spin_ops(n, i)
-        sp, sm = _site_pm(n, i)
-        sz_ops.append(sz)
-        sp_ops.append(sp)
-        sm_ops.append(sm)
-
+    terms = []
     for i in range(n - 1):
-        h += spec.gamma_exchange * (
-            np.exp(ws[i] - ws[i + 1]) * sp_ops[i] @ sm_ops[i + 1]
-            + np.exp(-(ws[i] - ws[i + 1])) * sm_ops[i] @ sp_ops[i + 1]
-        )
-        h += spec.delta * sz_ops[i] @ sz_ops[i + 1]
-
+        dw = ws[i] - ws[i + 1]
+        terms.append((spec.gamma_exchange * np.exp(dw), (("+", i), ("-", i + 1))))
+        terms.append((spec.gamma_exchange * np.exp(-dw), (("-", i), ("+", i + 1))))
+        terms.append((spec.delta, (("z", i), ("z", i + 1))))
     for i in range(n):
         a, b, c = spec.fields_a[i], spec.fields_b[i], spec.fields_c[i]
         if a == 0.0 and b == 0.0 and c == 0.0:
             continue
         cw, sw = np.cosh(ws[i]), np.sinh(ws[i])
-        sx = 0.5 * (sp_ops[i] + sm_ops[i])
-        sy = -0.5j * (sp_ops[i] - sm_ops[i])
-        h += (a * cw - 1j * b * sw) * sx + (b * cw + 1j * a * sw) * sy + c * sz_ops[i]
-    return h
+        x = a * cw - 1j * b * sw  # x S^x + y S^y, split into S^+ and S^-
+        y = b * cw + 1j * a * sw
+        terms.append((0.5 * x - 0.5j * y, (("+", i),)))
+        terms.append((0.5 * x + 0.5j * y, (("-", i),)))
+        terms.append((c, (("z", i),)))
+    return _assemble(n, terms)
 
 
 def build_xxz_asymmetric(spec: SpinChainSpec) -> np.ndarray:
@@ -274,7 +286,7 @@ def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
     Together with the metric root it maps the deformed chain onto the
     hermitian counterpart: ``(U zeta^{1/2}) H (U zeta^{1/2})^{-1} = h``.
     """
-    table = _sz_table(spec.n_sites)
+    table = 0.5 - _basis_bits(spec.n_sites)
     phases = np.exp(-1j * table @ np.asarray(spec.xis))
     return np.diag(phases)
 
@@ -297,22 +309,15 @@ def build_haldane_shastry(
     if metric.n != n_sites:
         raise ValueError(f"metric has {metric.n} sites but the chain has {n_sites}")
     ws = metric.ws
-    dim = 2**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    sz_ops = [site_spin_ops(n_sites, i)[2] for i in range(n_sites)]
-    pm_ops = [_site_pm(n_sites, i) for i in range(n_sites)]
+    terms = []
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             chord = 2.0 * np.sin(np.pi * (i - j) / n_sites) ** 2
-            spi, smi = pm_ops[i]
-            spj, smj = pm_ops[j]
-            tij = (
-                0.5 * np.exp(ws[i] - ws[j]) * spi @ smj
-                + 0.5 * np.exp(-(ws[i] - ws[j])) * smi @ spj
-                + sz_ops[i] @ sz_ops[j]
-            )
-            h += sign * tij / chord
-    return h
+            dw = ws[i] - ws[j]
+            terms.append((sign * 0.5 * np.exp(dw) / chord, (("+", i), ("-", j))))
+            terms.append((sign * 0.5 * np.exp(-dw) / chord, (("-", i), ("+", j))))
+            terms.append((sign / chord, (("z", i), ("z", j))))
+    return _assemble(n_sites, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +385,7 @@ class FermionQuadraticSpec:
 
 def fermion_metric(spec: FermionQuadraticSpec) -> np.ndarray:
     """Diagonal fermion metric ``prod_i exp(-2 gamma_i n_i)``."""
-    n = spec.n_sites
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-    weights = np.exp(-2.0 * bits @ np.asarray(spec.metric.gammas))
+    weights = np.exp(-2.0 * _basis_bits(spec.n_sites) @ np.asarray(spec.metric.gammas))
     return np.diag(weights.astype(complex))
 
 
@@ -400,21 +402,16 @@ def build_fermion_quadratic(
     """
     n = spec.n_sites
     ws = np.asarray(spec.metric.ws) if deformed else np.zeros(n, dtype=complex)
-    ops = [fermion_ops(n, i) for i in range(n)]
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for i in range(n):
-        ci, cid = ops[i]
         for j in range(n):
-            cj, cjd = ops[j]
-            if spec.hopping[i, j] != 0.0:
-                h += spec.hopping[i, j] * np.exp(ws[i] - ws[j]) * cid @ cj
-            if spec.pairing[i, j] != 0.0:
-                h += 0.5 * spec.pairing[i, j] * (
-                    np.exp(ws[i] + ws[j]) * cid @ cjd
-                    + np.exp(-(ws[i] + ws[j])) * cj @ ci
-                )
-    return h
+            a, b = spec.hopping[i, j], 0.5 * spec.pairing[i, j]
+            if a != 0.0:
+                terms.append((a * np.exp(ws[i] - ws[j]), (("cd", i), ("c", j))))
+            if b != 0.0:
+                terms.append((b * np.exp(ws[i] + ws[j]), (("cd", i), ("cd", j))))
+                terms.append((b * np.exp(-(ws[i] + ws[j])), (("c", j), ("c", i))))
+    return _assemble(n, terms)
 
 
 def suq2_limit(n_sites: int, q: float, ws: Sequence[complex] = ()) -> SpinChainSpec:

@@ -120,6 +120,14 @@ def _metric_pd_check(eta: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
+def _pseudo_hermiticity_check(h: np.ndarray, eta: np.ndarray, tol: float) -> CheckResult:
+    try:
+        passed, residual = is_pseudo_hermitian(h, eta, tol)
+    except SingularMetricError as exc:
+        return CheckResult("pseudo_hermiticity", False, np.inf, tol, f"failed: {exc}")
+    return CheckResult("pseudo_hermiticity", passed, residual, tol)
+
+
 def _reality_check(h: np.ndarray, tol: float) -> CheckResult:
     res = spectrum(h)
     lam = res.eigenvalues
@@ -233,10 +241,7 @@ def run_suite(
         if name == "metric_pd":
             results.append(_metric_pd_check(eta, tols[name]))
         elif name == "pseudo_hermiticity":
-            passed, residual = is_pseudo_hermitian(h, eta, tols[name])
-            results.append(
-                CheckResult("pseudo_hermiticity", passed, residual, tols[name])
-            )
+            results.append(_pseudo_hermiticity_check(h, eta, tols[name]))
         elif name == "reality":
             results.append(_reality_check(h, tols[name]))
         elif name == "isospectrality":

@@ -171,6 +171,19 @@ def test_verify_exit_check_failed(tmp_path, capsys):
     assert "dMinEigenvalue=-5.000000e-01" in out
 
 
+def test_singular_metric_is_a_failed_entry(tmp_path, capsys):
+    # passes the builder guard, but cond(eta) ~ 5e16 trips the singular-metric test
+    payload = {"model": {"kind": "oscillator2d", "k1": 1.0, "k2": 1.3, "k3": 0.4,
+                         "gamma": 0.8, "cutoff": 12}}
+    code = main(["verify", write_config(tmp_path, payload)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == EXIT_CHECK_FAILED
+    assert len(lines) == 5
+    assert lines[0].startswith("PASS metric_pd")
+    assert lines[1].startswith("FAIL pseudo_hermiticity: residual=inf")
+    assert "failed: metric condition number" in lines[1]
+
+
 def test_exit_config_error(tmp_path, capsys):
     bad = {"model": {"kind": "oscillator2d", "k1": 1.0}}
     code = main(["run", write_config(tmp_path, bad)])

@@ -9,6 +9,7 @@ from metriq.linops import (
     spectrum,
 )
 from metriq.spinchain import (
+    MAX_SITES,
     FermionQuadraticSpec,
     MetricSpec,
     PseudoSpinSite,
@@ -41,6 +42,107 @@ def random_chain_spec(rng, n, scale=0.3):
         fields_c=tuple(rng.normal(size=n) * scale),
         ws=tuple(rng.normal(size=n) * scale + 1j * rng.normal(size=n) * scale),
     )
+
+
+def random_quadratic_spec(rng, n, scale=0.3):
+    hop = rng.normal(size=(n, n))
+    pair = rng.normal(size=(n, n))
+    metric = MetricSpec(rng.normal(size=n) * scale, rng.normal(size=n) * scale)
+    return FermionQuadraticSpec(hop + hop.T, pair - pair.T, metric)
+
+
+def reference_xxz(spec, deformed=True):
+    """XXZ chain summed from the kron-embedded site operators."""
+    n = spec.n_sites
+    ws = np.asarray(spec.ws) if deformed else np.zeros(n, dtype=complex)
+    ops = [site_spin_ops(n, i) for i in range(n)]
+    pm = [(sx + 1j * sy, sx - 1j * sy) for sx, sy, _ in ops]
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n - 1):
+        (spi, smi), (spj, smj) = pm[i], pm[i + 1]
+        dw = ws[i] - ws[i + 1]
+        h += spec.gamma_exchange * (np.exp(dw) * spi @ smj + np.exp(-dw) * smi @ spj)
+        h += spec.delta * ops[i][2] @ ops[i + 1][2]
+    for i, (sx, sy, sz) in enumerate(ops):
+        a, b, c = spec.fields_a[i], spec.fields_b[i], spec.fields_c[i]
+        cw, sw = np.cosh(ws[i]), np.sinh(ws[i])
+        h += (a * cw - 1j * b * sw) * sx + (b * cw + 1j * a * sw) * sy + c * sz
+    return h
+
+
+def reference_haldane_shastry(n, metric, sign):
+    ws = metric.ws
+    ops = [site_spin_ops(n, i) for i in range(n)]
+    pm = [(sx + 1j * sy, sx - 1j * sy) for sx, sy, _ in ops]
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (spi, smi), (spj, smj) = pm[i], pm[j]
+            tij = (
+                0.5 * np.exp(ws[i] - ws[j]) * spi @ smj
+                + 0.5 * np.exp(ws[j] - ws[i]) * smi @ spj
+                + ops[i][2] @ ops[j][2]
+            )
+            h += sign * tij / (2.0 * np.sin(np.pi * (i - j) / n) ** 2)
+    return h
+
+
+def reference_fermion_quadratic(spec):
+    n = spec.n_sites
+    ws = np.asarray(spec.metric.ws)
+    ops = [fermion_ops(n, i) for i in range(n)]
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for i, (ci, cid) in enumerate(ops):
+        for j, (cj, cjd) in enumerate(ops):
+            h += spec.hopping[i, j] * np.exp(ws[i] - ws[j]) * cid @ cj
+            h += 0.5 * spec.pairing[i, j] * (
+                np.exp(ws[i] + ws[j]) * cid @ cjd + np.exp(-(ws[i] + ws[j])) * cj @ ci
+            )
+    return h
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_assembly_matches_kron_reference(n):
+    rng = np.random.default_rng(10 + n)
+    spec = random_chain_spec(rng, n)
+    assert np.array_equal(build_xxz_asymmetric(spec), reference_xxz(spec))
+    assert np.array_equal(hermitian_counterpart(spec), reference_xxz(spec, False))
+    fq = random_quadratic_spec(rng, n)
+    h = build_fermion_quadratic(fq)
+    tol = 1e-14 * (1.0 + np.abs(h).max())
+    np.testing.assert_allclose(h, reference_fermion_quadratic(fq), rtol=0, atol=tol)
+    if n < 2:
+        return
+    metric = MetricSpec(rng.normal(size=n) * 0.3, rng.normal(size=n) * 0.3)
+    for sign in (1, -1):
+        h = build_haldane_shastry(n, metric, sign)
+        tol = 1e-14 * (1.0 + np.abs(h).max())
+        ref = reference_haldane_shastry(n, metric, sign)
+        np.testing.assert_allclose(h, ref, rtol=0, atol=tol)
+
+
+def pseudo_hermiticity_entrywise(h, w, rows=512):
+    """max |H^dag eta - eta H| / (1 + max |eta H|) for eta = diag(w), by row blocks."""
+    worst = scale = 0.0
+    for r in range(0, len(w), rows):
+        lhs = h[:, r : r + rows].conj().T * w
+        rhs = w[r : r + rows, None] * h[r : r + rows]
+        worst = max(worst, np.abs(lhs - rhs).max())
+        scale = max(scale, np.abs(rhs).max())
+    return worst / (1.0 + scale)
+
+
+def test_builders_reach_the_site_cap():
+    n = MAX_SITES
+    rng = np.random.default_rng(12)
+    spec = random_chain_spec(rng, n)
+    w = np.diag(build_zeta_metric(spec)).real.copy()
+    assert pseudo_hermiticity_entrywise(build_xxz_asymmetric(spec), w) < 1e-12
+    metric = MetricSpec(spec.gammas, spec.xis)
+    assert pseudo_hermiticity_entrywise(build_haldane_shastry(n, metric), w) < 1e-12
+    fq = random_quadratic_spec(rng, n)
+    w = np.diag(fermion_metric(fq)).real.copy()
+    assert pseudo_hermiticity_entrywise(build_fermion_quadratic(fq), w) < 1e-12
 
 
 def test_site_spin_ops_basics():
