@@ -1,0 +1,73 @@
+"""Golden reports: verdicts, exit codes and spectra of `metriq run --seed 1`.
+
+The fixture ``golden_reports.json`` pins, for each config below, the exit
+code, the check names with their verdicts, and the spectra.  Verdicts and
+exit codes must match exactly and spectra to 1e-12; residuals are not
+pinned, so an algorithm change may move them at the rounding level.
+
+Regenerate (only when a change of verdict or spectrum is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from metriq.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_reports.json")
+
+CONFIGS = {
+    "oscillator2d": {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0,
+                     "gamma": 0.2, "xi": 0.1, "cutoff": 5},
+    "bosonQuadratic": {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
+                       "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [0.3, -0.2],
+                       "xis": [0.1, 0.25], "cutoff": 5},
+    "lmg": {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [0.2, -0.1],
+            "cutoff": 5},
+    "fermionQuadratic": {"kind": "fermionQuadratic", "hopping": [[1.0, 0.3], [0.3, 0.8]],
+                         "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [0.4, -0.1]},
+    "xxzAsymmetric": {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+                      "gammas": [0.3, 0.0, -0.2], "xis": [0.1, 0.0, 0.2]},
+    "xxzSymmetric": {"kind": "xxzSymmetric", "n_sites": 3, "delta": 0.5,
+                     "fields_a": [0.4, 0.4, 0.4], "gamma": 0.3, "xi": 0.1},
+    "haldaneShastry": {"kind": "haldaneShastry", "n_sites": 3, "gammas": [0.2, -0.1, 0.3]},
+    "gradedMatrix": {"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
+                     "grades": [0.3, 0.0]},
+    # large metric condition number (exp(2 * 0.8 * 2 * 12) ~ 5e16)
+    "oscillator2d_ill_conditioned": {"kind": "oscillator2d", "k1": 1.0, "k2": 1.3,
+                                     "k3": 0.4, "gamma": 0.8, "cutoff": 12},
+}
+
+
+def record(tmp_path: Path, model: dict) -> dict:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": model}))
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--seed", "1", "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    return {
+        "exit_code": code,
+        "checks": [[c["name"], c["passed"]] for c in report["checks"]],
+        "spectra": [s["eigenvalues"] for s in report["spectra"]],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_report(tmp_path, name):
+    golden = json.loads(FIXTURE.read_text())[name]
+    got = record(tmp_path, CONFIGS[name])
+    assert got["exit_code"] == golden["exit_code"]
+    assert got["checks"] == golden["checks"]
+    assert len(got["spectra"]) == len(golden["spectra"])
+    for lam, ref in zip(got["spectra"], golden["spectra"]):
+        np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = {name: record(Path(tmp), model) for name, model in CONFIGS.items()}
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
