@@ -9,8 +9,8 @@ with a batch CLI on top.
 Layout
 ------
 ``linops``
-    Metric algebra on dense matrices: adjoints, square roots, spectra,
-    evolution, the modified inner product.
+    Metric algebra on dense matrices, for metrics a user supplies:
+    adjoints, square roots, the modified inner product; spectra, evolution.
 ``bosonic``
     Truncated Fock spaces, deformed quadratic boson forms, Bogoliubov
     frequencies, the two-boson su(2) realization and the collective-spin
@@ -22,7 +22,8 @@ Layout
     Asymmetric XXZ chains, inverse-chord exchange rings, lattice fermions
     via the string mapping, and the quantum-group boundary limit.
 ``verify``
-    The standardized check suite and graded-matrix identities.
+    The standardized check suite, run on a diagonal metric's weights, and
+    graded-matrix identities.
 ``cli``
     JSON-config batch front end (``metriq run | spectrum | verify``).
 """

@@ -1,7 +1,8 @@
 """Truncated boson Fock spaces, deformed quadratic forms and their spectra.
 
 The multimode builders follow one rule throughout: with the diagonal metric
-``eta = prod_i exp(-2 gamma_i n_i)`` every hopping/pairing term carries an
+``eta = prod_i exp(-2 gamma_i n_i)`` (returned as its weight vector by
+:func:`build_metric`) every hopping/pairing term carries an
 exponential weight (``exp(w_i - w_j)`` on ``a_i^dag a_j``, ``exp(w_i + w_j)``
 on ``a_i^dag a_j^dag``, inverses on the adjoint partners) which makes the
 resulting Hamiltonian pseudo-hermitian with respect to ``eta`` entry by
@@ -144,17 +145,22 @@ def _check_mode(space: FockSpace, mode: int) -> None:
         raise ValueError(f"mode {mode} outside [0, {space.modes})")
 
 
-def _check_metric_matches(space: FockSpace, metric: MetricSpec) -> None:
-    if metric.n != space.modes:
-        raise ValueError(
-            f"metric has {metric.n} modes but the space has {space.modes}"
-        )
-    worst = max(abs(g) for g in metric.gammas) * space.cutoff
+def _guard_overflow(space: FockSpace, gammas: Iterable[float]) -> None:
+    """The overflow guard: every ``|gamma| * cutoff <= GAMMA_CUTOFF_GUARD``."""
+    worst = max(abs(g) for g in gammas) * space.cutoff
     if worst > GAMMA_CUTOFF_GUARD:
         raise ValueError(
             f"|gamma| * cutoff = {worst:.1f} exceeds overflow guard "
             f"{GAMMA_CUTOFF_GUARD}"
         )
+
+
+def _check_metric_matches(space: FockSpace, metric: MetricSpec) -> None:
+    if metric.n != space.modes:
+        raise ValueError(
+            f"metric has {metric.n} modes but the space has {space.modes}"
+        )
+    _guard_overflow(space, metric.gammas)
 
 
 def ladder_ops(space: FockSpace, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,21 +194,16 @@ def tilde_ops(space: FockSpace, metric: MetricSpec, mode: int) -> tuple[np.ndarr
     return np.exp(-g) * a, np.exp(g) * adag
 
 
-def metric_weights(space: FockSpace, metric: MetricSpec) -> np.ndarray:
-    """Diagonal entries ``exp(-2 sum_k gamma_k n_k)`` of the metric."""
-    _check_metric_matches(space, metric)
-    log_eta = -2.0 * space.occupation_table() @ np.asarray(metric.gammas)
-    return np.exp(log_eta)
-
-
 def build_metric(space: FockSpace, metric: MetricSpec) -> np.ndarray:
-    """Dense diagonal metric ``prod_k exp(-2 gamma_k n_k)``.
+    """Weights ``exp(-2 sum_k gamma_k n_k)``: the diagonal of the metric.
 
     Computed in log space so the entries are exact products of
     exponentials; positive definiteness is automatic.  The overflow guard
     rejects ``|gamma| * cutoff`` beyond ``GAMMA_CUTOFF_GUARD``.
     """
-    return np.diag(metric_weights(space, metric).astype(complex))
+    _check_metric_matches(space, metric)
+    log_eta = -2.0 * space.occupation_table() @ np.asarray(metric.gammas)
+    return np.exp(log_eta)
 
 
 class BosonQuadraticForm:

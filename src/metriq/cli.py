@@ -35,13 +35,7 @@ from .bosonic import (
     build_metric,
     build_quadratic_hamiltonian,
 )
-from .linops import (
-    DefectiveMatrixError,
-    MetricSpec,
-    NotPositiveDefiniteError,
-    SingularMetricError,
-    spectrum,
-)
+from .linops import DefectiveMatrixError, MetricSpec, spectrum
 from .oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -86,13 +80,7 @@ EXIT_NUMERICAL_FAILURE = 3
 
 BOGOLIUBOV_TOL = 1e-10
 
-_NUMERICAL_ERRORS = (
-    StabilityError,
-    SingularMetricError,
-    NotPositiveDefiniteError,
-    DefectiveMatrixError,
-    np.linalg.LinAlgError,
-)
+_NUMERICAL_ERRORS = (StabilityError, DefectiveMatrixError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -407,17 +395,12 @@ def serialize_config(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class _Built:
+    """Hamiltonian, metric weights ``w`` (``eta = diag(w)``) and phases ``u``."""
+
     h: np.ndarray
-    eta: np.ndarray
+    w: np.ndarray
     u: np.ndarray | None = None
     form: BosonQuadraticForm | None = None
-
-
-def _phase_diag(table: np.ndarray, xis) -> np.ndarray | None:
-    xis = np.asarray(xis, dtype=float)
-    if not np.any(xis):
-        return None
-    return np.diag(np.exp(-1j * table @ xis))
 
 
 def _build_oscillator(p: dict) -> _Built:
@@ -426,12 +409,8 @@ def _build_oscillator(p: dict) -> _Built:
     )
     space = FockSpace(2, p["cutoff"])
     h = build_xy_hamiltonian(params, space)
-    eta = oscillator_metric(params, space)
-    lz = angular_momentum_diag(space)
-    u = None
-    if p["xi"]:
-        u = np.diag(np.exp(-1j * p["xi"] * lz))
-    return _Built(h, eta, u)
+    u = np.exp(-1j * p["xi"] * angular_momentum_diag(space))
+    return _Built(h, oscillator_metric(params, space), u)
 
 
 def _boson_metric_spec(p: dict) -> MetricSpec:
@@ -448,9 +427,8 @@ def _build_boson_quadratic(p: dict) -> _Built:
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
     h = build_quadratic_hamiltonian(space, form)
-    eta = build_metric(space, ms)
-    u = _phase_diag(space.occupation_table(), ms.xis)
-    return _Built(h, eta, u, form=form)
+    u = np.exp(-1j * space.occupation_table() @ ms.xis)
+    return _Built(h, build_metric(space, ms), u, form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -459,18 +437,15 @@ def _build_lmg_model(p: dict) -> _Built:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
     h = build_lmg(space, ms, p["omega0"], p["omega"])
-    eta = build_metric(space, ms)
-    u = _phase_diag(space.occupation_table(), ms.xis)
-    return _Built(h, eta, u)
+    u = np.exp(-1j * space.occupation_table() @ ms.xis)
+    return _Built(h, build_metric(space, ms), u)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _boson_metric_spec(p)
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    h = build_fermion_quadratic(spec)
-    eta = fermion_metric(spec)
-    u = _phase_diag(_basis_bits(spec.n_sites), ms.xis)
-    return _Built(h, eta, u)
+    u = np.exp(-1j * _basis_bits(spec.n_sites) @ ms.xis)
+    return _Built(build_fermion_quadratic(spec), fermion_metric(spec), u)
 
 
 def _chain_spec(p: dict, ws) -> SpinChainSpec:
@@ -521,9 +496,7 @@ def _build_haldane_shastry(p: dict) -> _Built:
 
 def _build_graded(p: dict) -> _Built:
     gm = GradedMatrix(p["core"], p["grades"])
-    h = gm.realized.astype(complex)
-    eta = np.diag(gm.metric_weights.astype(complex))
-    return _Built(h, eta)
+    return _Built(gm.realized.astype(complex), gm.metric_weights)
 
 
 _BUILDERS = {
@@ -593,7 +566,7 @@ def _run_point(
         suite_tols = {k: v for k, v in tolerances.items() if k in DEFAULT_TOLERANCES}
         report = run_suite(
             built.h,
-            built.eta,
+            built.w,
             built.u,
             checks=suite,
             tolerances=suite_tols,
@@ -628,7 +601,7 @@ def _execute(
     )
     checks_out: list[dict] = []
     spectra_out: list[dict] = []
-    error: str | None = None
+    errors: list[str] = []
     exit_code = EXIT_OK
     for value, params in points:
         label = "" if value is None else f"[{config.sweep.path}={value:g}] "
@@ -642,11 +615,12 @@ def _execute(
                 run_spectrum=run_spectrum,
             )
         except _NUMERICAL_ERRORS as exc:
-            error = f"{label}numerical failure: {exc}"
+            # the other sweep points still run
+            errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
-            break
+            continue
         except (ConfigError, ValueError) as exc:
-            error = f"{label}invalid model: {exc}"
+            errors.append(f"{label}invalid model: {exc}")
             exit_code = EXIT_CONFIG_ERROR
             break
         for res in results:
@@ -668,8 +642,8 @@ def _execute(
     }
     if config.sweep is not None:
         report["sweep"] = config.sweep.to_dict()
-    if error is not None:
-        report["error"] = error
+    if errors:
+        report["error"] = "; ".join(errors)
     return report, exit_code
 
 

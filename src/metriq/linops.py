@@ -1,11 +1,14 @@
 """Dense operator algebra for quantum systems with a modified inner product.
 
-Everything in this package works with explicit complex matrices.  A *metric*
-is a hermitian positive-definite matrix ``eta`` that redefines the inner
-product as ``<psi, eta phi>``; an operator ``A`` is hermitian with respect to
-that product when ``A^dag eta == eta A``.  This module holds the generic
-machinery: metric validation and square roots, eta-adjoints, similarity maps
-to an ordinary hermitian operator, spectra and time evolution.
+A *metric* is a hermitian positive-definite matrix ``eta`` that redefines the
+inner product as ``<psi, eta phi>``; an operator ``A`` is hermitian with
+respect to that product when ``A^dag eta == eta A``.  This module holds the
+generic machinery for a metric given as an explicit complex matrix, such as
+one a user supplies: metric validation and square roots, eta-adjoints,
+similarity maps to an ordinary hermitian operator, plus spectra and time
+evolution.  The package's model builders give their diagonal metrics as
+weight vectors ``w`` instead (``eta = diag(w)``), which
+:func:`metriq.verify.run_suite` checks entry by entry.
 
 Conventions
 -----------
@@ -50,7 +53,8 @@ __all__ = [
 # Relative floor below which a metric eigenvalue counts as non-positive.
 EPS_PD = 1e-12
 # Condition-number ceiling for metrics and eigenvector matrices.  Beyond this
-# the computation is refused rather than silently degraded.
+# the computation is refused rather than silently degraded.  A diagonal
+# metric's condition number is max(w) / min(w).
 COND_LIMIT = 1e14
 # An eigenvalue counts as real when |Im(lam)| <= REALITY_TOL * (1 + |lam|).
 REALITY_TOL = 1e-9

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, GAMMA_CUTOFF_GUARD, ladder_ops
+from .bosonic import FockSpace, _guard_overflow, ladder_ops
 from .linops import as_operator
 
 __all__ = [
@@ -203,14 +203,6 @@ def _require_two_modes(space: FockSpace) -> None:
         raise ValueError("the planar oscillator needs a two-mode Fock space")
 
 
-def _guard_gamma(space: FockSpace, gamma: float) -> None:
-    if abs(gamma) * space.cutoff > GAMMA_CUTOFF_GUARD:
-        raise ValueError(
-            f"|gamma| * cutoff = {abs(gamma) * space.cutoff:.1f} exceeds "
-            f"overflow guard {GAMMA_CUTOFF_GUARD}"
-        )
-
-
 def angular_momentum_diag(space: FockSpace) -> np.ndarray:
     """Diagonal of ``Lz`` in the chiral basis: ``n_plus - n_minus``."""
     _require_two_modes(space)
@@ -239,9 +231,9 @@ def cartesian_operators(
 
 
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
-    """Diagonal metric ``exp(-2 gamma Lz)`` in the chiral basis."""
-    _guard_gamma(space, params.gamma)
-    return np.diag(np.exp(-2.0 * params.gamma * angular_momentum_diag(space)).astype(complex))
+    """Weights ``exp(-2 gamma Lz)``: the diagonal of the metric in the chiral basis."""
+    _guard_overflow(space, (params.gamma,))
+    return np.exp(-2.0 * params.gamma * angular_momentum_diag(space))
 
 
 def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarray:
@@ -253,7 +245,7 @@ def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarr
     to the ``w = 0`` matrix at any cutoff because the similarity
     ``exp(w Lz)`` is diagonal in this basis.
     """
-    _guard_gamma(space, params.gamma)
+    _guard_overflow(space, (params.gamma,))
     freqs = complex_frequencies(params)
     x, y, px, py = cartesian_operators(space)
     kinetic = (px @ px + py @ py) / (2.0 * params.m)
@@ -339,8 +331,7 @@ def matrix_element_equivalence(
     if ahat.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the Fock space")
     w = complex(w)
-    if abs(w.real) * space.cutoff > GAMMA_CUTOFF_GUARD:
-        raise ValueError("Re(w) * cutoff exceeds the overflow guard")
+    _guard_overflow(space, (w.real,))
     a1, a1d, a2, a2d = _cartesian_two_mode(space)
     lz = 1j * (a1 @ a2d - a1d @ a2)
     vals, vecs = np.linalg.eigh(lz)

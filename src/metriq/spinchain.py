@@ -5,7 +5,8 @@ spin-up (eigenvalue +1/2 of ``S^z``) precedes spin-down at every site; for
 fermions the empty state precedes the occupied one.  All metrics built here
 (``prod_i exp(-2 gamma_i S_i^z)`` and the fermionic ``prod_i exp(-2 gamma_i
 n_i)``) are diagonal in these bases, which keeps every similarity identity
-exact in floating point.
+exact in floating point; their builders return the weight vector, and
+:func:`chain_unitary` the phase vector of its diagonal unitary.
 
 Hamiltonians are summed term by term on basis indices, not from kron-embedded
 site operators: a flip on site ``k`` toggles bit ``n - 1 - k``, ``S^z`` is read
@@ -221,10 +222,9 @@ def gradient_ws(n_sites: int, gamma: float, phi: float, xi: float = 0.0) -> tupl
 
 
 def build_zeta_metric(spec: SpinChainSpec) -> np.ndarray:
-    """Diagonal chain metric ``prod_i exp(-2 gamma_i S_i^z)``."""
+    """Weights of the diagonal chain metric ``prod_i exp(-2 gamma_i S_i^z)``."""
     table = 0.5 - _basis_bits(spec.n_sites)
-    weights = np.exp(-2.0 * table @ np.asarray(spec.gammas))
-    return np.diag(weights.astype(complex))
+    return np.exp(-2.0 * table @ np.asarray(spec.gammas))
 
 
 def _chain_hamiltonian(spec: SpinChainSpec, deformed: bool) -> np.ndarray:
@@ -281,14 +281,13 @@ def hermitian_counterpart(spec: SpinChainSpec) -> np.ndarray:
 
 
 def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
-    """Diagonal phase unitary ``prod_i exp(-1j xi_i S_i^z)``.
+    """Phases of the diagonal unitary ``prod_i exp(-1j xi_i S_i^z)``.
 
     Together with the metric root it maps the deformed chain onto the
     hermitian counterpart: ``(U zeta^{1/2}) H (U zeta^{1/2})^{-1} = h``.
     """
     table = 0.5 - _basis_bits(spec.n_sites)
-    phases = np.exp(-1j * table @ np.asarray(spec.xis))
-    return np.diag(phases)
+    return np.exp(-1j * table @ np.asarray(spec.xis))
 
 
 def build_haldane_shastry(
@@ -384,9 +383,8 @@ class FermionQuadraticSpec:
 
 
 def fermion_metric(spec: FermionQuadraticSpec) -> np.ndarray:
-    """Diagonal fermion metric ``prod_i exp(-2 gamma_i n_i)``."""
-    weights = np.exp(-2.0 * _basis_bits(spec.n_sites) @ np.asarray(spec.metric.gammas))
-    return np.diag(weights.astype(complex))
+    """Weights of the diagonal fermion metric ``prod_i exp(-2 gamma_i n_i)``."""
+    return np.exp(-2.0 * _basis_bits(spec.n_sites) @ np.asarray(spec.metric.gammas))
 
 
 def build_fermion_quadratic(

@@ -1,11 +1,14 @@
 """Check engine: standardized residual checks and report objects.
 
-:func:`run_suite` takes a Hamiltonian and its metric and runs the standard
-battery (metric positivity, pseudo-hermiticity, spectral reality,
-isospectrality with the hermitian-equivalent form, eta-norm conservation
-under evolution).  A failed check becomes a report entry rather than an
-exception; only structural misuse (wrong dimensions, invalid arguments)
-raises.
+:func:`run_suite` takes a Hamiltonian and the weight vector of its diagonal
+metric and runs the standard battery (metric positivity,
+pseudo-hermiticity, spectral reality, isospectrality with the
+hermitian-equivalent form, eta-norm conservation under evolution).  With a
+diagonal metric every identity is entrywise: ``H^dag eta = eta H`` compares
+scaled columns with scaled rows, ``rho = sqrt(eta)`` is the square root of
+each weight, and the eta-norm is a weighted sum.  A failed check becomes a
+report entry rather than an exception; only structural misuse (wrong
+dimensions, invalid arguments) raises.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -15,24 +18,19 @@ weighted matrix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .linops import (
+    COND_LIMIT,
     REALITY_TOL,
-    DefectiveMatrixError,
-    NotPositiveDefiniteError,
-    SingularMetricError,
     as_operator,
+    as_state,
     evolve,
-    is_pseudo_hermitian,
-    matrix_sqrt_pd,
-    modified_inner,
     spectrum,
-    to_hermitian,
 )
 
 __all__ = [
@@ -109,23 +107,21 @@ class VerificationReport:
         }
 
 
-def _metric_pd_check(eta: np.ndarray, tol: float) -> CheckResult:
-    herm = np.linalg.norm(eta - eta.conj().T) / max(1.0, np.linalg.norm(eta))
-    vals = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-    vmax = float(vals[-1])
-    negativity = max(0.0, -float(vals[0]) / vmax) if vmax > 0 else np.inf
-    residual = max(float(herm), negativity)
-    passed = bool(residual <= tol and vals[0] > 0)
-    detail = f"min eigenvalue {vals[0]:.3e}, max {vmax:.3e}"
+def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
+    vmin, vmax = float(np.min(w)), float(np.max(w))
+    residual = max(0.0, -vmin / vmax) if vmax > 0 else np.inf
+    passed = bool(residual <= tol and vmin > 0)
+    detail = f"min eigenvalue {vmin:.3e}, max {vmax:.3e}"
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
-def _pseudo_hermiticity_check(h: np.ndarray, eta: np.ndarray, tol: float) -> CheckResult:
-    try:
-        passed, residual = is_pseudo_hermitian(h, eta, tol)
-    except SingularMetricError as exc:
-        return CheckResult("pseudo_hermiticity", False, np.inf, tol, f"failed: {exc}")
-    return CheckResult("pseudo_hermiticity", passed, residual, tol)
+def _pseudo_hermiticity_check(h: np.ndarray, w: np.ndarray, tol: float) -> CheckResult:
+    # H^dag eta - eta H entry by entry; same residual as is_pseudo_hermitian
+    rhs = w[:, None] * h
+    residual = float(
+        np.linalg.norm(h.conj().T * w - rhs) / (1.0 + np.linalg.norm(rhs))
+    )
+    return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
 
 def _reality_check(h: np.ndarray, tol: float) -> CheckResult:
@@ -141,12 +137,14 @@ def _reality_check(h: np.ndarray, tol: float) -> CheckResult:
     )
 
 
-def _isospectrality_check(h: np.ndarray, eta: np.ndarray, u, tol: float) -> CheckResult:
-    try:
-        space = matrix_sqrt_pd(eta)
-        herm = to_hermitian(h, space, u)
-    except (NotPositiveDefiniteError, SingularMetricError, ValueError) as exc:
-        return CheckResult("isospectrality", False, np.inf, tol, f"failed: {exc}")
+def _isospectrality_check(h: np.ndarray, w: np.ndarray, u, tol: float) -> CheckResult:
+    # (U rho) H (U rho)^{-1} with rho = sqrt(eta) and U diagonal
+    u = np.ones(len(w)) if u is None else as_state(u, len(w))
+    defect = np.linalg.norm((u.conj() * u).real - 1.0)
+    if defect > 1e-10 * len(u):
+        raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
+    root = np.sqrt(w)
+    herm = (u * root)[:, None] * h * (u.conj() / root)
     lam_h = spectrum(h).eigenvalues
     lam_e = spectrum(herm).eigenvalues
     dev = float(np.max(np.abs(lam_h - lam_e)))
@@ -159,17 +157,14 @@ def _isospectrality_check(h: np.ndarray, eta: np.ndarray, u, tol: float) -> Chec
 
 
 def _eta_norm_check(
-    h: np.ndarray, eta: np.ndarray, tol: float, time_grid: np.ndarray, seed: int
+    h: np.ndarray, w: np.ndarray, tol: float, time_grid: np.ndarray, seed: int
 ) -> CheckResult:
     rng = np.random.default_rng(seed)
     dim = h.shape[0]
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    try:
-        traj = evolve(h, psi0, time_grid)
-    except DefectiveMatrixError as exc:
-        return CheckResult("eta_norm", False, np.inf, tol, f"failed: {exc}")
-    norms = np.array([modified_inner(v, v, eta).real for v in traj])
+    traj = evolve(h, psi0, time_grid)
+    norms = np.array([np.vdot(v, w * v).real for v in traj])
     residual = float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
     return CheckResult(
         "eta_norm", residual <= tol, residual, tol,
@@ -179,7 +174,7 @@ def _eta_norm_check(
 
 def run_suite(
     h,
-    eta,
+    w,
     u=None,
     *,
     checks: Sequence[str] | None = None,
@@ -190,14 +185,17 @@ def run_suite(
     parameters: dict | None = None,
     extra_checks: Sequence[CheckResult] = (),
 ) -> VerificationReport:
-    """Run the standard check battery on ``(h, eta)``.
+    """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
 
     Parameters
     ----------
-    h, eta : array_like
-        Hamiltonian and metric, same dimension.
+    h : array_like
+        Hamiltonian, a square matrix.
+    w : array_like
+        Real weights, the diagonal of the metric: ``eta = diag(w)``.
     u : array_like, optional
-        Phase unitary forwarded to the hermitian-equivalence map.
+        Phases of the diagonal unitary in the hermitian-equivalence map
+        ``(U rho) H (U rho)^{-1}``; default all ones.
     checks : sequence of str, optional
         Subset (in any order) of ``DEFAULT_TOLERANCES`` keys; default all.
     tolerances : mapping, optional
@@ -210,15 +208,20 @@ def run_suite(
         Pre-computed results to append (e.g. model-specific checks).
 
     Returns a :class:`VerificationReport`; failing checks are entries, not
-    exceptions.
+    exceptions.  A metric whose condition number ``max(w) / min(w)``
+    exceeds ``COND_LIMIT`` fails pseudo_hermiticity and isospectrality.
+    A dense metric goes through the ``linops`` functions instead.
     """
     h = as_operator(h)
-    eta = as_operator(eta)
-    if h.shape != eta.shape:
+    w = np.asarray(w)
+    if w.ndim != 1 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
+        raise ValueError("metric weights must be a real, finite 1-D vector")
+    if len(w) != len(h):
         raise ValueError(
-            f"dimension mismatch: H is {h.shape[0]}-dimensional, "
-            f"metric is {eta.shape[0]}-dimensional"
+            f"dimension mismatch: H is {len(h)}-dimensional, "
+            f"metric is {len(w)}-dimensional"
         )
+    w = w.astype(float)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -234,20 +237,26 @@ def run_suite(
         if time_grid is None
         else np.asarray(time_grid, dtype=float)
     )
+    kappa = float(np.max(w) / np.min(w)) if np.min(w) > 0 else np.inf
+    run = {
+        "metric_pd": lambda tol: _metric_pd_check(w, tol),
+        "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(h, w, tol),
+        "reality": lambda tol: _reality_check(h, tol),
+        "isospectrality": lambda tol: _isospectrality_check(h, w, u, tol),
+        "eta_norm": lambda tol: _eta_norm_check(h, w, tol, grid, seed),
+    }
 
     started = time.perf_counter()
     results: list[CheckResult] = []
     for name in selected:
-        if name == "metric_pd":
-            results.append(_metric_pd_check(eta, tols[name]))
-        elif name == "pseudo_hermiticity":
-            results.append(_pseudo_hermiticity_check(h, eta, tols[name]))
-        elif name == "reality":
-            results.append(_reality_check(h, tols[name]))
-        elif name == "isospectrality":
-            results.append(_isospectrality_check(h, eta, u, tols[name]))
-        elif name == "eta_norm":
-            results.append(_eta_norm_check(h, eta, tols[name], grid, seed))
+        try:
+            if name in ("pseudo_hermiticity", "isospectrality") and kappa > COND_LIMIT:
+                raise ValueError(
+                    f"metric condition number {kappa:.3e} exceeds limit {COND_LIMIT:.1e}"
+                )
+            results.append(run[name](tols[name]))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
     results.extend(extra_checks)
     elapsed = time.perf_counter() - started
     return VerificationReport(

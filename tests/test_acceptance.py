@@ -113,7 +113,7 @@ def test_criterion_02_deformed_oscillator():
     def lowest(cutoff, count):
         space = FockSpace(2, cutoff)
         h = build_xy_hamiltonian(params, space)
-        eta = oscillator_metric(params, space)
+        eta = np.diag(oscillator_metric(params, space))
         return h, eta, spectrum(h).eigenvalues[:count]
 
     h, eta, lam10 = lowest(24, 10)
@@ -241,7 +241,7 @@ def test_criterion_07_xxz_chains():
         worst_iso = max(worst_iso, float(np.max(np.abs(lam_a - lam_h))))
         worst_imag = max(worst_imag, float(np.max(np.abs(lam_a.imag))))
 
-        eta = build_zeta_metric(spec)
+        eta = np.diag(build_zeta_metric(spec))
         psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         psi0 /= np.linalg.norm(psi0)
         traj = evolve(h_a, psi0, times)

@@ -7,6 +7,7 @@ import pytest
 from metriq.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     ConfigError,
     ModelSpec,
@@ -182,6 +183,9 @@ def test_singular_metric_is_a_failed_entry(tmp_path, capsys):
     assert lines[0].startswith("PASS metric_pd")
     assert lines[1].startswith("FAIL pseudo_hermiticity: residual=inf")
     assert "failed: metric condition number" in lines[1]
+    assert lines[3].startswith("FAIL isospectrality: residual=inf")
+    assert "failed: metric condition number" in lines[3]
+    assert lines[1].split("  ", 1)[1] == lines[3].split("  ", 1)[1]
 
 
 def test_exit_config_error(tmp_path, capsys):
@@ -288,6 +292,32 @@ def test_sweep_into_invalid_point_reports_error(tmp_path, capsys):
     assert "[m=-1]" in report["error"]
     # the first point still produced results before the bad one stopped the run
     assert len(report["spectra"]) == 1
+
+
+def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkeypatch):
+    import metriq.cli
+
+    real_spectrum = metriq.cli.spectrum
+    calls = []
+
+    def flaky_spectrum(h):
+        calls.append(h)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_spectrum(h)
+
+    monkeypatch.setattr(metriq.cli, "spectrum", flaky_spectrum)
+    payload = {
+        "model": {"kind": "xxzAsymmetric", "n_sites": 2, "delta": 0.0},
+        "sweep": {"path": "delta", "values": [0.0, 0.5, 1.0]},
+    }
+    code = main(["spectrum", write_config(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert [s["sweepValue"] for s in report["spectra"]] == [0.0, 1.0]
+    assert report["error"] == (
+        "[delta=0.5] numerical failure: Eigenvalues did not converge"
+    )
 
 
 def test_all_model_kinds_pass_default_suite(tmp_path, capsys):

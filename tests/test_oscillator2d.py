@@ -133,7 +133,7 @@ def test_isotropic_spectrum():
 def test_deformed_hamiltonian_pseudo_hermitian_and_real():
     space = FockSpace(2, 12)
     h = build_xy_hamiltonian(ANISO, space)
-    eta = oscillator_metric(ANISO, space)
+    eta = np.diag(oscillator_metric(ANISO, space))
     passed, residual = is_pseudo_hermitian(h, eta)
     assert passed and residual < 1e-12
     lam = spectrum(h).eigenvalues

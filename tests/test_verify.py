@@ -1,4 +1,6 @@
 """Check suite, report objects, and graded-matrix identities."""
+import json
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def oscillator_fixture(cutoff=10):
     space = FockSpace(2, cutoff)
     h = build_xy_hamiltonian(params, space)
     eta = oscillator_metric(params, space)
-    u = np.diag(np.exp(-1j * params.xi * angular_momentum_diag(space)))
+    u = np.exp(-1j * params.xi * angular_momentum_diag(space))
     return h, eta, u
 
 
@@ -55,12 +57,12 @@ def test_suite_passes_on_hermitian_pair():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = g + g.conj().T
-    report = run_suite(h, np.eye(6))
+    report = run_suite(h, np.ones(6))
     assert report.all_passed
 
 
 def test_failed_checks_are_entries_not_exceptions():
-    report = run_suite(E12, np.eye(2))
+    report = run_suite(E12, np.ones(2))
     by_name = {c.name: c for c in report.checks}
     assert not report.all_passed
     assert by_name["metric_pd"].passed
@@ -81,7 +83,7 @@ def test_check_subset_keeps_requested_order():
 def test_tolerance_override_is_applied():
     report = run_suite(
         E12,
-        np.eye(2),
+        np.ones(2),
         checks=["pseudo_hermiticity"],
         tolerances={"pseudo_hermiticity": 0.8},
     )
@@ -92,23 +94,23 @@ def test_tolerance_override_is_applied():
 
 def test_unknown_names_are_rejected():
     with pytest.raises(ValueError, match="unknown check"):
-        run_suite(E12, np.eye(2), checks=["bogus"])
+        run_suite(E12, np.ones(2), checks=["bogus"])
     with pytest.raises(ValueError, match="unknown tolerance"):
-        run_suite(E12, np.eye(2), tolerances={"bogus": 1.0})
+        run_suite(E12, np.ones(2), tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="dimension mismatch"):
-        run_suite(E12, np.eye(3))
+        run_suite(E12, np.ones(3))
 
 
 def test_extra_checks_are_appended():
     extra = CheckResult("custom", True, 0.0, 1.0, "hand-made")
-    report = run_suite(E12, np.eye(2), checks=["metric_pd"], extra_checks=[extra])
+    report = run_suite(E12, np.ones(2), checks=["metric_pd"], extra_checks=[extra])
     assert report.checks[-1] is extra
 
 
 def test_report_shape():
     with pytest.raises(ValueError, match="at least one check"):
         VerificationReport("m", {}, (), 0.0, 1)
-    report = run_suite(E12, np.eye(2), checks=["metric_pd"], parameters={"a": 1})
+    report = run_suite(E12, np.ones(2), checks=["metric_pd"], parameters={"a": 1})
     d = report.to_dict()
     assert set(d) == {
         "model",
@@ -131,6 +133,62 @@ def test_default_tolerances_are_frozen():
         "isospectrality": 1e-10,
         "eta_norm": 1e-10,
     }
+
+
+SMALL_MODELS = [
+    {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0, "gamma": 0.2,
+     "xi": 0.1, "cutoff": 4},
+    {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
+     "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [0.3, -0.2],
+     "xis": [0.1, 0.25], "cutoff": 3},
+    {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [0.2, -0.1],
+     "xis": [0.3, 0.0], "cutoff": 3},
+    {"kind": "fermionQuadratic", "hopping": [[1.0, 0.3], [0.3, 0.8]],
+     "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [0.4, -0.1], "xis": [0.2, 0.1]},
+    {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+     "gammas": [0.3, 0.0, -0.2], "xis": [0.1, 0.0, 0.2]},
+    {"kind": "xxzSymmetric", "n_sites": 3, "delta": 0.5,
+     "fields_a": [0.4, 0.4, 0.4], "gamma": 0.3, "xi": 0.1},
+    {"kind": "haldaneShastry", "n_sites": 3, "gammas": [0.2, -0.1, 0.3],
+     "xis": [0.0, 0.3, -0.2]},
+    {"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]], "grades": [0.3, 0.0]},
+]
+
+
+@pytest.mark.parametrize("model", SMALL_MODELS, ids=lambda m: m["kind"])
+def test_diagonal_path_matches_dense_reference(model):
+    from metriq.cli import _build_model, parse_config
+    from metriq.linops import (
+        evolve,
+        is_pseudo_hermitian,
+        matrix_sqrt_pd,
+        modified_inner,
+        spectrum,
+        to_hermitian,
+    )
+
+    built = _build_model(parse_config(json.dumps({"model": model})).model)
+    h, w, u = built.h, built.w, built.u
+    report = run_suite(h, w, u)
+    got = {c.name: c.residual for c in report.checks}
+    assert report.all_passed
+
+    eta = np.diag(w)
+    _, ph = is_pseudo_hermitian(h, eta)
+    herm = to_hermitian(h, matrix_sqrt_pd(eta), None if u is None else np.diag(u))
+    lam_h = spectrum(h).eigenvalues
+    iso = np.max(np.abs(lam_h - spectrum(herm).eigenvalues)) / (1.0 + np.max(np.abs(lam_h)))
+    rng = np.random.default_rng(DEFAULT_SEED)
+    psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
+    psi0 /= np.linalg.norm(psi0)
+    norms = np.array(
+        [modified_inner(v, v, eta).real for v in evolve(h, psi0, np.linspace(0.0, 10.0, 32))]
+    )
+    eta_norm = np.max(np.abs(norms - norms[0])) / abs(norms[0])
+
+    assert abs(got["pseudo_hermiticity"] - ph) <= 1e-13
+    assert abs(got["isospectrality"] - iso) <= 1e-13
+    assert abs(got["eta_norm"] - eta_norm) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
