@@ -615,7 +615,6 @@ def _execute(
                 run_spectrum=run_spectrum,
             )
         except _NUMERICAL_ERRORS as exc:
-            # the other sweep points still run
             errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
             continue
