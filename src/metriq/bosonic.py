@@ -145,9 +145,11 @@ def _check_mode(space: FockSpace, mode: int) -> None:
         raise ValueError(f"mode {mode} outside [0, {space.modes})")
 
 
-def _guard_overflow(space: FockSpace, *gammas: float) -> None:
-    """The overflow guard: every ``|gamma| * cutoff <= GAMMA_CUTOFF_GUARD``."""
-    worst = max(abs(g) for g in gammas) * space.cutoff
+def _guard_overflow(cutoff: int, *gammas: float) -> None:
+    """The overflow guard: every ``|gamma| * cutoff <= GAMMA_CUTOFF_GUARD``.
+
+    A spin-1/2 or fermion site has cutoff 1."""
+    worst = max(abs(g) for g in gammas) * cutoff
     if worst > GAMMA_CUTOFF_GUARD:
         raise ValueError(
             f"|gamma| * cutoff = {worst:.1f} exceeds overflow guard "
@@ -160,7 +162,7 @@ def _check_metric_matches(space: FockSpace, metric: MetricSpec) -> None:
         raise ValueError(
             f"metric has {metric.n} modes but the space has {space.modes}"
         )
-    _guard_overflow(space, *metric.gammas)
+    _guard_overflow(space.cutoff, *metric.gammas)
 
 
 def ladder_ops(space: FockSpace, mode: int) -> tuple[np.ndarray, np.ndarray]:

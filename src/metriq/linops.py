@@ -182,12 +182,14 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted eigenvalues plus quality-of-solution diagnostics.
+    """Sorted eigensystem plus quality-of-solution diagnostics.
 
     Attributes
     ----------
     eigenvalues : ndarray
         Complex eigenvalues sorted by (real, imaginary) part.
+    eigenvectors : ndarray
+        Right eigenvectors as columns, in the order of ``eigenvalues``.
     max_imag_abs : float
         Largest absolute imaginary part, for quick reality checks.
     residual : float
@@ -195,6 +197,7 @@ class SpectrumResult:
     """
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     max_imag_abs: float
     residual: float
 
@@ -202,6 +205,31 @@ class SpectrumResult:
         """True when every eigenvalue satisfies |Im| <= tol * (1 + |lam|)."""
         lam = self.eigenvalues
         return bool(np.all(np.abs(lam.imag) <= tol * (1.0 + np.abs(lam))))
+
+    def evolve(self, psi0, times) -> np.ndarray:
+        """Evolve ``psi0`` under ``exp(-i A t)`` for each ``t`` in ``times``.
+
+        ``psi0`` is expanded in the eigenvectors, so a basis with condition
+        number above ``COND_LIMIT`` is refused as defective.  Returns shape
+        ``(len(times), dim)``; ``t == 0`` rows reproduce ``psi0`` exactly.
+        """
+        vecs = self.eigenvectors
+        psi0 = as_state(psi0, vecs.shape[0])
+        tgrid = np.atleast_1d(np.asarray(times, dtype=float))
+        if tgrid.ndim != 1:
+            raise ValueError("times must be a 1-D sequence")
+        if not np.all(np.isfinite(tgrid)):
+            raise ValueError("times contains non-finite entries")
+        cond = np.linalg.cond(vecs)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise DefectiveMatrixError(
+                f"eigenvector matrix condition {cond:.3e} exceeds "
+                f"{COND_LIMIT:.1e}; matrix is numerically defective"
+            )
+        coeff = np.linalg.solve(vecs, psi0)
+        out = (np.exp(-1j * np.outer(tgrid, self.eigenvalues)) * coeff) @ vecs.T
+        out[tgrid == 0.0] = psi0
+        return out
 
 
 @dataclass(frozen=True)
@@ -333,70 +361,29 @@ def map_observable(bhat, space: InnerProductSpace) -> np.ndarray:
     return space.rho_inverse @ bhat @ space.rho
 
 
-def _sorted_eigenvalues(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], order
-
-
 def spectrum(a) -> SpectrumResult:
-    """Full eigenvalue set of a general complex matrix.
+    """Full eigensystem of a general complex matrix.
 
-    Eigenvalues come back sorted by (real, imaginary) part.  The residual is
-    the worst ``||A v - lam v||`` over the unit right eigenvectors, which
-    stays near machine precision for well-conditioned problems.
+    Eigenvalues come back sorted by (real, imaginary) part, the right
+    eigenvectors in the same order.  The residual is the worst
+    ``||A v - lam v||`` over the unit right eigenvectors, which stays near
+    machine precision for well-conditioned problems.
     """
     a = as_operator(a)
     vals, vecs = np.linalg.eig(a)
     res = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     norms = np.linalg.norm(vecs, axis=0)
     residual = float(np.max(res / np.where(norms > 0, norms, 1.0)))
-    lam, _ = _sorted_eigenvalues(vals)
+    order = np.lexsort((vals.imag, vals.real))
+    lam = vals[order]
     return SpectrumResult(
         eigenvalues=lam,
+        eigenvectors=vecs[:, order],
         max_imag_abs=float(np.max(np.abs(lam.imag))) if lam.size else 0.0,
         residual=residual,
     )
 
 
 def evolve(h, psi0, times) -> np.ndarray:
-    """Evolve ``psi0`` under ``exp(-i h t)`` for each ``t`` in ``times``.
-
-    Evolution goes through an eigendecomposition: hermitian generators use
-    the stable symmetric solver, anything else the general one.  A general
-    matrix whose eigenvector basis has condition number above ``COND_LIMIT``
-    is rejected as defective instead of producing quietly wrong results.
-
-    Returns an array of shape ``(len(times), dim)``; ``t == 0`` rows
-    reproduce ``psi0`` exactly.
-    """
-    h = as_operator(h)
-    psi0 = as_state(psi0, h.shape[0])
-    tgrid = np.atleast_1d(np.asarray(times, dtype=float))
-    if tgrid.ndim != 1:
-        raise ValueError("times must be a 1-D sequence")
-    if not np.all(np.isfinite(tgrid)):
-        raise ValueError("times contains non-finite entries")
-
-    hermitian = np.linalg.norm(h - h.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(h))
-    if hermitian:
-        vals, vecs = np.linalg.eigh(h)
-        coeff = vecs.conj().T @ psi0
-        reconstruct = vecs
-    else:
-        vals, vecs = np.linalg.eig(h)
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise DefectiveMatrixError(
-                f"eigenvector matrix condition {cond:.3e} exceeds "
-                f"{COND_LIMIT:.1e}; matrix is numerically defective"
-            )
-        coeff = np.linalg.solve(vecs, psi0)
-        reconstruct = vecs
-
-    out = np.empty((tgrid.size, h.shape[0]), dtype=complex)
-    for k, t in enumerate(tgrid):
-        if t == 0.0:
-            out[k] = psi0
-        else:
-            out[k] = reconstruct @ (np.exp(-1j * vals * t) * coeff)
-    return out
+    """Evolve ``psi0`` under ``exp(-i h t)``: :func:`spectrum`, then its ``evolve``."""
+    return spectrum(h).evolve(psi0, times)

@@ -232,7 +232,7 @@ def cartesian_operators(
 
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
     """Weights ``exp(-2 gamma Lz)``: the diagonal of the metric in the chiral basis."""
-    _guard_overflow(space, params.gamma)
+    _guard_overflow(space.cutoff, params.gamma)
     return np.exp(-2.0 * params.gamma * angular_momentum_diag(space))
 
 
@@ -245,7 +245,7 @@ def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarr
     to the ``w = 0`` matrix at any cutoff because the similarity
     ``exp(w Lz)`` is diagonal in this basis.
     """
-    _guard_overflow(space, params.gamma)
+    _guard_overflow(space.cutoff, params.gamma)
     freqs = complex_frequencies(params)
     x, y, px, py = cartesian_operators(space)
     kinetic = (px @ px + py @ py) / (2.0 * params.m)
@@ -331,7 +331,7 @@ def matrix_element_equivalence(
     if ahat.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the Fock space")
     w = complex(w)
-    _guard_overflow(space, w.real)
+    _guard_overflow(space.cutoff, w.real)
     a1, a1d, a2, a2d = _cartesian_two_mode(space)
     lz = 1j * (a1 @ a2d - a1d @ a2)
     vals, vecs = np.linalg.eigh(lz)

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bosonic import _guard_overflow
 from .linops import MetricSpec
 
 __all__ = [
@@ -196,6 +197,7 @@ class SpinChainSpec:
             raise ValueError("ws contains non-finite entries")
         if not (np.isfinite(self.gamma_exchange) and np.isfinite(self.delta)):
             raise ValueError("couplings must be finite")
+        _guard_overflow(1, *(w.real for w in ws))
         object.__setattr__(self, "ws", ws)
 
     @property
@@ -307,6 +309,7 @@ def build_haldane_shastry(
         raise ValueError("sign must be +1 or -1")
     if metric.n != n_sites:
         raise ValueError(f"metric has {metric.n} sites but the chain has {n_sites}")
+    _guard_overflow(1, *metric.gammas)
     ws = metric.ws
     terms = []
     for i in range(n_sites):
@@ -363,6 +366,7 @@ class FermionQuadraticSpec:
             raise ValueError(f"pairing must be {n}x{n}, got {pair.shape}")
         if not (np.all(np.isfinite(hop)) and np.all(np.isfinite(pair))):
             raise ValueError("coefficients must be finite")
+        _guard_overflow(1, *metric.gammas)
         bad = np.abs(hop - hop.T)
         if np.any(bad > 0):
             i, j = np.unravel_index(np.argmax(bad), hop.shape)

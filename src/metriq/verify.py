@@ -1,14 +1,14 @@
 """Check engine: standardized residual checks and report objects.
 
 :func:`run_suite` takes a Hamiltonian and the weight vector of its diagonal
-metric and runs the standard battery (metric positivity,
-pseudo-hermiticity, spectral reality, isospectrality with the
-hermitian-equivalent form, eta-norm conservation under evolution).  With a
-diagonal metric every identity is entrywise: ``H^dag eta = eta H`` compares
-scaled columns with scaled rows, ``rho = sqrt(eta)`` is the square root of
-each weight, and the eta-norm is a weighted sum.  A failed check becomes a
-report entry rather than an exception; only structural misuse (wrong
-dimensions, invalid arguments) raises.
+metric and runs the standard battery (metric positivity, pseudo-hermiticity,
+spectral reality, isospectrality with the hermitian-equivalent form, eta-norm
+conservation under evolution), the last three on one eigendecomposition of
+``H``.  With a diagonal metric every identity is entrywise: ``H^dag eta = eta
+H`` compares scaled columns with scaled rows, ``rho = sqrt(eta)`` is the
+square root of each weight, and the eta-norm is a weighted sum.  A failed
+check becomes a report entry rather than an exception; only structural misuse
+(wrong dimensions, invalid arguments) raises.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -17,8 +17,9 @@ weighted matrix.
 """
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,8 +29,8 @@ from .linops import (
     COND_LIMIT,
     REALITY_TOL,
     as_operator,
+    SpectrumResult,
     as_state,
-    evolve,
     spectrum,
 )
 
@@ -87,6 +88,8 @@ class VerificationReport:
     wall_time_s: float
     seed: int
     version: str = __version__
+    # spectrum(H) as the checks read it, None if none did; not in to_dict
+    decomposition: SpectrumResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.checks:
@@ -124,46 +127,45 @@ def _pseudo_hermiticity_check(h: np.ndarray, w: np.ndarray, tol: float) -> Check
     return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
 
-def _reality_check(h: np.ndarray, tol: float) -> CheckResult:
-    res = spectrum(h)
-    lam = res.eigenvalues
+def _reality_check(eigs: SpectrumResult, tol: float) -> CheckResult:
+    lam = eigs.eigenvalues
     worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
     return CheckResult(
         "reality",
         worst <= tol,
         worst,
         tol,
-        f"max |Im| {res.max_imag_abs:.3e}, eig residual {res.residual:.3e}",
+        f"max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}",
     )
 
 
-def _isospectrality_check(h: np.ndarray, w: np.ndarray, u, tol: float) -> CheckResult:
-    # (U rho) H (U rho)^{-1} with rho = sqrt(eta) and U diagonal
+def _isospectrality_check(
+    eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
+) -> CheckResult:
+    # F = (U rho) H (U rho)^{-1}, rho = sqrt(eta), U diagonal: hermitian iff H^dag eta = eta H
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
     if defect > 1e-10 * len(u):
         raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
     root = np.sqrt(w)
-    herm = (u * root)[:, None] * h * (u.conj() / root)
-    lam_h = spectrum(h).eigenvalues
-    lam_e = spectrum(herm).eigenvalues
-    dev = float(np.max(np.abs(lam_h - lam_e)))
-    scale = 1.0 + float(np.max(np.abs(lam_h)))
-    residual = dev / scale
+    form = (u * root)[:, None] * h * (u.conj() / root)
+    herm_defect = float(np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form)))
+    lam_h = eigs.eigenvalues
+    dev = float(np.max(np.abs(lam_h - np.linalg.eigvalsh(form))))
+    residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
     return CheckResult(
         "isospectrality", residual <= tol, residual, tol,
-        f"max eigenvalue deviation {dev:.3e}",
+        f"max eigenvalue deviation {dev:.3e}, hermiticity defect {herm_defect:.3e}",
     )
 
 
 def _eta_norm_check(
-    h: np.ndarray, w: np.ndarray, tol: float, time_grid: np.ndarray, seed: int
+    eigs: SpectrumResult, w: np.ndarray, tol: float, time_grid: np.ndarray, seed: int
 ) -> CheckResult:
     rng = np.random.default_rng(seed)
-    dim = h.shape[0]
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
     psi0 /= np.linalg.norm(psi0)
-    traj = evolve(h, psi0, time_grid)
+    traj = eigs.evolve(psi0, time_grid)
     norms = np.array([np.vdot(v, w * v).real for v in traj])
     residual = float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
     return CheckResult(
@@ -210,6 +212,7 @@ def run_suite(
     Returns a :class:`VerificationReport`; failing checks are entries, not
     exceptions.  A metric whose condition number ``max(w) / min(w)``
     exceeds ``COND_LIMIT`` fails pseudo_hermiticity and isospectrality.
+    Isospectrality also fails on the hermiticity defect of the mapped form.
     A dense metric goes through the ``linops`` functions instead.
     """
     h = as_operator(h)
@@ -238,12 +241,13 @@ def run_suite(
         else np.asarray(time_grid, dtype=float)
     )
     kappa = float(np.max(w) / np.min(w)) if np.min(w) > 0 else np.inf
+    decompose = functools.cache(lambda: spectrum(h))  # on first use, then shared
     run = {
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(h, w, tol),
-        "reality": lambda tol: _reality_check(h, tol),
-        "isospectrality": lambda tol: _isospectrality_check(h, w, u, tol),
-        "eta_norm": lambda tol: _eta_norm_check(h, w, tol, grid, seed),
+        "reality": lambda tol: _reality_check(decompose(), tol),
+        "isospectrality": lambda tol: _isospectrality_check(decompose(), h, w, u, tol),
+        "eta_norm": lambda tol: _eta_norm_check(decompose(), w, tol, grid, seed),
     }
 
     started = time.perf_counter()
@@ -265,6 +269,7 @@ def run_suite(
         checks=tuple(results),
         wall_time_s=elapsed,
         seed=seed,
+        decomposition=decompose() if decompose.cache_info().currsize else None,
     )
 
 

@@ -1,5 +1,7 @@
 """Config parsing, report emission, and exit codes of the batch front end."""
+import collections
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +320,47 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
     assert report["error"] == (
         "[delta=0.5] numerical failure: Eigenvalues did not converge"
     )
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+def test_one_eig_per_sweep_point(tmp_path, capsys, monkeypatch, command):
+    calls = collections.Counter()
+    for name in ("eig", "eigh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    payload = {
+        "model": {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+                  "gammas": [0.3, 0.0, -0.2], "xis": [0.1, 0.0, 0.2]},
+        "sweep": {"path": "delta", "values": [0.0, 0.5, 1.0]},
+    }
+    code = main([command, write_config(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert len(report["spectra"]) == 3
+    assert calls == {"eig": 3}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "xxzAsymmetric", "n_sites": 2, "gammas": [800.0, 0.0]},
+        {"kind": "haldaneShastry", "n_sites": 2, "gammas": [800.0, 0.0]},
+        {"kind": "fermionQuadratic", "hopping": [[1.0, 0.3], [0.3, 0.8]],
+         "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [800.0, 0.0]},
+    ],
+    ids=lambda m: m["kind"],
+)
+def test_chain_and_fermion_overflow_guard(tmp_path, capsys, model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", write_config(tmp_path, {"model": model})])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert "overflow guard" in captured.err
+    assert captured.out == ""
 
 
 def test_all_model_kinds_pass_default_suite(tmp_path, capsys):

@@ -191,6 +191,39 @@ def test_diagonal_path_matches_dense_reference(model):
     assert abs(got["eta_norm"] - eta_norm) <= 1e-13
 
 
+def test_isospectrality_fails_for_the_wrong_metric_root():
+    # with 1/w the mapped form is rho^{-1} H rho: isospectral with H, not hermitian
+    from metriq.cli import _build_model, parse_config
+
+    built = _build_model(parse_config(json.dumps({"model": SMALL_MODELS[4]})).model)
+    checks = {c.name: c for c in run_suite(built.h, 1.0 / built.w, built.u).checks}
+    iso = checks["isospectrality"]
+    assert not iso.passed
+    assert iso.residual > 1e-3
+    assert "hermiticity defect" in iso.detail
+    assert checks["reality"].passed
+
+
+def test_decomposition_is_shared_and_only_computed_when_needed(monkeypatch):
+    import metriq.verify
+
+    real_spectrum = metriq.verify.spectrum
+    calls = []
+    monkeypatch.setattr(
+        metriq.verify, "spectrum", lambda h: calls.append(h) or real_spectrum(h)
+    )
+    h, eta, u = oscillator_fixture(cutoff=6)
+    report = run_suite(h, eta, u)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        report.decomposition.eigenvalues, real_spectrum(h).eigenvalues
+    )
+    assert "decomposition" not in report.to_dict()
+    subset = run_suite(h, eta, u, checks=["metric_pd", "pseudo_hermiticity"])
+    assert subset.decomposition is None
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
