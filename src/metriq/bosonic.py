@@ -42,8 +42,8 @@ __all__ = [
 
 # Default ceiling on the dense Hilbert-space dimension.
 DIM_CAP = 4096
-# Metric weights are exp(-2 gamma n); refuse exponents beyond this product so
-# the weights stay comfortably inside double-precision range.
+# Metric weights are exp(-2 sum_k gamma_k n_k); refuse sum_k |gamma_k| * cutoff
+# beyond this so the weights stay comfortably inside double-precision range.
 GAMMA_CUTOFF_GUARD = 60.0
 
 
@@ -146,13 +146,14 @@ def _check_mode(space: FockSpace, mode: int) -> None:
 
 
 def _guard_overflow(cutoff: int, *gammas: float) -> None:
-    """The overflow guard: every ``|gamma| * cutoff <= GAMMA_CUTOFF_GUARD``.
+    """The overflow guard: ``sum |gamma| * cutoff <= GAMMA_CUTOFF_GUARD``.
 
-    A spin-1/2 or fermion site has cutoff 1."""
-    worst = max(abs(g) for g in gammas) * cutoff
+    The metric's exponent sums over modes, so the guard does too.  A
+    spin-1/2 or fermion site has cutoff 1."""
+    worst = sum(abs(g) for g in gammas) * cutoff
     if worst > GAMMA_CUTOFF_GUARD:
         raise ValueError(
-            f"|gamma| * cutoff = {worst:.1f} exceeds overflow guard "
+            f"sum |gamma| * cutoff = {worst:.1f} exceeds overflow guard "
             f"{GAMMA_CUTOFF_GUARD}"
         )
 
@@ -201,7 +202,7 @@ def build_metric(space: FockSpace, metric: MetricSpec) -> np.ndarray:
 
     Computed in log space so the entries are exact products of
     exponentials; positive definiteness is automatic.  The overflow guard
-    rejects ``|gamma| * cutoff`` beyond ``GAMMA_CUTOFF_GUARD``.
+    rejects ``sum |gamma| * cutoff`` beyond ``GAMMA_CUTOFF_GUARD``.
     """
     _check_metric_matches(space, metric)
     log_eta = -2.0 * space.occupation_table() @ np.asarray(metric.gammas)

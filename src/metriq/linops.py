@@ -6,7 +6,10 @@ respect to that product when ``A^dag eta == eta A``.  This module holds the
 generic machinery for a metric given as an explicit complex matrix, such as
 one a user supplies: metric validation and square roots, eta-adjoints,
 similarity maps to an ordinary hermitian operator, plus spectra and time
-evolution.  The package's model builders give their diagonal metrics as
+evolution.  A spectrum splits the basis into the connected components of the
+matrix's exact nonzero pattern and decomposes each one on its own, so a
+conserved quantity is found from the matrix, not from a model label.  The
+package's model builders give their diagonal metrics as
 weight vectors ``w`` instead (``eta = diag(w)``), which
 :func:`metriq.verify.run_suite` checks entry by entry.
 
@@ -20,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "SingularMetricError",
     "DefectiveMatrixError",
     "MetricSpec",
+    "Sector",
     "SpectrumResult",
     "InnerProductSpace",
     "as_operator",
@@ -180,6 +184,18 @@ class MetricSpec:
         return np.asarray(self.gammas) + 1j * np.asarray(self.xis)
 
 
+class Sector(NamedTuple):
+    """One invariant block: basis indices, their eigenvalues, right eigenvectors.
+
+    ``eigenvectors`` holds the columns restricted to ``indices``; outside
+    them every eigenvector of the sector is exactly zero.
+    """
+
+    indices: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted eigensystem plus quality-of-solution diagnostics.
@@ -188,8 +204,9 @@ class SpectrumResult:
     ----------
     eigenvalues : ndarray
         Complex eigenvalues sorted by (real, imaginary) part.
-    eigenvectors : ndarray
-        Right eigenvectors as columns, in the order of ``eigenvalues``.
+    sectors : tuple of Sector
+        The connected components of the matrix's nonzero pattern, ordered by
+        their smallest index, each with its own eigenvalues and eigenvectors.
     max_imag_abs : float
         Largest absolute imaginary part, for quick reality checks.
     residual : float
@@ -197,7 +214,7 @@ class SpectrumResult:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    sectors: tuple[Sector, ...]
     max_imag_abs: float
     residual: float
 
@@ -206,28 +223,38 @@ class SpectrumResult:
         lam = self.eigenvalues
         return bool(np.all(np.abs(lam.imag) <= tol * (1.0 + np.abs(lam))))
 
+    def blocks(self, a) -> list[np.ndarray]:
+        """Principal submatrices of ``a`` on each sector (``a`` itself for one)."""
+        return [_principal(a, s.indices) for s in self.sectors]
+
     def evolve(self, psi0, times) -> np.ndarray:
         """Evolve ``psi0`` under ``exp(-i A t)`` for each ``t`` in ``times``.
 
-        ``psi0`` is expanded in the eigenvectors, so a basis with condition
-        number above ``COND_LIMIT`` is refused as defective.  Returns shape
-        ``(len(times), dim)``; ``t == 0`` rows reproduce ``psi0`` exactly.
+        ``psi0`` is expanded in the eigenvectors sector by sector, so a basis
+        whose exact condition number (max over min singular value of all
+        sectors) exceeds ``COND_LIMIT`` is refused as defective.  Returns
+        shape ``(len(times), dim)``; ``t == 0`` rows reproduce ``psi0``
+        exactly.
         """
-        vecs = self.eigenvectors
-        psi0 = as_state(psi0, vecs.shape[0])
+        psi0 = as_state(psi0, len(self.eigenvalues))
         tgrid = np.atleast_1d(np.asarray(times, dtype=float))
         if tgrid.ndim != 1:
             raise ValueError("times must be a 1-D sequence")
         if not np.all(np.isfinite(tgrid)):
             raise ValueError("times contains non-finite entries")
-        cond = np.linalg.cond(vecs)
+        sigma = np.concatenate(
+            [np.linalg.svd(s.eigenvectors, compute_uv=False) for s in self.sectors]
+        )
+        cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise DefectiveMatrixError(
                 f"eigenvector matrix condition {cond:.3e} exceeds "
                 f"{COND_LIMIT:.1e}; matrix is numerically defective"
             )
-        coeff = np.linalg.solve(vecs, psi0)
-        out = (np.exp(-1j * np.outer(tgrid, self.eigenvalues)) * coeff) @ vecs.T
+        out = np.empty((len(tgrid), len(psi0)), dtype=complex)
+        for idx, lam, vecs in self.sectors:
+            coeff = np.linalg.solve(vecs, psi0[idx])
+            out[:, idx] = (np.exp(-1j * np.outer(tgrid, lam)) * coeff) @ vecs.T
         out[tgrid == 0.0] = psi0
         return out
 
@@ -361,25 +388,57 @@ def map_observable(bhat, space: InnerProductSpace) -> np.ndarray:
     return space.rho_inverse @ bhat @ space.rho
 
 
-def spectrum(a) -> SpectrumResult:
-    """Full eigensystem of a general complex matrix.
+def _principal(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
 
-    Eigenvalues come back sorted by (real, imaginary) part, the right
-    eigenvectors in the same order.  The residual is the worst
-    ``||A v - lam v||`` over the unit right eigenvectors, which stays near
-    machine precision for well-conditioned problems.
+
+def _pattern_components(a: np.ndarray) -> list[np.ndarray]:
+    """Connected components of ``a``'s exact nonzero pattern, by smallest index.
+
+    ``i ~ j`` when ``a[i, j] != 0`` or ``a[j, i] != 0``; no tolerance.
+    """
+    linked = a != 0
+    linked |= linked.T
+    unseen = np.ones(len(a), dtype=bool)
+    components = []
+    while unseen.any():
+        members = np.zeros(len(a), dtype=bool)
+        members[np.argmax(unseen)] = True
+        frontier = members.copy()
+        while frontier.any():  # breadth-first, one level per pass
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        components.append(np.flatnonzero(members))
+    return components
+
+
+def spectrum(a) -> SpectrumResult:
+    """Full eigensystem of a general complex matrix, sector by sector.
+
+    The basis splits into the connected components of the exact nonzero
+    pattern of ``a``; each component's principal submatrix goes to
+    ``np.linalg.eig`` on its own (a single component is ``a`` itself).
+    Eigenvalues come back sorted by (real, imaginary) part.  The residual is
+    the worst ``||A v - lam v||`` over the unit right eigenvectors, which
+    stays near machine precision for well-conditioned problems.
     """
     a = as_operator(a)
-    vals, vecs = np.linalg.eig(a)
-    res = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    norms = np.linalg.norm(vecs, axis=0)
-    residual = float(np.max(res / np.where(norms > 0, norms, 1.0)))
-    order = np.lexsort((vals.imag, vals.real))
-    lam = vals[order]
+    sectors = []
+    residual = 0.0
+    for idx in _pattern_components(a):
+        block = _principal(a, idx)
+        vals, vecs = np.linalg.eig(block)
+        res = np.linalg.norm(block @ vecs - vecs * vals, axis=0)
+        norms = np.linalg.norm(vecs, axis=0)
+        residual = max(residual, float(np.max(res / np.where(norms > 0, norms, 1.0))))
+        sectors.append(Sector(idx, vals, vecs))
+    vals = np.concatenate([s.eigenvalues for s in sectors])
+    lam = vals[np.lexsort((vals.imag, vals.real))]
     return SpectrumResult(
         eigenvalues=lam,
-        eigenvectors=vecs[:, order],
-        max_imag_abs=float(np.max(np.abs(lam.imag))) if lam.size else 0.0,
+        sectors=tuple(sectors),
+        max_imag_abs=float(np.max(np.abs(lam.imag))),
         residual=residual,
     )
 

@@ -4,9 +4,10 @@
 metric and runs the standard battery (metric positivity, pseudo-hermiticity,
 spectral reality, isospectrality with the hermitian-equivalent form, eta-norm
 conservation under evolution), the last three on one eigendecomposition of
-``H``.  With a diagonal metric every identity is entrywise: ``H^dag eta = eta
-H`` compares scaled columns with scaled rows, ``rho = sqrt(eta)`` is the
-square root of each weight, and the eta-norm is a weighted sum.  A failed
+``H``, made sector by sector on the blocks of its exact zero pattern.  With a
+diagonal metric every identity is entrywise: ``H^dag eta = eta H`` compares
+scaled columns with scaled rows, ``rho = sqrt(eta)`` is the square root of
+each weight, and the eta-norm is a weighted sum.  A failed
 check becomes a report entry rather than an exception; only structural misuse
 (wrong dimensions, invalid arguments) raises.
 
@@ -130,19 +131,22 @@ def _pseudo_hermiticity_check(h: np.ndarray, w: np.ndarray, tol: float) -> Check
 def _reality_check(eigs: SpectrumResult, tol: float) -> CheckResult:
     lam = eigs.eigenvalues
     worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
+    sizes = [len(s.indices) for s in eigs.sectors]
     return CheckResult(
         "reality",
         worst <= tol,
         worst,
         tol,
-        f"max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}",
+        f"max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}, "
+        f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}",
     )
 
 
 def _isospectrality_check(
     eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
 ) -> CheckResult:
-    # F = (U rho) H (U rho)^{-1}, rho = sqrt(eta), U diagonal: hermitian iff H^dag eta = eta H
+    # F = (U rho) H (U rho)^{-1}, rho = sqrt(eta), U diagonal: hermitian iff H^dag eta = eta H.
+    # Diagonal scalings keep H's zero pattern, so F splits on the sectors of eigs.
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
     if defect > 1e-10 * len(u):
@@ -151,7 +155,8 @@ def _isospectrality_check(
     form = (u * root)[:, None] * h * (u.conj() / root)
     herm_defect = float(np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form)))
     lam_h = eigs.eigenvalues
-    dev = float(np.max(np.abs(lam_h - np.linalg.eigvalsh(form))))
+    lam_f = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in eigs.blocks(form)]))
+    dev = float(np.max(np.abs(lam_h - lam_f)))
     residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
     return CheckResult(
         "isospectrality", residual <= tol, residual, tol,

@@ -323,12 +323,15 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("command", ["run", "spectrum"])
-def test_one_eig_per_sweep_point(tmp_path, capsys, monkeypatch, command):
+def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, command):
     calls = collections.Counter()
+    eig_shapes = []
     for name in ("eig", "eigh"):
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            if _name == "eig":
+                eig_shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     payload = {
@@ -340,7 +343,9 @@ def test_one_eig_per_sweep_point(tmp_path, capsys, monkeypatch, command):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert len(report["spectra"]) == 3
-    assert calls == {"eig": 3}
+    # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}
+    assert eig_shapes == [(1, 1), (3, 3), (3, 3), (1, 1)] * 3
+    assert calls == {"eig": 12}
 
 
 @pytest.mark.parametrize(
@@ -360,6 +365,29 @@ def test_chain_and_fermion_overflow_guard(tmp_path, capsys, model):
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG_ERROR
     assert "overflow guard" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # each site passes |gamma| <= 60, the metric exponent sums to 360
+        {"kind": "fermionQuadratic", "hopping": np.eye(6).tolist(),
+         "pairing": np.zeros((6, 6)).tolist(), "gammas": [-60.0] * 6},
+        # each mode passes 1 * 40 <= 60, the sum gives 80
+        {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
+         "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [1.0, 1.0], "cutoff": 40},
+    ],
+    ids=lambda m: m["kind"],
+)
+def test_overflow_guard_sums_over_modes(tmp_path, capsys, model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", write_config(tmp_path, {"model": model})])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert "sum |gamma| * cutoff" in captured.err
+    assert "exceeds overflow guard 60.0" in captured.err
     assert captured.out == ""
 
 

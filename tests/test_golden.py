@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metriq.bosonic import FockSpace
 from metriq.cli import main
+from metriq.oscillator2d import OscillatorParams, build_xy_hamiltonian
 
 FIXTURE = Path(__file__).with_name("golden_reports.json")
 
@@ -63,6 +65,17 @@ def test_golden_report(tmp_path, name):
     assert len(got["spectra"]) == len(golden["spectra"])
     for lam, ref in zip(got["spectra"], golden["spectra"]):
         np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
+
+
+def test_ill_conditioned_spectrum_matches_the_hermitian_build(tmp_path):
+    # the gamma = 0 build is hermitian and exactly isospectral; the pin above
+    # only records rounding, this holds the spectrum to the benchmark oracle's rule
+    model = CONFIGS["oscillator2d_ill_conditioned"]
+    params = OscillatorParams(model["k1"], model["k2"], model["k3"])
+    ref = np.linalg.eigvalsh(build_xy_hamiltonian(params, FockSpace(2, model["cutoff"])))
+    (lam,) = record(tmp_path, model)["spectra"]
+    lam = np.asarray(lam) @ [1.0, 1j]
+    assert np.max(np.abs(lam - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
 if __name__ == "__main__":

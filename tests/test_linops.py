@@ -240,6 +240,61 @@ def test_spectrum_sort_order_and_residual():
     assert spectrum(np.eye(3)).is_real()
 
 
+def hidden_blocks(rng, sizes):
+    """A random non-normal complex block-diagonal matrix under a random permutation."""
+    dim = sum(sizes)
+    a = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for d in sizes:
+        a[start:start + d, start:start + d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        start += d
+    perm = rng.permutation(dim)
+    blocks = np.split(np.argsort(perm), np.cumsum(sizes)[:-1])
+    return a[np.ix_(perm, perm)], blocks
+
+
+def test_spectrum_finds_hidden_sectors():
+    rng = np.random.default_rng(7)
+    a, blocks = hidden_blocks(rng, (4, 7, 1))
+    res = spectrum(a)
+    expected = sorted((np.sort(b) for b in blocks), key=lambda b: b[0])
+    assert len(res.sectors) == 3
+    for sector, idx in zip(res.sectors, expected):
+        assert np.array_equal(sector.indices, idx)
+    vals = np.linalg.eigvals(a)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    scale = 1.0 + np.max(np.abs(vals))
+    assert np.max(np.abs(res.eigenvalues - vals)) <= 1e-12 * scale
+
+    psi0 = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
+    times = np.linspace(0.0, 1.0, 5)
+    dense_vals, dense_vecs = np.linalg.eig(a)
+    coeff = np.linalg.solve(dense_vecs, psi0)
+    dense = np.array([dense_vecs @ (np.exp(-1j * dense_vals * t) * coeff) for t in times])
+    np.testing.assert_allclose(res.evolve(psi0, times), dense, rtol=0, atol=1e-12)
+
+
+def test_tiny_coupling_joins_sectors():
+    rng = np.random.default_rng(8)
+    a = np.zeros((5, 5), dtype=complex)
+    a[:2, :2] = rng.normal(size=(2, 2))
+    a[2:, 2:] = rng.normal(size=(3, 3))
+    assert len(spectrum(a).sectors) == 2
+    a[1, 3] = 1e-300
+    (sector,) = spectrum(a).sectors
+    assert np.array_equal(sector.indices, np.arange(5))
+
+
+def test_evolve_rejects_a_defective_sector():
+    a = np.zeros((3, 3), dtype=complex)
+    a[:2, :2] = E12
+    a[2, 2] = 2.0
+    res = spectrum(a)
+    assert len(res.sectors) == 2
+    with pytest.raises(DefectiveMatrixError):
+        res.evolve(np.ones(3), [0.0, 1.0])
+
+
 def test_evolve_zero_and_hermitian():
     psi0 = np.array([1.0, 1.0j]) / np.sqrt(2)
     times = np.linspace(0.0, 5.0, 7)
