@@ -11,15 +11,19 @@ entry, even after truncation.
 Basis ordering is little-endian in the occupation numbers: mode 0 varies
 fastest, i.e. basis index ``i`` encodes occupation ``n_k = (i // d**k) % d``
 with ``d = cutoff + 1``.
+
+One assembler sums every Hamiltonian of the package on these basis indices,
+with no kron-embedded operator and no dense product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linops import MetricSpec, as_operator
+from .linops import MetricSpec
 
 __all__ = [
     "DIM_CAP",
@@ -125,19 +129,38 @@ class FockSpace:
         return vec
 
 
-def _single_mode_lowering(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    ns = np.arange(1, cutoff + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+# Digit moves: "a"/"ad" lower/raise a mode, "+"/"-" are S^+/S^- of a site.
+_STEPS = {"a": -1, "+": -1, "c": -1, "ad": 1, "-": 1, "cd": 1}
 
 
-def _embed(op: np.ndarray, mode: int, space: FockSpace) -> np.ndarray:
-    """Embed a single-mode operator at ``mode`` (mode 0 least significant)."""
-    d = space.cutoff + 1
-    lower = np.eye(d**mode)
-    upper = np.eye(d ** (space.modes - 1 - mode))
-    return np.kron(upper, np.kron(op, lower))
+def _assemble(space: FockSpace, terms) -> np.ndarray:
+    """Dense sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
+
+    A factor is ``(kind, mode)``.  A move shifts the index by the mode's
+    stride with amplitude ``sqrt(n)`` down or ``sqrt(n + 1)`` up and drops
+    states pushed out of ``[0, cutoff]``, as truncated ladder matrices do.
+    ``"c"``/``"cd"`` add the Jordan-Wigner sign of the higher modes, ``"n"``
+    is the occupation and ``"z"`` is ``1/2 - n``.  The last factor acts first.
+    """
+    occ = space.occupation_table()
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for coef, factors in terms:
+        src = cur = np.arange(space.dim)
+        amp = np.ones(space.dim)
+        for kind, mode in reversed(factors):
+            n = occ[cur, mode]
+            if kind in ("n", "z"):
+                amp = amp * (n if kind == "n" else 0.5 - n)
+                continue
+            step = _STEPS[kind]
+            keep = n > 0 if step < 0 else n < space.cutoff
+            src, cur, n = src[keep], cur[keep], n[keep]
+            amp = amp[keep] * np.sqrt(n if step < 0 else n + 1)
+            if kind in ("c", "cd"):
+                amp = amp * (1 - 2 * (occ[cur, mode + 1 :].sum(axis=1) & 1))
+            cur = cur + step * (space.cutoff + 1) ** mode
+        h[cur, src] += coef * amp
+    return h
 
 
 def _check_mode(space: FockSpace, mode: int) -> None:
@@ -174,7 +197,7 @@ def ladder_ops(space: FockSpace, mode: int) -> tuple[np.ndarray, np.ndarray]:
     exactly below the cutoff.
     """
     _check_mode(space, mode)
-    a = _embed(_single_mode_lowering(space.cutoff), mode, space)
+    a = _assemble(space, [(1.0, (("a", mode),))])
     return a, a.conj().T
 
 
@@ -261,25 +284,18 @@ def build_quadratic_hamiltonian(
         raise ValueError(f"form has {form.n} modes but the space has {space.modes}")
     _check_metric_matches(space, form.metric)
     ws = form.metric.ws
-    lowering = [_embed(_single_mode_lowering(space.cutoff), k, space) for k in range(space.modes)]
-    raising = [a.conj().T for a in lowering]
-
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(space.modes):
-        for j in range(space.modes):
-            if form.alpha[i, j] != 0.0:
-                h += 0.5 * form.alpha[i, j] * (
-                    np.exp(ws[i] - ws[j]) * raising[i] @ lowering[j]
-                    + np.exp(-(ws[i] - ws[j])) * raising[j] @ lowering[i]
-                )
-            if form.beta[i, j] != 0.0:
-                h += 0.5 * form.beta[i, j] * (
-                    np.exp(-(ws[i] + ws[j])) * lowering[i] @ lowering[j]
-                    + np.exp(ws[i] + ws[j]) * raising[i] @ raising[j]
-                )
-    if include_zero_point:
-        h += 0.5 * np.trace(form.alpha) * np.eye(space.dim)
-    return h
+    terms = []
+    for i, j in product(range(space.modes), repeat=2):
+        a, b = 0.5 * form.alpha[i, j], 0.5 * form.beta[i, j]
+        if a != 0.0:
+            terms.append((a * np.exp(ws[i] - ws[j]), (("ad", i), ("a", j))))
+            terms.append((a * np.exp(-(ws[i] - ws[j])), (("ad", j), ("a", i))))
+        if b != 0.0:
+            terms.append((b * np.exp(-(ws[i] + ws[j])), (("a", i), ("a", j))))
+            terms.append((b * np.exp(ws[i] + ws[j]), (("ad", i), ("ad", j))))
+    if include_zero_point:  # the identity: a term without factors
+        terms.append((0.5 * np.trace(form.alpha), ()))
+    return _assemble(space, terms)
 
 
 @dataclass(frozen=True)
@@ -352,6 +368,19 @@ def quadratic_spectrum(
     return np.asarray(energies)
 
 
+def _su2_terms(space: FockSpace, metric: MetricSpec):
+    """Assembler terms of ``(J_plus, J_minus, J_z)``."""
+    if space.modes != 2:
+        raise ValueError("the su(2) realization needs exactly two modes")
+    _check_metric_matches(space, metric)
+    g1, g2 = metric.gammas
+    return (
+        [(np.exp(g1 - g2), (("ad", 0), ("a", 1)))],
+        [(np.exp(-(g1 - g2)), (("ad", 1), ("a", 0)))],
+        [(0.5, (("n", 0),)), (-0.5, (("n", 1),))],
+    )
+
+
 def schwinger_su2(
     space: FockSpace, metric: MetricSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,17 +391,7 @@ def schwinger_su2(
     the pair ``J_plus, J_minus`` are metric-adjoints of each other and the
     su(2) commutators hold on every complete total-number sector.
     """
-    if space.modes != 2:
-        raise ValueError("the su(2) realization needs exactly two modes")
-    _check_metric_matches(space, metric)
-    g1, g2 = metric.gammas
-    a1, a1d = ladder_ops(space, 0)
-    a2, a2d = ladder_ops(space, 1)
-    jp = np.exp(g1 - g2) * a1d @ a2
-    jm = np.exp(-(g1 - g2)) * a2d @ a1
-    occ = space.occupation_table()
-    jz = np.diag(0.5 * (occ[:, 0] - occ[:, 1]).astype(complex))
-    return jp, jm, jz
+    return tuple(_assemble(space, terms) for terms in _su2_terms(space, metric))
 
 
 def build_lmg(
@@ -384,8 +403,9 @@ def build_lmg(
     respect to the diagonal two-mode metric and block-diagonal in the total
     boson number (fixed-j sectors).
     """
-    jp, jm, jz = schwinger_su2(space, metric)
-    return omega0 * jz + omega * (jm @ jm + jp @ jp)
+    [(cp, jp)], [(cm, jm)], jz = _su2_terms(space, metric)
+    terms = [(omega0 * c, f) for c, f in jz]
+    return _assemble(space, terms + [(omega * cm * cm, jm + jm), (omega * cp * cp, jp + jp)])
 
 
 def total_number_indices(space: FockSpace, total: int) -> np.ndarray:

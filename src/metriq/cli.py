@@ -45,7 +45,6 @@ from .oscillator2d import (
 from .spinchain import (
     FermionQuadraticSpec,
     SpinChainSpec,
-    _basis_bits,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
@@ -444,7 +443,7 @@ def _build_lmg_model(p: dict) -> _Built:
 def _build_fermion(p: dict) -> _Built:
     ms = _boson_metric_spec(p)
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    u = np.exp(-1j * _basis_bits(spec.n_sites) @ ms.xis)
+    u = np.exp(-1j * FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1] @ ms.xis)
     return _Built(build_fermion_quadratic(spec), fermion_metric(spec), u)
 
 

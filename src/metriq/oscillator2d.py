@@ -17,11 +17,12 @@ ladder pair is recovered as ``a1 = (a_+ + a_-)/sqrt(2)``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _guard_overflow, ladder_ops
+from .bosonic import FockSpace, _assemble, _guard_overflow, ladder_ops
 from .linops import as_operator
 
 __all__ = [
@@ -210,6 +211,13 @@ def angular_momentum_diag(space: FockSpace) -> np.ndarray:
     return (occ[:, 0] - occ[:, 1]).astype(float)
 
 
+# (x, y, px, py) as linear forms in (a_+, a_-, a_+^dag, a_-^dag)
+_CHIRAL = (("a", 0), ("a", 1), ("ad", 0), ("ad", 1))
+_CARTESIAN = 0.5 * np.array(
+    [[1, 1, 1, 1], [1j, -1j, -1j, 1j], [-1j, -1j, 1j, 1j], [1, -1, 1, -1]]
+)
+
+
 def cartesian_operators(
     space: FockSpace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -219,15 +227,8 @@ def cartesian_operators(
     with ``a1, a2`` the Cartesian ladder combinations of the chiral pair.
     """
     _require_two_modes(space)
-    ap, _ = ladder_ops(space, 0)
-    am, _ = ladder_ops(space, 1)
-    a1 = (ap + am) / np.sqrt(2.0)
-    a2 = 1j * (ap - am) / np.sqrt(2.0)
-    x = (a1 + a1.conj().T) / np.sqrt(2.0)
-    y = (a2 + a2.conj().T) / np.sqrt(2.0)
-    px = 1j * (a1.conj().T - a1) / np.sqrt(2.0)
-    py = 1j * (a2.conj().T - a2) / np.sqrt(2.0)
-    return x, y, px, py
+    terms = [[(c, (f,)) for c, f in zip(form, _CHIRAL)] for form in _CARTESIAN]
+    return tuple(_assemble(space, t) for t in terms)
 
 
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
@@ -245,15 +246,17 @@ def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarr
     to the ``w = 0`` matrix at any cutoff because the similarity
     ``exp(w Lz)`` is diagonal in this basis.
     """
+    _require_two_modes(space)
     _guard_overflow(space.cutoff, params.gamma)
     freqs = complex_frequencies(params)
-    x, y, px, py = cartesian_operators(space)
-    kinetic = (px @ px + py @ py) / (2.0 * params.m)
-    cross = 0.5 * (x @ y + y @ x)
-    potential = 0.5 * (
-        freqs.m_w1_sq * x @ x + freqs.m_w2_sq * y @ y + freqs.m_w3_sq * cross
+    x, y, px, py = _CARTESIAN
+    # H = sum_ij coef[i, j] f_i f_j over the chiral factors
+    coef = (np.outer(px, px) + np.outer(py, py)) / (2.0 * params.m) + 0.5 * (
+        freqs.m_w1_sq * np.outer(x, x)
+        + freqs.m_w2_sq * np.outer(y, y)
+        + freqs.m_w3_sq * 0.5 * (np.outer(x, y) + np.outer(y, x))
     )
-    return kinetic + potential
+    return _assemble(space, list(zip(coef.ravel(), product(_CHIRAL, repeat=2))))
 
 
 def transformed_canonical_ops(

@@ -8,20 +8,20 @@ n_i)``) are diagonal in these bases, which keeps every similarity identity
 exact in floating point; their builders return the weight vector, and
 :func:`chain_unitary` the phase vector of its diagonal unitary.
 
-Hamiltonians are summed term by term on basis indices, not from kron-embedded
-site operators: a flip on site ``k`` toggles bit ``n - 1 - k``, ``S^z`` is read
-from the bit table, and a fermion operator takes its Jordan-Wigner sign from
-the parity of the more significant bits.  Every builder reaches the cap of 12
-sites (dense dimension 4096).
+A chain of ``n`` sites is ``FockSpace(n, 1)`` with its sites in reverse order,
+so site ``k`` is bit ``n - 1 - k`` of the basis index (1 is down/occupied).
+Hamiltonians come from the boson assembler: ``S^+``/``S^-`` lower/raise a bit,
+and a fermion operator takes its Jordan-Wigner sign from the parity of the more
+significant bits.  Every builder reaches the cap of 12 sites (dim 4096).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bosonic import _guard_overflow
+from .bosonic import FockSpace, _assemble, _guard_overflow
 from .linops import MetricSpec
 
 __all__ = [
@@ -90,37 +90,11 @@ def site_spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _basis_bits(n_sites: int) -> np.ndarray:
-    """(dim, n_sites) basis bits, site 0 most significant; 1 is down/occupied."""
-    idx = np.arange(2**n_sites)
-    return (idx[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1
-
-
-def _assemble(n_sites: int, terms) -> np.ndarray:
-    """Dense sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
-
-    A factor is ``(kind, site)``: ``"+"``/``"-"`` are S^+/S^-, ``"z"`` is S^z,
-    ``"c"``/``"cd"`` are c/c^dag.  The last factor acts first; terms are added
-    in the order given, so the result does not depend on BLAS.
-    """
-    bits = _basis_bits(n_sites)
-    strings = (np.cumsum(bits, axis=1) - bits) & 1  # parity of the earlier sites
-    dim = 2**n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for coef, factors in terms:
-        src = cur = np.arange(dim)
-        amp = np.ones(dim)
-        for kind, site in reversed(factors):
-            if kind == "z":
-                amp = amp * (0.5 - bits[cur, site])
-                continue
-            keep = bits[cur, site] == (kind in ("+", "c"))  # these clear a set bit
-            src, cur, amp = src[keep], cur[keep], amp[keep]
-            if kind in ("c", "cd"):
-                amp = amp * (1 - 2 * strings[cur, site])
-            cur = cur ^ (1 << (n_sites - 1 - site))
-        h[cur, src] += coef * amp
-    return h
+def _assemble_sites(n_sites: int, terms) -> np.ndarray:
+    """Assemble terms of ``(kind, site)`` factors on ``FockSpace(n_sites, 1)``."""
+    top = n_sites - 1
+    terms = [(coef, [(kind, top - k) for kind, k in factors]) for coef, factors in terms]
+    return _assemble(FockSpace(n_sites, 1), terms)
 
 
 @dataclass(frozen=True)
@@ -225,7 +199,7 @@ def gradient_ws(n_sites: int, gamma: float, phi: float, xi: float = 0.0) -> tupl
 
 def build_zeta_metric(spec: SpinChainSpec) -> np.ndarray:
     """Weights of the diagonal chain metric ``prod_i exp(-2 gamma_i S_i^z)``."""
-    table = 0.5 - _basis_bits(spec.n_sites)
+    table = 0.5 - FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
     return np.exp(-2.0 * table @ np.asarray(spec.gammas))
 
 
@@ -249,7 +223,7 @@ def _chain_hamiltonian(spec: SpinChainSpec, deformed: bool) -> np.ndarray:
         terms.append((0.5 * x - 0.5j * y, (("+", i),)))
         terms.append((0.5 * x + 0.5j * y, (("-", i),)))
         terms.append((c, (("z", i),)))
-    return _assemble(n, terms)
+    return _assemble_sites(n, terms)
 
 
 def build_xxz_asymmetric(spec: SpinChainSpec) -> np.ndarray:
@@ -288,7 +262,7 @@ def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
     Together with the metric root it maps the deformed chain onto the
     hermitian counterpart: ``(U zeta^{1/2}) H (U zeta^{1/2})^{-1} = h``.
     """
-    table = 0.5 - _basis_bits(spec.n_sites)
+    table = 0.5 - FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
     return np.exp(-1j * table @ np.asarray(spec.xis))
 
 
@@ -319,7 +293,7 @@ def build_haldane_shastry(
             terms.append((sign * 0.5 * np.exp(dw) / chord, (("+", i), ("-", j))))
             terms.append((sign * 0.5 * np.exp(-dw) / chord, (("-", i), ("+", j))))
             terms.append((sign / chord, (("z", i), ("z", j))))
-    return _assemble(n_sites, terms)
+    return _assemble_sites(n_sites, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +362,8 @@ class FermionQuadraticSpec:
 
 def fermion_metric(spec: FermionQuadraticSpec) -> np.ndarray:
     """Weights of the diagonal fermion metric ``prod_i exp(-2 gamma_i n_i)``."""
-    return np.exp(-2.0 * _basis_bits(spec.n_sites) @ np.asarray(spec.metric.gammas))
+    bits = FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
+    return np.exp(-2.0 * bits @ np.asarray(spec.metric.gammas))
 
 
 def build_fermion_quadratic(
@@ -413,7 +388,7 @@ def build_fermion_quadratic(
             if b != 0.0:
                 terms.append((b * np.exp(ws[i] + ws[j]), (("cd", i), ("cd", j))))
                 terms.append((b * np.exp(-(ws[i] + ws[j])), (("c", j), ("c", i))))
-    return _assemble(n, terms)
+    return _assemble_sites(n, terms)
 
 
 def suq2_limit(n_sites: int, q: float, ws: Sequence[complex] = ()) -> SpinChainSpec:

@@ -18,6 +18,14 @@ from metriq.bosonic import (
     total_number_indices,
 )
 from metriq.linops import MetricSpec, eta_adjoint, is_pseudo_hermitian, spectrum
+from metriq.oscillator2d import (
+    OscillatorParams,
+    build_xy_hamiltonian,
+    cartesian_operators,
+    complex_frequencies,
+    oscillator_metric,
+)
+from test_spinchain import pseudo_hermiticity_entrywise
 
 SWANSON = BosonQuadraticForm([[2.0]], [[0.5]], MetricSpec([0.3], [0.2]))
 OMEGA_SWANSON = np.sqrt(3.75)  # sqrt(alpha^2 - beta^2)
@@ -267,3 +275,114 @@ def test_lmg_limits_and_sector_isospectrality():
         lam_p = np.sort(np.linalg.eigvals(plain[np.ix_(sector, sector)]).real)
         lam_d = np.sort(np.linalg.eigvals(deformed[np.ix_(sector, sector)]).real)
         np.testing.assert_allclose(lam_d, lam_p, atol=1e-10)
+
+
+def kron_lowering(space, mode):
+    """Reference lowering matrix of one mode, kron-embedded (mode 0 least significant)."""
+    d = space.cutoff + 1
+    ns = np.arange(1, d)
+    a = np.zeros((d, d), dtype=complex)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return np.kron(np.eye(d ** (space.modes - 1 - mode)), np.kron(a, np.eye(d**mode)))
+
+
+def reference_quadratic(space, form, include_zero_point):
+    ws = form.metric.ws
+    low = [kron_lowering(space, k) for k in range(space.modes)]
+    up = [a.conj().T for a in low]
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(space.modes):
+        for j in range(space.modes):
+            h += 0.5 * form.alpha[i, j] * (
+                np.exp(ws[i] - ws[j]) * up[i] @ low[j] + np.exp(ws[j] - ws[i]) * up[j] @ low[i]
+            )
+            h += 0.5 * form.beta[i, j] * (
+                np.exp(-(ws[i] + ws[j])) * low[i] @ low[j] + np.exp(ws[i] + ws[j]) * up[i] @ up[j]
+            )
+    if include_zero_point:
+        h += 0.5 * np.trace(form.alpha) * np.eye(space.dim)
+    return h
+
+
+def reference_su2(space, metric):
+    g1, g2 = metric.gammas
+    a1, a2 = kron_lowering(space, 0), kron_lowering(space, 1)
+    jp = np.exp(g1 - g2) * a1.conj().T @ a2
+    jm = np.exp(g2 - g1) * a2.conj().T @ a1
+    occ = space.occupation_table()
+    return jp, jm, np.diag(0.5 * (occ[:, 0] - occ[:, 1]).astype(complex))
+
+
+def reference_cartesian(space):
+    ap, am = kron_lowering(space, 0), kron_lowering(space, 1)
+    a1 = (ap + am) / np.sqrt(2.0)
+    a2 = 1j * (ap - am) / np.sqrt(2.0)
+    x = (a1 + a1.conj().T) / np.sqrt(2.0)
+    y = (a2 + a2.conj().T) / np.sqrt(2.0)
+    px = 1j * (a1.conj().T - a1) / np.sqrt(2.0)
+    py = 1j * (a2.conj().T - a2) / np.sqrt(2.0)
+    return x, y, px, py
+
+
+def reference_xy(params, space):
+    f = complex_frequencies(params)
+    x, y, px, py = reference_cartesian(space)
+    kinetic = (px @ px + py @ py) / (2.0 * params.m)
+    return kinetic + 0.5 * (
+        f.m_w1_sq * x @ x + f.m_w2_sq * y @ y + f.m_w3_sq * 0.5 * (x @ y + y @ x)
+    )
+
+
+def test_boson_assembly_matches_kron_reference():
+    def close(h, ref):
+        tol = 1e-14 * (1.0 + np.abs(ref).max())
+        np.testing.assert_allclose(h, ref, rtol=0, atol=tol)
+
+    rng = np.random.default_rng(6)
+    space = FockSpace(3, 4)
+    for k in range(space.modes):
+        a, adag = ladder_ops(space, k)
+        close(a, kron_lowering(space, k))
+        close(adag, kron_lowering(space, k).conj().T)
+    alpha, beta = rng.normal(size=(2, 3, 3))
+    metric = MetricSpec(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.3)
+    form = BosonQuadraticForm(alpha + alpha.T, beta + beta.T, metric)
+    for zero_point in (True, False):
+        close(
+            build_quadratic_hamiltonian(space, form, include_zero_point=zero_point),
+            reference_quadratic(space, form, zero_point),
+        )
+    space = FockSpace(2, 6)
+    metric = MetricSpec([0.3, -0.2], [0.1, 0.25])
+    ref = reference_su2(space, metric)
+    for op, r in zip(schwinger_su2(space, metric), ref):
+        close(op, r)
+    jp, jm, jz = ref
+    close(build_lmg(space, metric, 1.1, 0.4), 1.1 * jz + 0.4 * (jm @ jm + jp @ jp))
+    for op, r in zip(cartesian_operators(space), reference_cartesian(space)):
+        close(op, r)
+    for params in (
+        OscillatorParams(1.0, 1.0, 0.0, gamma=0.2, xi=0.1),
+        OscillatorParams(2.0, 1.0, 1.0, m=1.3, gamma=-0.3, xi=0.4),
+    ):
+        close(build_xy_hamiltonian(params, space), reference_xy(params, space))
+
+
+def test_boson_builders_reach_the_dim_cap():
+    three = BosonQuadraticForm(
+        np.diag([2.0, 1.5, 1.2]) + 0.2 * (1 - np.eye(3)),
+        0.3 * np.eye(3) + 0.1 * (1 - np.eye(3)),
+        MetricSpec([0.3, -0.2, 0.1], [0.1, 0.2, -0.3]),
+    )
+    metric = MetricSpec([0.3, -0.2], [0.1, 0.25])
+    params = OscillatorParams(2.0, 1.0, 1.0, gamma=0.3, xi=0.1)
+    cases = [
+        (FockSpace(2, 63), lambda s: build_quadratic_hamiltonian(s, TWO_MODE), TWO_MODE.metric),
+        (FockSpace(3, 15), lambda s: build_quadratic_hamiltonian(s, three), three.metric),
+        (FockSpace(2, 63), lambda s: build_lmg(s, metric, 1.0, 0.4), metric),
+        (FockSpace(2, 63), lambda s: build_xy_hamiltonian(params, s), None),
+    ]
+    for space, build, ms in cases:
+        assert space.dim == 4096
+        w = oscillator_metric(params, space) if ms is None else build_metric(space, ms)
+        assert pseudo_hermiticity_entrywise(build(space), w) < 1e-12

@@ -3,7 +3,12 @@
 The fixture ``golden_reports.json`` pins, for each config below, the exit
 code, the check names with their verdicts, and the spectra.  Verdicts and
 exit codes must match exactly and spectra to 1e-12; residuals are not
-pinned, so an algorithm change may move them at the rounding level.
+pinned, so an algorithm change may move them at the rounding level.  The
+ill-conditioned entry (metric condition ~5e16) keeps its exact exit code and
+verdicts, but its spectrum is held to the hermitian build by
+``test_ill_conditioned_spectrum_matches_the_hermitian_build`` instead: its
+pin records dense-``eig`` rounding, which moves by ~1e-12 with the BLAS
+thread count and with any rounding-level change of the matrix.
 
 Regenerate (only when a change of verdict or spectrum is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -41,6 +46,8 @@ CONFIGS = {
     "oscillator2d_ill_conditioned": {"kind": "oscillator2d", "k1": 1.0, "k2": 1.3,
                                      "k3": 0.4, "gamma": 0.8, "cutoff": 12},
 }
+# spectra held to the oracle rule below rather than to their 1e-12 pin
+ORACLE_SPECTRA = {"oscillator2d_ill_conditioned"}
 
 
 def record(tmp_path: Path, model: dict) -> dict:
@@ -63,6 +70,8 @@ def test_golden_report(tmp_path, name):
     assert got["exit_code"] == golden["exit_code"]
     assert got["checks"] == golden["checks"]
     assert len(got["spectra"]) == len(golden["spectra"])
+    if name in ORACLE_SPECTRA:
+        return
     for lam, ref in zip(got["spectra"], golden["spectra"]):
         np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
 
