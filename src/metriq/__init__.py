@@ -38,6 +38,7 @@ from .linops import (
     NotPositiveDefiniteError,
     SingularMetricError,
     SpectrumResult,
+    eigenvalues,
     eta_adjoint,
     evolve,
     is_pseudo_hermitian,
@@ -109,6 +110,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "SingularMetricError",
     "SpectrumResult",
+    "eigenvalues",
     "eta_adjoint",
     "evolve",
     "is_pseudo_hermitian",

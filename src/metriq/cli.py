@@ -5,9 +5,11 @@ Subcommands
 ``metriq run <config.json>``
     Build the model, run the requested checks and compute spectra (per
     sweep point when a sweep is configured), emit a JSON report and
-    optionally a CSV spectra table.
+    optionally a CSV spectra table.  The spectrum reuses the
+    eigendecomposition of the spectral checks; when none of them ran it
+    costs one eigenvalue-only decomposition per sector.
 ``metriq spectrum <config.json>``
-    Spectra only, no checks.
+    Spectra only, no checks: one eigenvalue-only decomposition per sector.
 ``metriq verify <config.json>``
     Checks only, one summary line per check.
 
@@ -35,7 +37,7 @@ from .bosonic import (
     build_metric,
     build_quadratic_hamiltonian,
 )
-from .linops import MetricSpec, spectrum
+from .linops import MetricSpec, eigenvalues
 from .oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -576,11 +578,11 @@ def _run_point(
         )
         results = list(report.checks)
         eigs = report.decomposition  # the spectrum below reuses it
-    eigenvalues: list[list[float]] = []
+    spectra: list[list[float]] = []
     if run_spectrum:
-        lam = (spectrum(built.h) if eigs is None else eigs).eigenvalues
-        eigenvalues = [[float(z.real), float(z.imag)] for z in lam]
-    return results, eigenvalues
+        lam = eigenvalues(built.h) if eigs is None else eigs.eigenvalues
+        spectra = [[float(z.real), float(z.imag)] for z in lam]
+    return results, spectra
 
 
 def _execute(

@@ -8,9 +8,10 @@ one a user supplies: metric validation and square roots, eta-adjoints,
 similarity maps to an ordinary hermitian operator, plus spectra and time
 evolution.  A spectrum splits the basis into the connected components of the
 matrix's exact nonzero pattern and decomposes each one on its own, so a
-conserved quantity is found from the matrix, not from a model label.  The
-package's model builders give their diagonal metrics as
-weight vectors ``w`` instead (``eta = diag(w)``), which
+conserved quantity is found from the matrix, not from a model label;
+:func:`eigenvalues` does the same without eigenvectors, for callers that
+read only the spectrum.  The package's model builders give their diagonal
+metrics as weight vectors ``w`` instead (``eta = diag(w)``), which
 :func:`metriq.verify.run_suite` checks entry by entry.
 
 Conventions
@@ -51,6 +52,7 @@ __all__ = [
     "to_hermitian",
     "map_observable",
     "spectrum",
+    "eigenvalues",
     "evolve",
 ]
 
@@ -413,6 +415,11 @@ def _pattern_components(a: np.ndarray) -> list[np.ndarray]:
     return components
 
 
+def _sorted(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by (real, imaginary) part."""
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def spectrum(a) -> SpectrumResult:
     """Full eigensystem of a general complex matrix, sector by sector.
 
@@ -433,14 +440,25 @@ def spectrum(a) -> SpectrumResult:
         norms = np.linalg.norm(vecs, axis=0)
         residual = max(residual, float(np.max(res / np.where(norms > 0, norms, 1.0))))
         sectors.append(Sector(idx, vals, vecs))
-    vals = np.concatenate([s.eigenvalues for s in sectors])
-    lam = vals[np.lexsort((vals.imag, vals.real))]
+    lam = _sorted(np.concatenate([s.eigenvalues for s in sectors]))
     return SpectrumResult(
         eigenvalues=lam,
         sectors=tuple(sectors),
         max_imag_abs=float(np.max(np.abs(lam.imag))),
         residual=residual,
     )
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of :func:`spectrum`, on the same sectors, in the same order.
+
+    Each sector goes to ``np.linalg.eigvals``, which forms no eigenvectors,
+    so this costs less time and memory than :func:`spectrum` when only the
+    eigenvalues are read.
+    """
+    a = as_operator(a)
+    vals = [np.linalg.eigvals(_principal(a, idx)) for idx in _pattern_components(a)]
+    return _sorted(np.concatenate(vals))
 
 
 def evolve(h, psi0, times) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, _guard_overflow, ladder_ops
+from .bosonic import FockSpace, _assemble, _guard_overflow
 from .linops import as_operator
 
 __all__ = [
@@ -283,12 +283,8 @@ def transformed_canonical_ops(
     return big_x, big_y, big_px, big_py, lz
 
 
-def _cartesian_two_mode(space: FockSpace):
-    """Plain (non-chiral) two-mode ladder matrices, used for per-mode quanta."""
-    _require_two_modes(space)
-    a1, a1d = ladder_ops(space, 0)
-    a2, a2d = ladder_ops(space, 1)
-    return a1, a1d, a2, a2d
+# i Lz = a1^dag a2 - a1 a2^dag over the plain (non-chiral) two-mode ladders
+_I_LZ = ((1.0, (("ad", 0), ("a", 1))), (-1.0, (("a", 0), ("ad", 1))))
 
 
 def lz_ladder_identity(space: FockSpace, n: int, m: int) -> float:
@@ -305,8 +301,8 @@ def lz_ladder_identity(space: FockSpace, n: int, m: int) -> float:
         raise ValueError(
             f"n + m + 1 = {n + m + 1} must stay below the cutoff {space.cutoff}"
         )
-    a1, a1d, a2, a2d = _cartesian_two_mode(space)
-    ilz = a1d @ a2 - a1 @ a2d
+    _require_two_modes(space)
+    ilz = _assemble(space, _I_LZ)
     state = space.basis_vector((n, m))
     target = np.zeros(space.dim, dtype=complex)
     if m >= 1:
@@ -335,26 +331,22 @@ def matrix_element_equivalence(
         raise ValueError("operator dimension does not match the Fock space")
     w = complex(w)
     _guard_overflow(space.cutoff, w.real)
-    a1, a1d, a2, a2d = _cartesian_two_mode(space)
-    lz = 1j * (a1 @ a2d - a1d @ a2)
+    _require_two_modes(space)
+    lz = _assemble(space, [(-1j * c, f) for c, f in _I_LZ])
     vals, vecs = np.linalg.eigh(lz)
-    eye = np.eye(space.dim)
+    vecs_h = vecs.conj().T
 
-    def lz_exp(z: complex) -> np.ndarray:
+    def lz_exp(z: complex, v: np.ndarray) -> np.ndarray:
+        """``exp(z Lz) v`` through the eigenbasis of ``Lz``."""
         if z == 0.0:
-            return eye
-        return (vecs * np.exp(z * vals)) @ vecs.conj().T
-
-    grow = lz_exp(w)
-    eta = lz_exp(-2.0 * w.real)
-    shrink = lz_exp(-w)
-    h = shrink @ ahat @ lz_exp(w)
+            return v
+        return vecs @ (np.exp(z * vals) * (vecs_h @ v))
 
     worst = 0.0
     for (n1, m1), (n2, m2) in pairs:
         bra = space.basis_vector((n1, m1))
-        ket = space.basis_vector((n2, m2))
-        lhs = np.vdot(grow @ bra, eta @ (ahat @ (grow @ ket)))
-        rhs = np.vdot(bra, h @ ket)
+        a_ket = ahat @ lz_exp(w, space.basis_vector((n2, m2)))
+        lhs = np.vdot(lz_exp(w, bra), lz_exp(-2.0 * w.real, a_ket))
+        rhs = np.vdot(bra, lz_exp(-w, a_ket))
         worst = max(worst, abs(lhs - rhs))
     return float(worst)

@@ -299,16 +299,16 @@ def test_sweep_into_invalid_point_reports_error(tmp_path, capsys):
 def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkeypatch):
     import metriq.cli
 
-    real_spectrum = metriq.cli.spectrum
+    real_eigenvalues = metriq.cli.eigenvalues
     calls = []
 
-    def flaky_spectrum(h):
+    def flaky_eigenvalues(h):
         calls.append(h)
         if len(calls) == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_spectrum(h)
+        return real_eigenvalues(h)
 
-    monkeypatch.setattr(metriq.cli, "spectrum", flaky_spectrum)
+    monkeypatch.setattr(metriq.cli, "eigenvalues", flaky_eigenvalues)
     payload = {
         "model": {"kind": "xxzAsymmetric", "n_sites": 2, "delta": 0.0},
         "sweep": {"path": "delta", "values": [0.0, 0.5, 1.0]},
@@ -326,10 +326,10 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
 def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, command):
     calls = collections.Counter()
     eig_shapes = []
-    for name in ("eig", "eigh"):
+    for name in ("eig", "eigh", "eigvals"):
         def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
-            if _name == "eig":
+            if _name != "eigh":
                 eig_shapes.append(np.shape(a))
             return _real(a, *args, **kwargs)
 
@@ -345,7 +345,8 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     assert len(report["spectra"]) == 3
     # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}
     assert eig_shapes == [(1, 1), (3, 3), (3, 3), (1, 1)] * 3
-    assert calls == {"eig": 12}
+    # run reads eigenvectors in its checks; spectrum needs eigenvalues only
+    assert calls == {"run": {"eig": 12}, "spectrum": {"eigvals": 12}}[command]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ verdicts, but its spectrum is held to the hermitian build by
 ``test_ill_conditioned_spectrum_matches_the_hermitian_build`` instead: its
 pin records dense-``eig`` rounding, which moves by ~1e-12 with the BLAS
 thread count and with any rounding-level change of the matrix.
+``metriq spectrum`` takes its eigenvalues from another LAPACK path than
+``run``; it must exit 0 and match the same pins by the same rules.
 
 Regenerate (only when a change of verdict or spectrum is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -50,11 +52,11 @@ CONFIGS = {
 ORACLE_SPECTRA = {"oscillator2d_ill_conditioned"}
 
 
-def record(tmp_path: Path, model: dict) -> dict:
+def record(tmp_path: Path, model: dict, command: str = "run") -> dict:
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": model}))
     out = tmp_path / "out"
-    code = main(["run", str(path), "--seed", "1", "--out", str(out)])
+    code = main([command, str(path), "--seed", "1", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
     return {
         "exit_code": code,
@@ -76,15 +78,32 @@ def test_golden_report(tmp_path, name):
         np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
 
 
-def test_ill_conditioned_spectrum_matches_the_hermitian_build(tmp_path):
+def assert_matches_the_hermitian_build(model: dict, lam) -> None:
     # the gamma = 0 build is hermitian and exactly isospectral; the pin above
     # only records rounding, this holds the spectrum to the benchmark oracle's rule
-    model = CONFIGS["oscillator2d_ill_conditioned"]
     params = OscillatorParams(model["k1"], model["k2"], model["k3"])
     ref = np.linalg.eigvalsh(build_xy_hamiltonian(params, FockSpace(2, model["cutoff"])))
-    (lam,) = record(tmp_path, model)["spectra"]
     lam = np.asarray(lam) @ [1.0, 1j]
     assert np.max(np.abs(lam - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_ill_conditioned_spectrum_matches_the_hermitian_build(tmp_path):
+    model = CONFIGS["oscillator2d_ill_conditioned"]
+    (lam,) = record(tmp_path, model)["spectra"]
+    assert_matches_the_hermitian_build(model, lam)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_spectrum_command_matches_the_golden_spectra(tmp_path, name):
+    got = record(tmp_path, CONFIGS[name], command="spectrum")
+    assert got["exit_code"] == 0
+    assert got["checks"] == []
+    (lam,) = got["spectra"]
+    if name in ORACLE_SPECTRA:
+        assert_matches_the_hermitian_build(CONFIGS[name], lam)
+        return
+    (ref,) = json.loads(FIXTURE.read_text())[name]["spectra"]
+    np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
 
 
 if __name__ == "__main__":

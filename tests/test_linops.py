@@ -9,6 +9,7 @@ from metriq.linops import (
     NotPositiveDefiniteError,
     SingularMetricError,
     commutator,
+    eigenvalues,
     eta_adjoint,
     evolve,
     is_pseudo_hermitian,
@@ -272,6 +273,16 @@ def test_spectrum_finds_hidden_sectors():
     coeff = np.linalg.solve(dense_vecs, psi0)
     dense = np.array([dense_vecs @ (np.exp(-1j * dense_vals * t) * coeff) for t in times])
     np.testing.assert_allclose(res.evolve(psi0, times), dense, rtol=0, atol=1e-12)
+
+
+def test_eigenvalues_match_spectrum():
+    a, _ = hidden_blocks(np.random.default_rng(7), (4, 7, 1))
+    ref = spectrum(a).eigenvalues
+    lam = eigenvalues(a)
+    assert np.max(np.abs(lam - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    a[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues(a)
 
 
 def test_tiny_coupling_joins_sectors():

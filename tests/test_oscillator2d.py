@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from metriq.bosonic import FockSpace
+from metriq.bosonic import FockSpace, ladder_ops
 from metriq.linops import is_pseudo_hermitian, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
@@ -212,6 +212,40 @@ def test_lz_ladder_identity_cutoff_guard():
     space = FockSpace(2, 4)
     with pytest.raises(ValueError, match="cutoff"):
         lz_ladder_identity(space, 2, 2)
+
+
+def dense_matrix_element_equivalence(space, ahat, w, pairs):
+    """The dense formula: Lz from ladder products, exp(z Lz) as full matrices.
+
+    Returns the worst deviation and the largest ``|<psi', h psi>|``, its scale.
+    """
+    a1, a1d = ladder_ops(space, 0)
+    a2, a2d = ladder_ops(space, 1)
+    vals, vecs = np.linalg.eigh(1j * (a1 @ a2d - a1d @ a2))
+
+    def lz_exp(z):
+        return (vecs * np.exp(z * vals)) @ vecs.conj().T
+
+    grow, eta = lz_exp(w), lz_exp(-2.0 * w.real)
+    h = lz_exp(-w) @ ahat @ grow
+    worst = scale = 0.0
+    for bra_q, ket_q in pairs:
+        bra, ket = space.basis_vector(bra_q), space.basis_vector(ket_q)
+        lhs = np.vdot(grow @ bra, eta @ (ahat @ (grow @ ket)))
+        rhs = np.vdot(bra, h @ ket)
+        worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(rhs))
+    return worst, scale
+
+
+def test_matrix_element_equivalence_matches_the_dense_formula():
+    space = FockSpace(2, 8)
+    rng = np.random.default_rng(11)
+    ahat = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    pairs = [((0, 0), (0, 0)), ((1, 2), (3, 0)), ((0, 5), (4, 1)), ((7, 7), (2, 6))]
+    w = 0.3 + 0.2j
+    got = matrix_element_equivalence(space, ahat, w, pairs)
+    ref, scale = dense_matrix_element_equivalence(space, ahat, w, pairs)
+    assert abs(got - ref) <= 1e-12 * (1.0 + scale)
 
 
 def test_matrix_element_equivalence():
