@@ -35,6 +35,7 @@ __all__ = [
     "ladder_ops",
     "number_op",
     "tilde_ops",
+    "similarity",
     "build_metric",
     "build_quadratic_hamiltonian",
     "bogoliubov_frequencies",
@@ -73,25 +74,19 @@ class FockSpace:
         Number of boson modes (>= 1).
     cutoff : int
         Highest occupation kept per mode; single-mode dimension is
-        ``cutoff + 1``.
-    cap : int
-        Upper bound on the total dense dimension (default 4096).
+        ``cutoff + 1``.  The total dense dimension may not exceed ``DIM_CAP``.
     """
 
     modes: int
     cutoff: int
-    cap: int = DIM_CAP
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError("need at least one mode")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if self.dim > self.cap:
-            raise ValueError(
-                f"dense dimension {(self.cutoff + 1) ** self.modes} exceeds "
-                f"cap {self.cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise ValueError(f"dense dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def dim(self) -> int:
@@ -220,16 +215,28 @@ def tilde_ops(space: FockSpace, metric: MetricSpec, mode: int) -> tuple[np.ndarr
     return np.exp(-g) * a, np.exp(g) * adag
 
 
+def similarity(charges: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
+    """Metric weights and unitary phases of the diagonal similarity ``exp(Q w)``.
+
+    ``charges`` is the ``(dim, modes)`` table of a per-mode charge ``Q`` (the
+    occupation, ``S^z`` or ``Lz``) and ``ws`` the per-mode ``gamma + 1j xi``.
+    Returns the weights ``exp(-2 Q gamma)`` of the metric and the phases
+    ``exp(-1j Q xi)`` of the unitary; every model of the package maps to its
+    hermitian form by this one rule.  The exponent is summed in log space, so
+    positive definiteness is automatic.
+    """
+    ws = np.asarray(ws, dtype=complex)
+    return np.exp(-2.0 * charges @ ws.real), np.exp(-1j * charges @ ws.imag)
+
+
 def build_metric(space: FockSpace, metric: MetricSpec) -> np.ndarray:
     """Weights ``exp(-2 sum_k gamma_k n_k)``: the diagonal of the metric.
 
-    Computed in log space so the entries are exact products of
-    exponentials; positive definiteness is automatic.  The overflow guard
-    rejects ``sum |gamma| * cutoff`` beyond ``GAMMA_CUTOFF_GUARD``.
+    The overflow guard rejects ``sum |gamma| * cutoff`` beyond
+    ``GAMMA_CUTOFF_GUARD``.
     """
     _check_metric_matches(space, metric)
-    log_eta = -2.0 * space.occupation_table() @ np.asarray(metric.gammas)
-    return np.exp(log_eta)
+    return similarity(space.occupation_table(), metric.ws)[0]
 
 
 class BosonQuadraticForm:

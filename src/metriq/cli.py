@@ -34,15 +34,14 @@ from .bosonic import (
     StabilityError,
     bogoliubov_frequencies,
     build_lmg,
-    build_metric,
     build_quadratic_hamiltonian,
+    similarity,
 )
 from .linops import MetricSpec, eigenvalues
 from .oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
     build_xy_hamiltonian,
-    oscillator_metric,
 )
 from .spinchain import (
     FermionQuadraticSpec,
@@ -53,7 +52,7 @@ from .spinchain import (
     build_xxz_symmetric,
     build_zeta_metric,
     chain_unitary,
-    fermion_metric,
+    site_occupations,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -127,7 +126,7 @@ def _matrix(name, v):
 
 
 def _sign(name, v):
-    if v not in (1, -1):
+    if isinstance(v, bool) or v not in (1, -1):
         raise ConfigError(f"field '{name}' must be 1 or -1, got {v!r}")
     return int(v)
 
@@ -251,7 +250,7 @@ def _normalize_model(block: dict) -> ModelSpec:
     if "kind" not in block:
         raise ConfigError("'model' needs a 'kind' field")
     kind = block["kind"]
-    if kind not in _SCHEMAS:
+    if not isinstance(kind, str) or kind not in _SCHEMAS:
         raise ConfigError(
             f"unknown model kind {kind!r}; expected one of {sorted(_SCHEMAS)}"
         )
@@ -291,10 +290,13 @@ def _parse_sweep(block: dict, model: ModelSpec) -> SweepSpec:
     path = block["path"]
     if not isinstance(path, str):
         raise ConfigError("sweep path must be a string")
-    values = tuple(_real(f"values[{i}]", v) for i, v in enumerate(block["values"]))
-    if not values:
-        raise ConfigError("sweep values must be non-empty")
-    _resolve_sweep_slot(model.params, path)
+    values = block["values"]
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep values must be a non-empty list")
+    values = tuple(_real(f"values[{i}]", v) for i, v in enumerate(values))
+    name, _ = _resolve_sweep_slot(model.params, path)
+    if _SCHEMAS[model.kind][name][1] is _positive_int:
+        raise ConfigError(f"sweep path {path!r} names an integer parameter")
     return SweepSpec(path, values)
 
 
@@ -410,8 +412,7 @@ def _build_oscillator(p: dict) -> _Built:
     )
     space = FockSpace(2, p["cutoff"])
     h = build_xy_hamiltonian(params, space)
-    u = np.exp(-1j * p["xi"] * angular_momentum_diag(space))
-    return _Built(h, oscillator_metric(params, space), u)
+    return _Built(h, *similarity(angular_momentum_diag(space)[:, None], [params.w]))
 
 
 def _boson_metric_spec(p: dict) -> MetricSpec:
@@ -428,8 +429,7 @@ def _build_boson_quadratic(p: dict) -> _Built:
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
     h = build_quadratic_hamiltonian(space, form)
-    u = np.exp(-1j * space.occupation_table() @ ms.xis)
-    return _Built(h, build_metric(space, ms), u, form=form)
+    return _Built(h, *similarity(space.occupation_table(), ms.ws), form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -438,15 +438,14 @@ def _build_lmg_model(p: dict) -> _Built:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
     h = build_lmg(space, ms, p["omega0"], p["omega"])
-    u = np.exp(-1j * space.occupation_table() @ ms.xis)
-    return _Built(h, build_metric(space, ms), u)
+    return _Built(h, *similarity(space.occupation_table(), ms.ws))
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _boson_metric_spec(p)
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    u = np.exp(-1j * FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1] @ ms.xis)
-    return _Built(build_fermion_quadratic(spec), fermion_metric(spec), u)
+    h = build_fermion_quadratic(spec)
+    return _Built(h, *similarity(site_occupations(spec.n_sites), ms.ws))
 
 
 def _chain_spec(p: dict, ws) -> SpinChainSpec:
@@ -520,11 +519,7 @@ def _build_model(spec: ModelSpec) -> _Built:
 # Execution
 
 
-def _bogoliubov_check(form: BosonQuadraticForm | None, tol: float) -> CheckResult:
-    if form is None:
-        return CheckResult(
-            "bogoliubov", False, np.inf, tol, "model has no quadratic boson form"
-        )
+def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
     try:
         res = bogoliubov_frequencies(form)
     except StabilityError as exc:
@@ -573,7 +568,6 @@ def _run_point(
             checks=suite,
             tolerances=suite_tols,
             seed=seed,
-            model=spec.kind,
             extra_checks=extra,
         )
         results = list(report.checks)

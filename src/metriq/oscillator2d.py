@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, _guard_overflow
+from .bosonic import FockSpace, _assemble, _guard_overflow, similarity
 from .linops import as_operator
 
 __all__ = [
@@ -234,7 +234,7 @@ def cartesian_operators(
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
     """Weights ``exp(-2 gamma Lz)``: the diagonal of the metric in the chiral basis."""
     _guard_overflow(space.cutoff, params.gamma)
-    return np.exp(-2.0 * params.gamma * angular_momentum_diag(space))
+    return similarity(angular_momentum_diag(space)[:, None], [params.w])[0]
 
 
 def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarray:
@@ -318,13 +318,18 @@ def matrix_element_equivalence(
     w: complex,
     pairs: Sequence[tuple[tuple[int, int], tuple[int, int]]],
 ) -> float:
-    """Worst deviation between metric and hermitian-frame matrix elements.
+    """Worst relative deviation between metric and hermitian-frame matrix elements.
 
     For basis states ``psi`` of per-mode quanta, the deformed states are
     ``Psi = exp(w Lz) psi`` and the claim is ``<Psi', eta A Psi> =
     <psi', h psi>`` with ``eta = exp(-2 gamma Lz)`` and ``h`` the similarity
     transform of ``A`` by ``exp(-w Lz)``.  Works in the plain two-mode basis
     where ``Lz = 1j (a1 a2^dag - a1^dag a2)``.
+
+    Each deviation is divided by ``1 + ||Psi'|| ||eta A Psi||``, the
+    Cauchy-Schwarz bound on the left side, because the ``exp(+-gamma Lz)``
+    factors make the elements and their rounding grow with the cutoff even
+    though the identity holds exactly.
     """
     ahat = as_operator(ahat)
     if ahat.shape[0] != space.dim:
@@ -346,7 +351,9 @@ def matrix_element_equivalence(
     for (n1, m1), (n2, m2) in pairs:
         bra = space.basis_vector((n1, m1))
         a_ket = ahat @ lz_exp(w, space.basis_vector((n2, m2)))
-        lhs = np.vdot(lz_exp(w, bra), lz_exp(-2.0 * w.real, a_ket))
+        grown, scaled = lz_exp(w, bra), lz_exp(-2.0 * w.real, a_ket)
+        lhs = np.vdot(grown, scaled)
         rhs = np.vdot(bra, lz_exp(-w, a_ket))
-        worst = max(worst, abs(lhs - rhs))
+        bound = np.linalg.norm(grown) * np.linalg.norm(scaled)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + bound))
     return float(worst)

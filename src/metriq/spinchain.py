@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, _guard_overflow
+from .bosonic import FockSpace, _assemble, _guard_overflow, similarity
 from .linops import MetricSpec
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "FermionQuadraticSpec",
     "PseudoSpinSite",
     "spin_matrices",
+    "site_occupations",
     "site_spin_ops",
     "pseudo_spin_ops",
     "build_zeta_metric",
@@ -88,6 +89,11 @@ def site_spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray, np.n
         _embed_site(sy, site, n_sites),
         _embed_site(sz, site, n_sites),
     )
+
+
+def site_occupations(n_sites: int) -> np.ndarray:
+    """Bits of every basis index, column ``k`` for site ``k`` (1 is down/occupied)."""
+    return FockSpace(n_sites, 1).occupation_table()[:, ::-1]
 
 
 def _assemble_sites(n_sites: int, terms) -> np.ndarray:
@@ -199,8 +205,7 @@ def gradient_ws(n_sites: int, gamma: float, phi: float, xi: float = 0.0) -> tupl
 
 def build_zeta_metric(spec: SpinChainSpec) -> np.ndarray:
     """Weights of the diagonal chain metric ``prod_i exp(-2 gamma_i S_i^z)``."""
-    table = 0.5 - FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
-    return np.exp(-2.0 * table @ np.asarray(spec.gammas))
+    return similarity(0.5 - site_occupations(spec.n_sites), spec.ws)[0]
 
 
 def _chain_hamiltonian(spec: SpinChainSpec, deformed: bool) -> np.ndarray:
@@ -262,8 +267,7 @@ def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
     Together with the metric root it maps the deformed chain onto the
     hermitian counterpart: ``(U zeta^{1/2}) H (U zeta^{1/2})^{-1} = h``.
     """
-    table = 0.5 - FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
-    return np.exp(-1j * table @ np.asarray(spec.xis))
+    return similarity(0.5 - site_occupations(spec.n_sites), spec.ws)[1]
 
 
 def build_haldane_shastry(
@@ -362,8 +366,7 @@ class FermionQuadraticSpec:
 
 def fermion_metric(spec: FermionQuadraticSpec) -> np.ndarray:
     """Weights of the diagonal fermion metric ``prod_i exp(-2 gamma_i n_i)``."""
-    bits = FockSpace(spec.n_sites, 1).occupation_table()[:, ::-1]
-    return np.exp(-2.0 * bits @ np.asarray(spec.metric.gammas))
+    return similarity(site_occupations(spec.n_sites), spec.metric.ws)[0]
 
 
 def build_fermion_quadratic(
@@ -434,11 +437,8 @@ def spin_orbit_check(
         h += np.kron(lo, so)
     lz_diag = np.diag(spin_matrices(l)[2]).real
     sz_diag = np.diag(spin_matrices(s)[2]).real
-    eta = np.diag(
-        np.kron(np.exp(-2.0 * gamma * lz_diag), np.exp(-2.0 * delta * sz_diag)).astype(
-            complex
-        )
-    )
+    charges = np.stack([np.repeat(lz_diag, dim_s), np.tile(sz_diag, dim_l)], axis=1)
+    eta = np.diag(similarity(charges, [gamma, delta])[0].astype(complex))
     from .linops import is_pseudo_hermitian
 
     _, residual = is_pseudo_hermitian(h, eta)

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
 from .linops import (
     COND_LIMIT,
     REALITY_TOL,
@@ -81,15 +80,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Bundle of check results plus provenance for reproducibility."""
+    """Check results, the suite's wall time and the seed of its probe state."""
 
-    model: str
-    parameters: dict
     checks: tuple[CheckResult, ...]
     wall_time_s: float
     seed: int
-    version: str = __version__
-    # spectrum(H) as the checks read it, None if none did; not in to_dict
+    # spectrum(H) as the checks read it, None if none did
     decomposition: SpectrumResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,16 +95,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "parameters": self.parameters,
-            "checks": [c.to_dict() for c in self.checks],
-            "wall_time_s": float(self.wall_time_s),
-            "seed": int(self.seed),
-            "version": self.version,
-        }
 
 
 def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
@@ -164,18 +150,17 @@ def _isospectrality_check(
     )
 
 
-def _eta_norm_check(
-    eigs: SpectrumResult, w: np.ndarray, tol: float, time_grid: np.ndarray, seed: int
-) -> CheckResult:
+def _eta_norm_check(eigs: SpectrumResult, w: np.ndarray, tol: float, seed: int) -> CheckResult:
+    grid = np.linspace(0.0, 10.0, 32)
     rng = np.random.default_rng(seed)
     psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
     psi0 /= np.linalg.norm(psi0)
-    traj = eigs.evolve(psi0, time_grid)
+    traj = eigs.evolve(psi0, grid)
     norms = np.array([np.vdot(v, w * v).real for v in traj])
     residual = float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
     return CheckResult(
         "eta_norm", residual <= tol, residual, tol,
-        f"{len(time_grid)} time points on [{time_grid[0]:g}, {time_grid[-1]:g}]",
+        f"{len(grid)} time points on [{grid[0]:g}, {grid[-1]:g}]",
     )
 
 
@@ -186,10 +171,7 @@ def run_suite(
     *,
     checks: Sequence[str] | None = None,
     tolerances: Mapping[str, float] | None = None,
-    time_grid=None,
     seed: int = DEFAULT_SEED,
-    model: str = "custom",
-    parameters: dict | None = None,
     extra_checks: Sequence[CheckResult] = (),
 ) -> VerificationReport:
     """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
@@ -207,10 +189,9 @@ def run_suite(
         Subset (in any order) of ``DEFAULT_TOLERANCES`` keys; default all.
     tolerances : mapping, optional
         Per-check tolerance overrides.
-    time_grid : array_like, optional
-        Sample times for the eta-norm check (default 32 points on [0, 10]).
     seed : int
-        Seed for the random probe state.
+        Seed for the random probe state of the eta-norm check, which samples
+        32 times on [0, 10].
     extra_checks : sequence of CheckResult
         Pre-computed results to append (e.g. model-specific checks).
 
@@ -240,11 +221,6 @@ def run_suite(
     unknown = set(selected) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
-    grid = (
-        np.linspace(0.0, 10.0, 32)
-        if time_grid is None
-        else np.asarray(time_grid, dtype=float)
-    )
     kappa = float(np.max(w) / np.min(w)) if np.min(w) > 0 else np.inf
     decompose = functools.cache(lambda: spectrum(h))  # on first use, then shared
     run = {
@@ -252,7 +228,7 @@ def run_suite(
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(h, w, tol),
         "reality": lambda tol: _reality_check(decompose(), tol),
         "isospectrality": lambda tol: _isospectrality_check(decompose(), h, w, u, tol),
-        "eta_norm": lambda tol: _eta_norm_check(decompose(), w, tol, grid, seed),
+        "eta_norm": lambda tol: _eta_norm_check(decompose(), w, tol, seed),
     }
 
     started = time.perf_counter()
@@ -269,8 +245,6 @@ def run_suite(
     results.extend(extra_checks)
     elapsed = time.perf_counter() - started
     return VerificationReport(
-        model=model,
-        parameters=dict(parameters or {}),
         checks=tuple(results),
         wall_time_s=elapsed,
         seed=seed,

@@ -106,6 +106,21 @@ def test_parse_sweep_rejections():
         payload = dict(base, sweep={"path": path, "values": [0.0]})
         with pytest.raises(ConfigError, match=msg):
             parse_config(json.dumps(payload))
+    osc = {"kind": "oscillator2d", "k1": 1.0, "k2": 1.0, "k3": 0.0}
+    for model, sweep, msg in (
+        (base["model"], [0.0], "'sweep' must be an object"),
+        (base["model"], {"path": "delta", "values": [0.0], "step": 1}, "unknown field"),
+        (base["model"], {"path": "delta"}, "needs 'path' and 'values'"),
+        (base["model"], {"path": 3, "values": [0.0]}, "must be a string"),
+        (base["model"], {"path": "delta", "values": []}, "non-empty list"),
+        (base["model"], {"path": "delta", "values": 3}, "non-empty list"),
+        (base["model"], {"path": "delta[0]", "values": [0.0]}, "indexes a scalar"),
+        # integer fields would be swept as floats
+        (base["model"], {"path": "n_sites", "values": [4, 5]}, "integer parameter"),
+        (osc, {"path": "cutoff", "values": [4, 5]}, "integer parameter"),
+    ):
+        with pytest.raises(ConfigError, match=msg):
+            parse_config(json.dumps({"model": model, "sweep": sweep}))
 
 
 def test_round_trip_identity():
@@ -149,6 +164,35 @@ def test_parse_rejections():
             '{"model": {"kind": "haldaneShastry", "n_sites": 2},'
             ' "output": {"path": "x", "format": "xml"}}'
         )
+    hs = {"kind": "haldaneShastry", "n_sites": 2}
+    osc = {"kind": "oscillator2d", "k1": 1.0, "k2": 1.0, "k3": 0.0}
+    boson = {"kind": "bosonQuadratic", "alpha": [[1.0]], "beta": [[0.0]], "gammas": [0.1]}
+    lmg = {"kind": "lmg", "omega0": 1.0, "omega": 0.1, "gammas": [0.1, 0.2, 0.3]}
+    for config, msg in (
+        ([hs], "must be a JSON object"),
+        ({"checks": ["reality"]}, "needs a 'model' block"),
+        ({"model": [hs]}, "'model' must be an object"),
+        ({"model": {"n_sites": 2}}, "needs a 'kind'"),
+        ({"model": {"kind": ["lmg"]}}, "unknown model kind"),
+        ({"model": dict(osc, k1=True)}, "'k1' must be a number"),
+        ({"model": dict(osc, k1=float("inf"))}, "'k1' must be finite"),
+        ({"model": dict(osc, cutoff=4.0)}, "'cutoff' must be an integer"),
+        ({"model": dict(osc, cutoff=0)}, "'cutoff' must be positive"),
+        ({"model": dict(boson, gammas=[])}, "non-empty list of numbers"),
+        ({"model": dict(boson, alpha=[])}, "non-empty list of rows"),
+        ({"model": dict(boson, alpha=[[1.0, 0.0]])}, "must be square"),
+        ({"model": dict(hs, sign=True)}, "must be 1 or -1"),
+        ({"model": dict(hs, sign=2)}, "must be 1 or -1"),
+        ({"model": hs, "checks": []}, "non-empty list of names"),
+        ({"model": hs, "output": "out"}, "'output' must be an object"),
+        ({"model": hs, "output": {"path": "x", "mode": "w"}}, "unknown field"),
+        ({"model": hs, "output": {"format": "csv"}}, "string 'path'"),
+        ({"model": dict(boson, xis=[0.1, 0.2])}, "xis must have 1 entries"),
+        ({"model": lmg}, "exactly 2 gammas"),
+        ({"model": dict(hs, gammas=[0.1])}, "gammas/xis must have 2 entries"),
+    ):
+        with pytest.raises(ConfigError, match=msg):
+            parse_config(json.dumps(config))
 
 
 def test_parse_error_reports_position():
@@ -275,6 +319,8 @@ def test_tol_flags(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", path, "--tol", "reality"]) == EXIT_CONFIG_ERROR
     capsys.readouterr()
+    assert main(["verify", path, "--tol", "reality=0"]) == EXIT_CONFIG_ERROR
+    assert "positive and finite" in capsys.readouterr().err
     # loosening a tolerance flips a failing check
     unstable = write_config(tmp_path, UNSTABLE_BOSON, name="unstable.json")
     assert main(["verify", unstable]) == EXIT_CHECK_FAILED

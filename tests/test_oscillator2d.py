@@ -217,7 +217,8 @@ def test_lz_ladder_identity_cutoff_guard():
 def dense_matrix_element_equivalence(space, ahat, w, pairs):
     """The dense formula: Lz from ladder products, exp(z Lz) as full matrices.
 
-    Returns the worst deviation and the largest ``|<psi', h psi>|``, its scale.
+    Returns the worst deviation, relative to ``1 + ||Psi'|| ||eta A Psi||``,
+    and the largest ``|<psi', h psi>|``, its scale.
     """
     a1, a1d = ladder_ops(space, 0)
     a2, a2d = ladder_ops(space, 1)
@@ -231,9 +232,11 @@ def dense_matrix_element_equivalence(space, ahat, w, pairs):
     worst = scale = 0.0
     for bra_q, ket_q in pairs:
         bra, ket = space.basis_vector(bra_q), space.basis_vector(ket_q)
-        lhs = np.vdot(grow @ bra, eta @ (ahat @ (grow @ ket)))
+        grown, scaled = grow @ bra, eta @ (ahat @ (grow @ ket))
+        lhs = np.vdot(grown, scaled)
         rhs = np.vdot(bra, h @ ket)
-        worst, scale = max(worst, abs(lhs - rhs)), max(scale, abs(rhs))
+        bound = np.linalg.norm(grown) * np.linalg.norm(scaled)
+        worst, scale = max(worst, abs(lhs - rhs) / (1.0 + bound)), max(scale, abs(rhs))
     return worst, scale
 
 
@@ -246,6 +249,15 @@ def test_matrix_element_equivalence_matches_the_dense_formula():
     got = matrix_element_equivalence(space, ahat, w, pairs)
     ref, scale = dense_matrix_element_equivalence(space, ahat, w, pairs)
     assert abs(got - ref) <= 1e-12 * (1.0 + scale)
+
+
+def test_matrix_element_equivalence_is_relative_to_the_element_bound():
+    # exp(+-gamma Lz) reaches e^{+-7.2} here; the absolute deviation is ~4e-3
+    space = FockSpace(2, 24)
+    rng = np.random.default_rng(11)
+    ahat = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    pairs = [((0, 0), (0, 0)), ((1, 2), (3, 0)), ((0, 24), (24, 0)), ((20, 3), (5, 17))]
+    assert matrix_element_equivalence(space, ahat, 0.3 + 0.1j, pairs) <= 1e-14
 
 
 def test_matrix_element_equivalence():
