@@ -11,6 +11,15 @@ each weight, and the eta-norm is a weighted sum.  A failed
 check becomes a report entry rather than an exception; only structural misuse
 (wrong dimensions, invalid arguments) raises.
 
+No residual forms a temporary of ``H``'s size.  Pseudo-hermiticity and the
+hermiticity defect of the hermitian-equivalent form ``F`` both measure
+``||X - X^dag||_F / (1 + ||X||_F)``, for ``X = eta H`` (as
+``H^dag eta = (eta H)^dag``) and for ``X = F``.  Its squares are summed over
+``linops.BLOCK`` rows at a time: rows ``s`` of ``X`` against the conjugate
+transpose of its columns ``s``.  The ``eigvalsh`` input of each sector is
+that sector's principal block of ``H``, scaled; ``F`` is formed only where
+``H`` is one sector, as that input.
+
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
 ``exp(-2 gamma_i)`` and conjugation by its square root symmetrizes the
@@ -26,6 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linops import (
+    BLOCK,
     COND_LIMIT,
     REALITY_TOL,
     as_operator,
@@ -105,11 +115,25 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
+def _hermiticity_defect(n: int, rows, cols) -> float:
+    """``||X - X^dag||_F / (1 + ||X||_F)`` of an ``n``-by-``n`` matrix ``X``.
+
+    ``rows(s)`` and ``cols(s)`` return rows ``s`` and columns ``s`` of ``X``;
+    the squares are summed over ``BLOCK`` of them at a time.
+    """
+    diff = ref = 0.0
+    for r in range(0, n, BLOCK):
+        x = rows(slice(r, r + BLOCK))
+        d = x - cols(slice(r, r + BLOCK)).conj().T
+        diff += np.vdot(d, d).real
+        ref += np.vdot(x, x).real
+    return float(np.sqrt(diff) / (1.0 + np.sqrt(ref)))
+
+
 def _pseudo_hermiticity_check(h: np.ndarray, w: np.ndarray, tol: float) -> CheckResult:
-    # H^dag eta - eta H entry by entry; same residual as is_pseudo_hermitian
-    rhs = w[:, None] * h
-    residual = float(
-        np.linalg.norm(h.conj().T * w - rhs) / (1.0 + np.linalg.norm(rhs))
+    # H^dag eta = (eta H)^dag; same residual as is_pseudo_hermitian
+    residual = _hermiticity_defect(
+        len(w), lambda s: w[s, None] * h[s], lambda s: w[:, None] * h[:, s]
     )
     return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
@@ -138,10 +162,17 @@ def _isospectrality_check(
     if defect > 1e-10 * len(u):
         raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
     root = np.sqrt(w)
-    form = (u * root)[:, None] * h * (u.conj() / root)
-    herm_defect = float(np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form)))
+    left, right = u * root, u.conj() / root  # F[i, j] = left[i] * H[i, j] * right[j]
+    herm_defect = _hermiticity_defect(
+        len(w),
+        lambda s: left[s, None] * h[s] * right,
+        lambda s: left[:, None] * h[:, s] * right[s],
+    )
     lam_h = eigs.eigenvalues
-    lam_f = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in eigs.blocks(form)]))
+    lam_f = np.sort(np.concatenate([
+        np.linalg.eigvalsh(left[s.indices, None] * b * right[s.indices])
+        for s, b in zip(eigs.sectors, eigs.blocks(h))
+    ]))
     dev = float(np.max(np.abs(lam_h - lam_f)))
     residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
     return CheckResult(
@@ -318,7 +349,10 @@ def graded_conjugation_check(
     and ``rho = diag(exp(-gamma m_i))`` the conjugated matrix obeys
     ``(rho^{-1} X rho)_ij = exp((m_i - m_j) gamma) X_ij`` entry by entry;
     products around closed index cycles are therefore invariant.  Returns
-    the worst absolute deviation over all entries and the requested cycles.
+    the worst relative deviation over all entries,
+    ``|conj - expected| / (1 + |expected|)``, and over the requested cycles,
+    ``|prod_conj - prod_bare| / (1 + |prod_bare|)``, so the identity reads
+    at the rounding level however far the grading scales the entries.
     """
     x = as_operator(x)
     m = np.asarray(grading)
@@ -338,7 +372,7 @@ def graded_conjugation_check(
     rho_inv = np.diag(np.exp(gamma * m))
     conj = rho_inv @ x @ rho
     expected = x * np.exp(gamma * (m[:, None] - m[None, :]))
-    worst = float(np.max(np.abs(conj - expected)))
+    worst = float(np.max(np.abs(conj - expected) / (1.0 + np.abs(expected))))
     for cycle in cycles:
         idx = list(cycle)
         if len(idx) < 2:
@@ -348,5 +382,5 @@ def graded_conjugation_check(
         for a, b in zip(idx, idx[1:] + idx[:1]):
             prod_conj *= conj[a, b]
             prod_bare *= x[a, b]
-        worst = max(worst, abs(prod_conj - prod_bare))
+        worst = max(worst, abs(prod_conj - prod_bare) / (1.0 + abs(prod_bare)))
     return worst

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metriq.bosonic import FockSpace
-from metriq.linops import MetricSpec
+from metriq.linops import BLOCK, MetricSpec, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -213,6 +213,85 @@ def test_decomposition_is_shared_and_only_computed_when_needed(monkeypatch):
     assert len(calls) == 1
 
 
+def pseudo_hermitian_pair(dim, n_sectors, seed):
+    """``H = (U rho)^{-1} F (U rho)`` with ``F`` hermitian, nonzero only where
+    ``i = j (mod n_sectors)``: interleaved sectors, so none is contiguous."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    idx = np.arange(dim)
+    f = (g + g.conj().T) * (idx[:, None] % n_sectors == idx % n_sectors)
+    w = rng.uniform(0.5, 2.0, dim)
+    u = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+    left = u * np.sqrt(w)
+    return f / left[:, None] * left, w, u
+
+
+def dense_residuals(h, w, u):
+    """pseudo_hermiticity and isospectrality residuals from full-size matrices."""
+    eta_h = w[:, None] * h
+    ph = np.linalg.norm(h.conj().T * w - eta_h) / (1.0 + np.linalg.norm(eta_h))
+    root = np.sqrt(w)
+    form = (u * root)[:, None] * h * (u.conj() / root)
+    defect = np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form))
+    eigs = spectrum(h)
+    lam_f = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in eigs.blocks(form)]))
+    lam_h = eigs.eigenvalues
+    dev = np.max(np.abs(lam_h - lam_f)) / (1.0 + np.max(np.abs(lam_h)))
+    return ph, max(dev, defect)
+
+
+@pytest.mark.parametrize("n_sectors", [1, 5])
+@pytest.mark.parametrize("dim", [1, BLOCK - 1, BLOCK + 1, 300])
+def test_row_blocked_residuals_match_the_dense_formula(dim, n_sectors):
+    h, w, u = pseudo_hermitian_pair(dim, n_sectors, seed=dim)
+    # one entry in the last, partial row block breaks the identity
+    bad = h.copy()
+    bad[-1, max(0, dim - 1 - n_sectors)] += 1e-6j
+    for mat, passed in ((h, True), (bad, False)):
+        report = run_suite(mat, w, u, checks=["pseudo_hermiticity", "isospectrality"])
+        assert len(report.decomposition.sectors) == min(dim, n_sectors)
+        for check, dense in zip(report.checks, dense_residuals(mat, w, u)):
+            assert check.passed is passed
+            assert abs(check.residual - dense) <= 1e-15
+
+
+def test_eig_residual_on_column_blocks_matches_the_dense_formula():
+    # Upper bidiagonal with power-of-two entries: every product in A @ v is
+    # exact, so the residual does not depend on the kernel that forms it.  The
+    # eigenvalues come back in diagonal order, and the last two are 2^-30
+    # apart, so the worst eigenvector is the last one, alone in its block.
+    dim = BLOCK + 1
+    d = np.arange(dim, dtype=float)
+    d[-1] = d[-2] + 2.0**-30
+    a = np.diag(d) + np.diag(np.full(dim - 1, 2.0**-4), 1)
+    result = spectrum(a)
+    (_, vals, vecs), = result.sectors
+    dense = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    assert np.argmax(dense) == BLOCK
+    assert abs(result.residual - np.max(dense)) <= 1e-15
+
+
+def test_checks_hold_no_temporary_the_size_of_h():
+    import tracemalloc
+
+    from metriq.cli import _build_model, parse_config
+
+    model = {"kind": "xxzAsymmetric", "n_sites": 10, "delta": 0.6,
+             "gammas": [0.25, -0.1, 0.3, -0.2, 0.05, 0.15, -0.3, 0.1, -0.05, 0.2],
+             "xis": [0.4, -0.2, 0.1, 0.0, -0.4, 0.3, 0.2, -0.1, 0.5, -0.3]}
+    built = _build_model(parse_config(json.dumps({"model": model})).model)
+    tracemalloc.start()
+    try:
+        report = run_suite(
+            built.h, built.w, built.u, checks=["pseudo_hermiticity", "isospectrality"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < built.h.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
@@ -285,6 +364,14 @@ def test_conjugation_check_cycles():
         x, [2, -1, 0, 3, 1], 0.35, cycles=[(0, 2, 4), (1, 3)]
     )
     assert res < 1e-12
+
+
+def test_conjugation_check_is_relative_to_the_scaled_entries():
+    # entries grow to e^{43.5}; the identity still holds to rounding
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(30, 30))
+    res = graded_conjugation_check(x, np.arange(30), 1.5, cycles=[(0, 29, 15), (3, 27)])
+    assert res <= 1e-14
 
 
 def test_conjugation_check_rejections():
