@@ -6,10 +6,11 @@ Subcommands
     Build the model, run the requested checks and compute spectra (per
     sweep point when a sweep is configured), emit a JSON report and
     optionally a CSV spectra table.  The spectrum reuses the
-    eigendecomposition of the spectral checks; when none of them ran it
-    costs one eigenvalue-only decomposition per sector.
+    eigendecomposition of the spectral checks; when none of them ran it is
+    read off the hermitian-equivalent form, as for ``metriq spectrum``.
 ``metriq spectrum <config.json>``
-    Spectra only, no checks: one eigenvalue-only decomposition per sector.
+    Spectra only: ``eigvalsh`` per sector of the hermitian-equivalent form
+    ``F``, once ``F``'s hermiticity defect is within tolerance.
 ``metriq verify <config.json>``
     Checks only, one summary line per check.
 
@@ -37,7 +38,7 @@ from .bosonic import (
     build_quadratic_hamiltonian,
     similarity,
 )
-from .linops import MetricSpec, eigenvalues
+from .linops import MetricSpec
 from .oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -59,6 +60,7 @@ from .verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
     GradedMatrix,
+    hermitian_form_eigenvalues,
     run_suite,
 )
 
@@ -574,7 +576,9 @@ def _run_point(
         eigs = report.decomposition  # the spectrum below reuses it
     spectra: list[list[float]] = []
     if run_spectrum:
-        lam = eigenvalues(built.h) if eigs is None else eigs.eigenvalues
+        lam = eigs.eigenvalues if eigs is not None else hermitian_form_eigenvalues(
+            built.h, built.w, built.u  # F takes the place of H: the suite is done with it
+        )
         spectra = [[float(z.real), float(z.imag)] for z in lam]
     return results, spectra
 

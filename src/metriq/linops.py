@@ -230,10 +230,6 @@ class SpectrumResult:
         lam = self.eigenvalues
         return bool(np.all(np.abs(lam.imag) <= tol * (1.0 + np.abs(lam))))
 
-    def blocks(self, a) -> list[np.ndarray]:
-        """Principal submatrices of ``a`` on each sector (``a`` itself for one)."""
-        return [_principal(a, s.indices) for s in self.sectors]
-
     def evolve(self, psi0, times) -> np.ndarray:
         """Evolve ``psi0`` under ``exp(-i A t)`` for each ``t`` in ``times``.
 

@@ -17,8 +17,8 @@ hermiticity defect of the hermitian-equivalent form ``F`` both measure
 ``H^dag eta = (eta H)^dag``) and for ``X = F``.  Its squares are summed over
 ``linops.BLOCK`` rows at a time: rows ``s`` of ``X`` against the conjugate
 transpose of its columns ``s``.  The ``eigvalsh`` input of each sector is
-that sector's principal block of ``H``, scaled; ``F`` is formed only where
-``H`` is one sector, as that input.
+that sector's principal block of ``F``.  :func:`hermitian_form_eigenvalues`,
+the spectrum without checks, forms ``F`` in place of ``H``.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -41,8 +41,10 @@ from .linops import (
     as_operator,
     SpectrumResult,
     as_state,
+    eigenvalues,
     spectrum,
 )
+from .linops import _pattern_components, _principal
 
 __all__ = [
     "DEFAULT_SEED",
@@ -50,6 +52,7 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "run_suite",
+    "hermitian_form_eigenvalues",
     "GradedMatrix",
     "pseudo_symmetric_symmetrize",
     "graded_conjugation_check",
@@ -152,27 +155,35 @@ def _reality_check(eigs: SpectrumResult, tol: float) -> CheckResult:
     )
 
 
-def _isospectrality_check(
-    eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
-) -> CheckResult:
-    # F = (U rho) H (U rho)^{-1}, rho = sqrt(eta), U diagonal: hermitian iff H^dag eta = eta H.
-    # Diagonal scalings keep H's zero pattern, so F splits on the sectors of eigs.
+def _hermitian_form(h, w, u, sectors, in_place=False) -> tuple[np.ndarray, float]:
+    """Sorted ``eigvalsh`` per sector and hermiticity defect of ``F = (U rho) H (U rho)^{-1}``.
+
+    ``in_place`` overwrites ``h`` with ``F``; else ``F`` is formed a block at a time.
+    ``eigvalsh`` runs first: its block copy then does not land on the defect's row blocks.
+    """
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
     if defect > 1e-10 * len(u):
         raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
     root = np.sqrt(w)
     left, right = u * root, u.conj() / root  # F[i, j] = left[i] * H[i, j] * right[j]
-    herm_defect = _hermiticity_defect(
-        len(w),
-        lambda s: left[s, None] * h[s] * right,
-        lambda s: left[:, None] * h[:, s] * right[s],
+    if in_place:
+        h *= left[:, None]
+        h *= right
+    # rows r, columns c of F, from those of h
+    f = (lambda x, r, c: x) if in_place else (lambda x, r, c: left[r, None] * x * right[c])
+    lam = np.concatenate([np.linalg.eigvalsh(f(_principal(h, s), s, s)) for s in sectors])
+    return np.sort(lam), _hermiticity_defect(
+        len(w), lambda s: f(h[s], s, slice(None)), lambda s: f(h[:, s], slice(None), s)
     )
+
+
+def _isospectrality_check(
+    eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
+) -> CheckResult:
+    # F is hermitian iff H^dag eta = eta H, and splits on H's sectors
+    lam_f, herm_defect = _hermitian_form(h, w, u, [s.indices for s in eigs.sectors])
     lam_h = eigs.eigenvalues
-    lam_f = np.sort(np.concatenate([
-        np.linalg.eigvalsh(left[s.indices, None] * b * right[s.indices])
-        for s, b in zip(eigs.sectors, eigs.blocks(h))
-    ]))
     dev = float(np.max(np.abs(lam_h - lam_f)))
     residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
     return CheckResult(
@@ -281,6 +292,23 @@ def run_suite(
         seed=seed,
         decomposition=decompose() if decompose.cache_info().currsize else None,
     )
+
+
+def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
+    """Eigenvalues of ``H`` from ``F = (U rho) H (U rho)^{-1}``, formed in place of ``h``.
+
+    A diagonal similarity keeps the eigenvalues; they come sorted, as complex
+    numbers.  Each sector of ``F`` goes to ``eigvalsh`` if ``F``'s hermiticity
+    defect is within the isospectrality tolerance, else to ``eigvals``; with a
+    weight that is not positive and finite, ``H`` goes to ``eigenvalues``.
+    """
+    h = as_operator(h)
+    w = np.asarray(w, dtype=float)
+    if 0 < np.min(w) and np.max(w) < np.inf:  # else F has no finite form
+        lam, defect = _hermitian_form(h, w, u, _pattern_components(h), in_place=True)
+        if defect <= DEFAULT_TOLERANCES["isospectrality"]:
+            return lam.astype(complex)
+    return eigenvalues(h)
 
 
 # ---------------------------------------------------------------------------

@@ -345,16 +345,16 @@ def test_sweep_into_invalid_point_reports_error(tmp_path, capsys):
 def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkeypatch):
     import metriq.cli
 
-    real_eigenvalues = metriq.cli.eigenvalues
+    real_eigenvalues = metriq.cli.hermitian_form_eigenvalues
     calls = []
 
-    def flaky_eigenvalues(h):
+    def flaky_eigenvalues(h, w, u):
         calls.append(h)
         if len(calls) == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigenvalues(h)
+        return real_eigenvalues(h, w, u)
 
-    monkeypatch.setattr(metriq.cli, "eigenvalues", flaky_eigenvalues)
+    monkeypatch.setattr(metriq.cli, "hermitian_form_eigenvalues", flaky_eigenvalues)
     payload = {
         "model": {"kind": "xxzAsymmetric", "n_sites": 2, "delta": 0.0},
         "sweep": {"path": "delta", "values": [0.0, 0.5, 1.0]},
@@ -372,11 +372,11 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
 def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, command):
     calls = collections.Counter()
     eig_shapes = []
-    for name in ("eig", "eigh", "eigvals"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             if _name != "eigh":
-                eig_shapes.append(np.shape(a))
+                eig_shapes.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -390,9 +390,44 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     assert code == EXIT_OK
     assert len(report["spectra"]) == 3
     # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}
-    assert eig_shapes == [(1, 1), (3, 3), (3, 3), (1, 1)] * 3
-    # run reads eigenvectors in its checks; spectrum needs eigenvalues only
-    assert calls == {"run": {"eig": 12}, "spectrum": {"eigvals": 12}}[command]
+    sectors = [(1, 1), (3, 3), (3, 3), (1, 1)]
+    # run reads eigenvectors in its checks, then isospectrality's eigvalsh of
+    # the hermitian form; spectrum reads the hermitian form's eigenvalues only
+    per_point = {"run": ["eig", "eigvalsh"], "spectrum": ["eigvalsh"]}[command]
+    assert eig_shapes == [(name, s) for name in per_point for s in sectors] * 3
+    assert calls == {name: 12 for name in per_point}
+
+
+def test_spectrum_of_a_transverse_chain_matches_its_hermitian_counterpart(tmp_path, capsys):
+    from metriq.spinchain import SpinChainSpec, hermitian_counterpart
+
+    rng = np.random.default_rng(10)
+    model = {"kind": "xxzAsymmetric", "n_sites": 10, "gamma_exchange": 1.1, "delta": 0.6,
+             "fields_a": list(rng.uniform(0.2, 0.6, 10)),
+             "gammas": list(rng.uniform(-0.3, 0.3, 10)),
+             "xis": list(rng.uniform(-0.5, 0.5, 10))}
+    code = main(["spectrum", write_config(tmp_path, {"model": model})])
+    (block,) = json.loads(capsys.readouterr().out)["spectra"]
+    assert code == EXIT_OK
+    spec = SpinChainSpec(n_sites=10, gamma_exchange=1.1, delta=0.6,
+                         fields_a=tuple(model["fields_a"]))
+    ref = np.linalg.eigvalsh(hermitian_counterpart(spec))
+    re, im = np.array(block["eigenvalues"]).T
+    assert np.max(np.abs(re - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    assert np.all(im == 0.0)
+
+
+@pytest.mark.parametrize("grade", [400.0, -400.0])
+def test_spectrum_with_a_weight_out_of_range_reads_h_itself(tmp_path, capsys, grade):
+    # weight exp(-2 grade) underflows to 0 or overflows: F has no finite form
+    model = {"kind": "gradedMatrix", "core": [[1.0, 0.0], [0.0, -1.0]],
+             "grades": [grade, 0.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of exp(800)
+        code = main(["spectrum", write_config(tmp_path, {"model": model})])
+    (block,) = json.loads(capsys.readouterr().out)["spectra"]
+    assert code == EXIT_OK
+    assert block["eigenvalues"] == [[-1.0, 0.0], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize(

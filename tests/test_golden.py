@@ -9,8 +9,9 @@ verdicts, but its spectrum is held to the hermitian build by
 ``test_ill_conditioned_spectrum_matches_the_hermitian_build`` instead: its
 pin records dense-``eig`` rounding, which moves by ~1e-12 with the BLAS
 thread count and with any rounding-level change of the matrix.
-``metriq spectrum`` takes its eigenvalues from another LAPACK path than
-``run``; it must exit 0 and match the same pins by the same rules.
+``metriq spectrum``, and a ``run`` whose checks read no decomposition, take
+their eigenvalues from another LAPACK path than ``run``: ``eigvalsh`` of the
+hermitian-equivalent form.  They must match the same pins by the same rules.
 
 Regenerate (only when a change of verdict or spectrum is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -52,9 +53,9 @@ CONFIGS = {
 ORACLE_SPECTRA = {"oscillator2d_ill_conditioned"}
 
 
-def record(tmp_path: Path, model: dict, command: str = "run") -> dict:
+def record(tmp_path: Path, model: dict, command: str = "run", checks=None) -> dict:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": model}))
+    path.write_text(json.dumps({"model": model, **({"checks": checks} if checks else {})}))
     out = tmp_path / "out"
     code = main([command, str(path), "--seed", "1", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
@@ -93,17 +94,31 @@ def test_ill_conditioned_spectrum_matches_the_hermitian_build(tmp_path):
     assert_matches_the_hermitian_build(model, lam)
 
 
+def assert_matches_the_golden_spectrum(name: str, lam) -> None:
+    if name in ORACLE_SPECTRA:
+        assert_matches_the_hermitian_build(CONFIGS[name], lam)
+        return
+    (ref,) = json.loads(FIXTURE.read_text())[name]["spectra"]
+    np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_spectrum_command_matches_the_golden_spectra(tmp_path, name):
     got = record(tmp_path, CONFIGS[name], command="spectrum")
     assert got["exit_code"] == 0
     assert got["checks"] == []
     (lam,) = got["spectra"]
-    if name in ORACLE_SPECTRA:
-        assert_matches_the_hermitian_build(CONFIGS[name], lam)
-        return
-    (ref,) = json.loads(FIXTURE.read_text())[name]["spectra"]
-    np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
+    assert_matches_the_golden_spectrum(name, lam)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_run_with_no_spectral_check_matches_the_golden_spectra(tmp_path, name):
+    # no check reads a decomposition, so the spectrum takes the spectrum command's path
+    got = record(tmp_path, CONFIGS[name], checks=["metric_pd"])
+    assert got["exit_code"] == 0
+    assert got["checks"] == [["metric_pd", True]]
+    (lam,) = got["spectra"]
+    assert_matches_the_golden_spectrum(name, lam)
 
 
 if __name__ == "__main__":

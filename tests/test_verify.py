@@ -1,11 +1,12 @@
 """Check suite, report objects, and graded-matrix identities."""
+import collections
 import json
 
 import numpy as np
 import pytest
 
 from metriq.bosonic import FockSpace
-from metriq.linops import BLOCK, MetricSpec, spectrum
+from metriq.linops import BLOCK, MetricSpec, eigenvalues, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -19,6 +20,7 @@ from metriq.verify import (
     GradedMatrix,
     VerificationReport,
     graded_conjugation_check,
+    hermitian_form_eigenvalues,
     pseudo_symmetric_symmetrize,
     run_suite,
 )
@@ -234,7 +236,9 @@ def dense_residuals(h, w, u):
     form = (u * root)[:, None] * h * (u.conj() / root)
     defect = np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form))
     eigs = spectrum(h)
-    lam_f = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in eigs.blocks(form)]))
+    lam_f = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(form[np.ix_(s.indices, s.indices)]) for s in eigs.sectors]
+    ))
     lam_h = eigs.eigenvalues
     dev = np.max(np.abs(lam_h - lam_f)) / (1.0 + np.max(np.abs(lam_h)))
     return ph, max(dev, defect)
@@ -271,15 +275,21 @@ def test_eig_residual_on_column_blocks_matches_the_dense_formula():
     assert abs(result.residual - np.max(dense)) <= 1e-15
 
 
+CHAIN_N10 = {"kind": "xxzAsymmetric", "n_sites": 10, "delta": 0.6,
+             "gammas": [0.25, -0.1, 0.3, -0.2, 0.05, 0.15, -0.3, 0.1, -0.05, 0.2],
+             "xis": [0.4, -0.2, 0.1, 0.0, -0.4, 0.3, 0.2, -0.1, 0.5, -0.3]}
+
+
+def build_chain(model):
+    from metriq.cli import _build_model, parse_config
+
+    return _build_model(parse_config(json.dumps({"model": model})).model)
+
+
 def test_checks_hold_no_temporary_the_size_of_h():
     import tracemalloc
 
-    from metriq.cli import _build_model, parse_config
-
-    model = {"kind": "xxzAsymmetric", "n_sites": 10, "delta": 0.6,
-             "gammas": [0.25, -0.1, 0.3, -0.2, 0.05, 0.15, -0.3, 0.1, -0.05, 0.2],
-             "xis": [0.4, -0.2, 0.1, 0.0, -0.4, 0.3, 0.2, -0.1, 0.5, -0.3]}
-    built = _build_model(parse_config(json.dumps({"model": model})).model)
+    built = build_chain(CHAIN_N10)
     tracemalloc.start()
     try:
         report = run_suite(
@@ -290,6 +300,45 @@ def test_checks_hold_no_temporary_the_size_of_h():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < built.h.nbytes
+
+
+def test_spectrum_step_forms_f_in_place_of_h():
+    import tracemalloc
+
+    # transverse fields break total Sz: one sector of 1024
+    built = build_chain({**CHAIN_N10, "fields_a": [0.4] * 10})
+    tracemalloc.start()
+    try:
+        lam = hermitian_form_eigenvalues(built.h, built.w, built.u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lam) == len(built.h) and np.all(lam.imag == 0.0)
+    assert peak < built.h.nbytes
+
+
+@pytest.mark.parametrize("n_sectors", [1, 5])
+def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch, n_sectors):
+    calls = collections.Counter()
+    for name in ("eigvals", "eigvalsh"):
+        def counted(a, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    h, w, u = pseudo_hermitian_pair(BLOCK + 1, n_sectors, seed=5)
+    # one entry of the last sector, off by 1e-6: F's defect exceeds 1e-10
+    bad = h.copy()
+    bad[-1, -1 - n_sectors] += 1e-6
+    for mat, branches in ((h, ["eigvalsh"]), (bad, ["eigvalsh", "eigvals"])):
+        calls.clear()
+        form = mat.copy()
+        lam = hermitian_form_eigenvalues(form, w, u)
+        assert calls == {name: n_sectors for name in branches}
+        root = np.sqrt(w)
+        np.testing.assert_allclose(form, (u * root)[:, None] * mat * (u.conj() / root))
+        assert np.max(np.abs(lam - eigenvalues(mat))) <= 1e-12
+    assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
