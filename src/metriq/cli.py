@@ -50,9 +50,6 @@ from .spinchain import (
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
-    build_xxz_symmetric,
-    build_zeta_metric,
-    chain_unitary,
     site_occupations,
 )
 from .verify import (
@@ -133,7 +130,21 @@ def _sign(name, v):
     return int(v)
 
 
+def _deformation(required: bool) -> dict:
+    """Schema of the per-mode ``gammas`` and ``xis`` of ``w = gamma + 1j xi``."""
+    return {"gammas": (required, _real_list, None), "xis": (False, _real_list, None)}
+
+
 # field -> (required, coercer, default); None default means "derived later"
+_CHAIN = {  # the fields of a SpinChainSpec
+    "n_sites": (True, _positive_int, None),
+    "gamma_exchange": (False, _real, 1.0),
+    "delta": (False, _real, 0.0),
+    "fields_a": (False, _real_list, None),
+    "fields_b": (False, _real_list, None),
+    "fields_c": (False, _real_list, None),
+}
+
 _SCHEMAS: dict[str, dict] = {
     "oscillator2d": {
         "k1": (True, _real, None),
@@ -147,47 +158,29 @@ _SCHEMAS: dict[str, dict] = {
     "bosonQuadratic": {
         "alpha": (True, _matrix, None),
         "beta": (True, _matrix, None),
-        "gammas": (True, _real_list, None),
-        "xis": (False, _real_list, None),
+        **_deformation(required=True),
         "cutoff": (False, _positive_int, 12),
     },
     "lmg": {
         "omega0": (True, _real, None),
         "omega": (True, _real, None),
-        "gammas": (True, _real_list, None),
-        "xis": (False, _real_list, None),
+        **_deformation(required=True),
         "cutoff": (False, _positive_int, 12),
     },
     "fermionQuadratic": {
         "hopping": (True, _matrix, None),
         "pairing": (True, _matrix, None),
-        "gammas": (True, _real_list, None),
-        "xis": (False, _real_list, None),
+        **_deformation(required=True),
     },
-    "xxzAsymmetric": {
-        "n_sites": (True, _positive_int, None),
-        "gamma_exchange": (False, _real, 1.0),
-        "delta": (False, _real, 0.0),
-        "fields_a": (False, _real_list, None),
-        "fields_b": (False, _real_list, None),
-        "fields_c": (False, _real_list, None),
-        "gammas": (False, _real_list, None),
-        "xis": (False, _real_list, None),
-    },
+    "xxzAsymmetric": {**_CHAIN, **_deformation(required=False)},
     "xxzSymmetric": {
-        "n_sites": (True, _positive_int, None),
-        "gamma_exchange": (False, _real, 1.0),
-        "delta": (False, _real, 0.0),
-        "fields_a": (False, _real_list, None),
-        "fields_b": (False, _real_list, None),
-        "fields_c": (False, _real_list, None),
+        **_CHAIN,
         "gamma": (False, _real, 0.0),
         "xi": (False, _real, 0.0),
     },
     "haldaneShastry": {
         "n_sites": (True, _positive_int, None),
-        "gammas": (False, _real_list, None),
-        "xis": (False, _real_list, None),
+        **_deformation(required=False),
         "sign": (False, _sign, 1),
     },
     "gradedMatrix": {
@@ -417,17 +410,19 @@ def _build_oscillator(p: dict) -> _Built:
     return _Built(h, *similarity(angular_momentum_diag(space)[:, None], [params.w]))
 
 
-def _boson_metric_spec(p: dict) -> MetricSpec:
-    xis = p.get("xis")
-    if xis is not None and len(xis) != len(p["gammas"]):
+def _metric_spec(p: dict, n: int) -> MetricSpec:
+    """``gammas`` and ``xis`` of ``n`` modes; a list left unset is all zeros."""
+    gammas = p.get("gammas") or [0.0] * n
+    xis = p.get("xis") or [0.0] * n
+    if len(gammas) != n or len(xis) != n:
         raise ConfigError(
-            f"xis must have {len(p['gammas'])} entries, got {len(xis)}"
+            f"gammas/xis must have {n} entries, got {len(gammas)}/{len(xis)}"
         )
-    return MetricSpec(p["gammas"], xis)
+    return MetricSpec(gammas, xis)
 
 
 def _build_boson_quadratic(p: dict) -> _Built:
-    ms = _boson_metric_spec(p)
+    ms = _metric_spec(p, len(p["gammas"]))
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
     h = build_quadratic_hamiltonian(space, form)
@@ -435,7 +430,7 @@ def _build_boson_quadratic(p: dict) -> _Built:
 
 
 def _build_lmg_model(p: dict) -> _Built:
-    ms = _boson_metric_spec(p)
+    ms = _metric_spec(p, len(p["gammas"]))
     if ms.n != 2:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
@@ -444,56 +439,23 @@ def _build_lmg_model(p: dict) -> _Built:
 
 
 def _build_fermion(p: dict) -> _Built:
-    ms = _boson_metric_spec(p)
+    ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
     h = build_fermion_quadratic(spec)
     return _Built(h, *similarity(site_occupations(spec.n_sites), ms.ws))
 
 
-def _chain_spec(p: dict, ws) -> SpinChainSpec:
-    return SpinChainSpec(
-        n_sites=p["n_sites"],
-        gamma_exchange=p.get("gamma_exchange", 1.0),
-        delta=p.get("delta", 0.0),
-        fields_a=tuple(p.get("fields_a") or ()),
-        fields_b=tuple(p.get("fields_b") or ()),
-        fields_c=tuple(p.get("fields_c") or ()),
-        ws=ws,
-    )
-
-
-def _chain_ws(p: dict, n: int) -> tuple[complex, ...]:
-    gammas = p.get("gammas") or [0.0] * n
-    xis = p.get("xis") or [0.0] * n
-    if len(gammas) != n or len(xis) != n:
-        raise ConfigError(
-            f"gammas/xis must have {n} entries, got {len(gammas)}/{len(xis)}"
-        )
-    return tuple(g + 1j * x for g, x in zip(gammas, xis))
-
-
-def _build_xxz_asym(p: dict) -> _Built:
-    spec = _chain_spec(p, _chain_ws(p, p["n_sites"]))
-    return _Built(
-        build_xxz_asymmetric(spec), build_zeta_metric(spec), chain_unitary(spec)
-    )
-
-
-def _build_xxz_sym(p: dict) -> _Built:
-    w = p["gamma"] + 1j * p["xi"]
-    spec = _chain_spec(p, (w,) * p["n_sites"])
-    return _Built(
-        build_xxz_symmetric(spec), build_zeta_metric(spec), chain_unitary(spec)
-    )
+def _build_chain(p: dict, ms: MetricSpec) -> _Built:
+    """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
+    spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
+    h = build_xxz_asymmetric(spec)
+    return _Built(h, *similarity(0.5 - site_occupations(ms.n), ms.ws))
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
-    n = p["n_sites"]
-    ws = _chain_ws(p, n)
-    metric = MetricSpec([w.real for w in ws], [w.imag for w in ws])
-    spec = SpinChainSpec(n_sites=n, ws=ws)
-    h = build_haldane_shastry(n, metric, p["sign"])
-    return _Built(h, build_zeta_metric(spec), chain_unitary(spec))
+    ms = _metric_spec(p, p["n_sites"])
+    h = build_haldane_shastry(ms.n, ms, p["sign"])
+    return _Built(h, *similarity(0.5 - site_occupations(ms.n), ms.ws))
 
 
 def _build_graded(p: dict) -> _Built:
@@ -506,8 +468,10 @@ _BUILDERS = {
     "bosonQuadratic": _build_boson_quadratic,
     "lmg": _build_lmg_model,
     "fermionQuadratic": _build_fermion,
-    "xxzAsymmetric": _build_xxz_asym,
-    "xxzSymmetric": _build_xxz_sym,
+    "xxzAsymmetric": lambda p: _build_chain(p, _metric_spec(p, p["n_sites"])),
+    "xxzSymmetric": lambda p: _build_chain(
+        p, MetricSpec([p["gamma"]] * p["n_sites"], [p["xi"]] * p["n_sites"])
+    ),
     "haldaneShastry": _build_haldane_shastry,
     "gradedMatrix": _build_graded,
 }

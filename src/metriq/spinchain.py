@@ -10,9 +10,10 @@ exact in floating point; their builders return the weight vector, and
 
 A chain of ``n`` sites is ``FockSpace(n, 1)`` with its sites in reverse order,
 so site ``k`` is bit ``n - 1 - k`` of the basis index (1 is down/occupied).
-Hamiltonians come from the boson assembler: ``S^+``/``S^-`` lower/raise a bit,
-and a fermion operator takes its Jordan-Wigner sign from the parity of the more
-significant bits.  Every builder reaches the cap of 12 sites (dim 4096).
+Site operators and Hamiltonians come from the boson assembler, with no kron
+embedding: ``S^+``/``S^-`` lower/raise a bit, and a fermion operator takes its
+Jordan-Wigner sign from the parity of the more significant bits.  Every
+builder reaches the cap of 12 sites (dim 4096).
 """
 from __future__ import annotations
 
@@ -66,13 +67,6 @@ def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def _embed_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a local operator; site 0 is the most significant factor."""
-    left = np.eye(2**site)
-    right = np.eye(2 ** (n_sites - 1 - site))
-    return np.kron(left, np.kron(op, right))
-
-
 def _check_chain(n_sites: int, site: int | None = None) -> None:
     if not 1 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be in [1, {MAX_SITES}]")
@@ -83,12 +77,11 @@ def _check_chain(n_sites: int, site: int | None = None) -> None:
 def site_spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spin-1/2 operators ``(Sx, Sy, Sz)`` of one chain site."""
     _check_chain(n_sites, site)
-    sx, sy, sz = spin_matrices(0.5)
-    return (
-        _embed_site(sx, site, n_sites),
-        _embed_site(sy, site, n_sites),
-        _embed_site(sz, site, n_sites),
-    )
+
+    def op(*terms):
+        return _assemble_sites(n_sites, [(coef, ((kind, site),)) for kind, coef in terms])
+
+    return op(("+", 0.5), ("-", 0.5)), op(("+", -0.5j), ("-", 0.5j)), op(("z", 1.0))
 
 
 def site_occupations(n_sites: int) -> np.ndarray:
@@ -312,17 +305,8 @@ def fermion_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     enforces anticommutation across sites.
     """
     _check_chain(n_sites, site)
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    zmat = np.diag([1.0, -1.0]).astype(complex)
-    op = np.eye(1, dtype=complex)
-    for k in range(n_sites):
-        if k < site:
-            op = np.kron(op, zmat)
-        elif k == site:
-            op = np.kron(op, lower)
-        else:
-            op = np.kron(op, np.eye(2, dtype=complex))
-    return op, op.conj().T
+    c = _assemble_sites(n_sites, [(1.0, (("c", site),))])
+    return c, c.conj().T
 
 
 @dataclass(frozen=True)

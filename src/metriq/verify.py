@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bosonic import _guard_overflow, similarity
 from .linops import (
     BLOCK,
     COND_LIMIT,
@@ -320,8 +321,8 @@ class GradedMatrix:
     """A matrix of the form ``M_ij = a_ij exp(gamma_i - gamma_j)``.
 
     ``core`` is the real symmetric coefficient matrix and ``grades`` the
-    per-index exponents.  The realized matrix is non-symmetric but shares
-    the (real) spectrum of ``core``.
+    per-index exponents, each held to the overflow guard.  The realized
+    matrix is non-symmetric but shares the (real) spectrum of ``core``.
     """
 
     core: np.ndarray
@@ -338,6 +339,7 @@ class GradedMatrix:
             )
         if not (np.all(np.isfinite(core)) and np.all(np.isfinite(grades))):
             raise ValueError("core and grades must be finite")
+        _guard_overflow(1, max(np.abs(grades), default=0.0))  # weight exp(-2 gamma_i)
         bad = np.abs(core - core.T)
         if np.any(bad > 0):
             i, j = np.unravel_index(np.argmax(bad), core.shape)
@@ -354,7 +356,7 @@ class GradedMatrix:
     @property
     def metric_weights(self) -> np.ndarray:
         """Diagonal of the associated metric, ``exp(-2 gamma_i)``."""
-        return np.exp(-2.0 * self.grades)
+        return similarity(self.grades[:, None], [1.0])[0]
 
 
 def pseudo_symmetric_symmetrize(m: GradedMatrix) -> np.ndarray:

@@ -1,0 +1,38 @@
+"""Peak-RSS gates of the ``metriq`` CLI at the 12-site cap (dim 4096).
+
+    PYTHONPATH=src python tests/peak_rss.py
+
+Run from the repository root.  Each gate runs one CLI command as a child
+process and passes if the child exits 0 within its bound on ``ru_maxrss``.
+The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
+the largest peak of all children so far.  Exits 1 if any gate fails.
+"""
+import os
+import sys
+
+# (command, config, bound in MiB, print the command's output)
+GATES = (
+    # every check must pass; H itself is 256 MiB
+    ("verify", "tests/configs/xxz_asymmetric_n12.json", 600, True),
+    # one sector of 4096: H plus eigvalsh's own copy of the hermitian form
+    ("spectrum", "tests/configs/xxz_transverse_n12.json", 650, False),
+)
+
+
+def main() -> int:
+    failed = False
+    for command, config, limit, show in GATES:
+        argv = [sys.executable, "-m", "metriq.cli", command, config]
+        quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+        _, status, usage = os.wait4(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        peak_mib = usage.ru_maxrss / 1024
+        print(f"metriq {command} {config}: exit {code}, "
+              f"peak RSS {peak_mib:.0f} MiB (limit {limit})", flush=True)
+        failed |= code != 0 or peak_mib > limit
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -418,16 +418,28 @@ def test_spectrum_of_a_transverse_chain_matches_its_hermitian_counterpart(tmp_pa
 
 
 @pytest.mark.parametrize("grade", [400.0, -400.0])
-def test_spectrum_with_a_weight_out_of_range_reads_h_itself(tmp_path, capsys, grade):
-    # weight exp(-2 grade) underflows to 0 or overflows: F has no finite form
+def test_spectrum_refuses_a_grade_past_the_overflow_guard(tmp_path, capsys, grade):
+    # weight exp(-2 grade) would underflow to 0 or overflow, leaving F no finite form
     model = {"kind": "gradedMatrix", "core": [[1.0, 0.0], [0.0, -1.0]],
              "grades": [grade, 0.0]}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of exp(800)
-        code = main(["spectrum", write_config(tmp_path, {"model": model})])
-    (block,) = json.loads(capsys.readouterr().out)["spectra"]
-    assert code == EXIT_OK
-    assert block["eigenvalues"] == [[-1.0, 0.0], [1.0, 0.0]]
+    code = main(["spectrum", write_config(tmp_path, {"model": model})])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG_ERROR
+    assert "exceeds overflow guard 60.0" in captured.err
+    assert captured.out == ""
+
+
+def test_haldane_shastry_with_sign_minus_one_negates_the_spectrum(tmp_path, capsys):
+    model = {"kind": "haldaneShastry", "n_sites": 4, "gammas": [0.2, -0.1, 0.3, 0.05],
+             "xis": [0.1, 0.0, -0.2, 0.3]}
+    spectra = {}
+    for sign in (1, -1):
+        code = main(["spectrum", write_config(tmp_path, {"model": dict(model, sign=sign)})])
+        (block,) = json.loads(capsys.readouterr().out)["spectra"]
+        assert code == EXIT_OK
+        spectra[sign] = np.array(block["eigenvalues"])
+    np.testing.assert_allclose(spectra[-1][:, 0], np.sort(-spectra[1][:, 0]), rtol=0, atol=1e-12)
+    assert np.all(spectra[-1][:, 1] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +449,8 @@ def test_spectrum_with_a_weight_out_of_range_reads_h_itself(tmp_path, capsys, gr
         {"kind": "haldaneShastry", "n_sites": 2, "gammas": [800.0, 0.0]},
         {"kind": "fermionQuadratic", "hopping": [[1.0, 0.3], [0.3, 0.8]],
          "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [800.0, 0.0]},
+        *(pytest.param({"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
+                        "grades": [g, 0.0]}, id=f"gradedMatrix{g:+g}") for g in (400, -400)),
     ],
     ids=lambda m: m["kind"],
 )

@@ -51,11 +51,40 @@ def random_quadratic_spec(rng, n, scale=0.3):
     return FermionQuadraticSpec(hop + hop.T, pair - pair.T, metric)
 
 
+def kron_site(op, site, n):
+    """Reference embedding of a one-site operator; site 0 is the most significant factor."""
+    return np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
+
+
+def kron_site_spin_ops(n, site):
+    return tuple(kron_site(op, site, n) for op in spin_matrices(0.5))
+
+
+def kron_fermion_ops(n, site):
+    """Reference Jordan-Wigner pair: a ``diag(1, -1)`` string on the earlier sites."""
+    c = np.eye(1, dtype=complex)
+    for k in range(n):
+        if k < site:
+            c = np.kron(c, np.diag([1.0, -1.0]))
+        else:
+            c = np.kron(c, [[0.0, 1.0], [0.0, 0.0]] if k == site else np.eye(2))
+    return c, c.conj().T
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_operators_match_the_kron_builders(n):
+    for site in range(n):
+        for got, ref in zip(site_spin_ops(n, site), kron_site_spin_ops(n, site)):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(fermion_ops(n, site), kron_fermion_ops(n, site)):
+            assert np.array_equal(got, ref)
+
+
 def reference_xxz(spec, deformed=True):
     """XXZ chain summed from the kron-embedded site operators."""
     n = spec.n_sites
     ws = np.asarray(spec.ws) if deformed else np.zeros(n, dtype=complex)
-    ops = [site_spin_ops(n, i) for i in range(n)]
+    ops = [kron_site_spin_ops(n, i) for i in range(n)]
     pm = [(sx + 1j * sy, sx - 1j * sy) for sx, sy, _ in ops]
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n - 1):
@@ -72,7 +101,7 @@ def reference_xxz(spec, deformed=True):
 
 def reference_haldane_shastry(n, metric, sign):
     ws = metric.ws
-    ops = [site_spin_ops(n, i) for i in range(n)]
+    ops = [kron_site_spin_ops(n, i) for i in range(n)]
     pm = [(sx + 1j * sy, sx - 1j * sy) for sx, sy, _ in ops]
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
@@ -90,7 +119,7 @@ def reference_haldane_shastry(n, metric, sign):
 def reference_fermion_quadratic(spec):
     n = spec.n_sites
     ws = np.asarray(spec.metric.ws)
-    ops = [fermion_ops(n, i) for i in range(n)]
+    ops = [kron_fermion_ops(n, i) for i in range(n)]
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i, (ci, cid) in enumerate(ops):
         for j, (cj, cjd) in enumerate(ops):

@@ -341,6 +341,18 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
 
+@pytest.mark.parametrize("weight", [0.0, np.inf])
+def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(weight):
+    # F has no finite form: H goes to eigenvalues and is left as it was
+    h, w, u = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
+    w = w.copy()
+    w[0] = weight
+    form = h.copy()
+    lam = hermitian_form_eigenvalues(form, w, u)
+    assert np.array_equal(form, h)
+    assert np.array_equal(lam, eigenvalues(h))
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
