@@ -1,12 +1,12 @@
 """Truncated boson Fock spaces, deformed quadratic forms and their spectra.
 
-The multimode builders follow one rule throughout: with the diagonal metric
-``eta = prod_i exp(-2 gamma_i n_i)`` (returned as its weight vector by
-:func:`build_metric`) every hopping/pairing term carries an
-exponential weight (``exp(w_i - w_j)`` on ``a_i^dag a_j``, ``exp(w_i + w_j)``
-on ``a_i^dag a_j^dag``, inverses on the adjoint partners) which makes the
-resulting Hamiltonian pseudo-hermitian with respect to ``eta`` entry by
-entry, even after truncation.
+Every model of the package is deformed by one rule: a builder states its
+hermitian (``w = 0``) coefficients, and the assembler weights each ladder move
+of mode ``k`` by ``exp(dQ w_k)``, ``dQ = +-1`` the move's change of the mode's
+charge ``Q``.  The result, ``s H_0 s^{-1}`` with ``s = exp(Q w)`` (``exp(w_i -
+w_j)`` on ``a_i^dag a_j``, ``exp(w_i + w_j)`` on ``a_i^dag a_j^dag``), is
+pseudo-hermitian with respect to the diagonal metric ``exp(-2 Q gamma)`` of
+:func:`similarity` entry by entry, even after truncation.
 
 Basis ordering is little-endian in the occupation numbers: mode 0 varies
 fastest, i.e. basis index ``i`` encodes occupation ``n_k = (i // d**k) % d``
@@ -124,11 +124,12 @@ class FockSpace:
         return vec
 
 
-# Digit moves: "a"/"ad" lower/raise a mode, "+"/"-" are S^+/S^- of a site.
-_STEPS = {"a": -1, "+": -1, "c": -1, "ad": 1, "-": 1, "cd": 1}
+# Moves as (occupation step, charge change): "a"/"ad" and "c"/"cd" lower/raise a
+# boson or fermion, of charge n; "+"/"-" are S^+/S^- of a site, of charge 1/2 - n.
+_MOVES = {"a": (-1, -1), "c": (-1, -1), "ad": (1, 1), "cd": (1, 1), "+": (-1, 1), "-": (1, -1)}
 
 
-def _assemble(space: FockSpace, terms) -> np.ndarray:
+def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
     """Dense sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
 
     A factor is ``(kind, mode)``.  A move shifts the index by the mode's
@@ -136,25 +137,30 @@ def _assemble(space: FockSpace, terms) -> np.ndarray:
     states pushed out of ``[0, cutoff]``, as truncated ladder matrices do.
     ``"c"``/``"cd"`` add the Jordan-Wigner sign of the higher modes, ``"n"``
     is the occupation and ``"z"`` is ``1/2 - n``.  The last factor acts first.
+    With ``ws``, a move of mode ``k`` also carries ``exp(dQ w_k)``: the sum is
+    then ``s H_0 s^{-1}``, ``s = exp(Q w)``, for ``H_0`` the sum without ``ws``.
     """
     occ = space.occupation_table()
+    ws = np.zeros(space.modes) if ws is None else np.asarray(ws)
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for coef, factors in terms:
         src = cur = np.arange(space.dim)
         amp = np.ones(space.dim)
+        dw = 0.0
         for kind, mode in reversed(factors):
             n = occ[cur, mode]
             if kind in ("n", "z"):
                 amp = amp * (n if kind == "n" else 0.5 - n)
                 continue
-            step = _STEPS[kind]
+            step, dq = _MOVES[kind]
             keep = n > 0 if step < 0 else n < space.cutoff
             src, cur, n = src[keep], cur[keep], n[keep]
             amp = amp[keep] * np.sqrt(n if step < 0 else n + 1)
             if kind in ("c", "cd"):
                 amp = amp * (1 - 2 * (occ[cur, mode + 1 :].sum(axis=1) & 1))
             cur = cur + step * (space.cutoff + 1) ** mode
-        h[cur, src] += coef * amp
+            dw = dw + dq * ws[mode]
+        h[cur, src] += coef * np.exp(dw) * amp
     return h
 
 
@@ -210,9 +216,8 @@ def tilde_ops(space: FockSpace, metric: MetricSpec, mode: int) -> tuple[np.ndarr
     ``gamma = 0`` they reduce to the plain ladder pair.
     """
     _check_metric_matches(space, metric)
-    a, adag = ladder_ops(space, mode)
-    g = metric.gammas[mode]
-    return np.exp(-g) * a, np.exp(g) * adag
+    _check_mode(space, mode)
+    return tuple(_assemble(space, [(1.0, ((k, mode),))], metric.gammas) for k in ("a", "ad"))
 
 
 def similarity(charges: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +284,8 @@ def build_quadratic_hamiltonian(
 
     Terms: ``(1/2) sum_ij alpha_ij (e^{w_i - w_j} a_i^dag a_j + e^{-(w_i - w_j)}
     a_j^dag a_i) + (1/2) sum_ij beta_ij (e^{-(w_i + w_j)} a_i a_j +
-    e^{w_i + w_j} a_i^dag a_j^dag)``.
+    e^{w_i + w_j} a_i^dag a_j^dag)``: the ``w = 0`` form, weighted by the
+    assembler's rule.
 
     With ``include_zero_point`` (default) the hopping part is taken in
     symmetric ordering, which adds the constant ``tr(alpha) / 2`` and makes
@@ -290,19 +296,18 @@ def build_quadratic_hamiltonian(
     if form.n != space.modes:
         raise ValueError(f"form has {form.n} modes but the space has {space.modes}")
     _check_metric_matches(space, form.metric)
-    ws = form.metric.ws
     terms = []
     for i, j in product(range(space.modes), repeat=2):
         a, b = 0.5 * form.alpha[i, j], 0.5 * form.beta[i, j]
         if a != 0.0:
-            terms.append((a * np.exp(ws[i] - ws[j]), (("ad", i), ("a", j))))
-            terms.append((a * np.exp(-(ws[i] - ws[j])), (("ad", j), ("a", i))))
+            terms.append((a, (("ad", i), ("a", j))))
+            terms.append((a, (("ad", j), ("a", i))))
         if b != 0.0:
-            terms.append((b * np.exp(-(ws[i] + ws[j])), (("a", i), ("a", j))))
-            terms.append((b * np.exp(ws[i] + ws[j]), (("ad", i), ("ad", j))))
+            terms.append((b, (("a", i), ("a", j))))
+            terms.append((b, (("ad", i), ("ad", j))))
     if include_zero_point:  # the identity: a term without factors
         terms.append((0.5 * np.trace(form.alpha), ()))
-    return _assemble(space, terms)
+    return _assemble(space, terms, form.metric.ws)
 
 
 @dataclass(frozen=True)
@@ -375,17 +380,15 @@ def quadratic_spectrum(
     return np.asarray(energies)
 
 
-def _su2_terms(space: FockSpace, metric: MetricSpec):
-    """Assembler terms of ``(J_plus, J_minus, J_z)``."""
+_J_PLUS = (("ad", 0), ("a", 1))
+_J_MINUS = (("ad", 1), ("a", 0))
+_J_Z = [(0.5, (("n", 0),)), (-0.5, (("n", 1),))]
+
+
+def _check_su2(space: FockSpace, metric: MetricSpec) -> None:
     if space.modes != 2:
         raise ValueError("the su(2) realization needs exactly two modes")
     _check_metric_matches(space, metric)
-    g1, g2 = metric.gammas
-    return (
-        [(np.exp(g1 - g2), (("ad", 0), ("a", 1)))],
-        [(np.exp(-(g1 - g2)), (("ad", 1), ("a", 0)))],
-        [(0.5, (("n", 0),)), (-0.5, (("n", 1),))],
-    )
 
 
 def schwinger_su2(
@@ -398,7 +401,9 @@ def schwinger_su2(
     the pair ``J_plus, J_minus`` are metric-adjoints of each other and the
     su(2) commutators hold on every complete total-number sector.
     """
-    return tuple(_assemble(space, terms) for terms in _su2_terms(space, metric))
+    _check_su2(space, metric)
+    terms = ([(1.0, _J_PLUS)], [(1.0, _J_MINUS)], _J_Z)
+    return tuple(_assemble(space, t, metric.gammas) for t in terms)
 
 
 def build_lmg(
@@ -410,9 +415,9 @@ def build_lmg(
     respect to the diagonal two-mode metric and block-diagonal in the total
     boson number (fixed-j sectors).
     """
-    [(cp, jp)], [(cm, jm)], jz = _su2_terms(space, metric)
-    terms = [(omega0 * c, f) for c, f in jz]
-    return _assemble(space, terms + [(omega * cm * cm, jm + jm), (omega * cp * cp, jp + jp)])
+    _check_su2(space, metric)
+    terms = [(omega0 * c, f) for c, f in _J_Z] + [(omega, _J_MINUS * 2), (omega, _J_PLUS * 2)]
+    return _assemble(space, terms, metric.gammas)
 
 
 def total_number_indices(space: FockSpace, total: int) -> np.ndarray:

@@ -216,6 +216,7 @@ _CHIRAL = (("a", 0), ("a", 1), ("ad", 0), ("ad", 1))
 _CARTESIAN = 0.5 * np.array(
     [[1, 1, 1, 1], [1j, -1j, -1j, 1j], [-1j, -1j, 1j, 1j], [1, -1, 1, -1]]
 )
+_XY_TERMS = [[(c, (f,)) for c, f in zip(form, _CHIRAL)] for form in _CARTESIAN]
 
 
 def cartesian_operators(
@@ -227,8 +228,7 @@ def cartesian_operators(
     with ``a1, a2`` the Cartesian ladder combinations of the chiral pair.
     """
     _require_two_modes(space)
-    terms = [[(c, (f,)) for c, f in zip(form, _CHIRAL)] for form in _CARTESIAN]
-    return tuple(_assemble(space, t) for t in terms)
+    return tuple(_assemble(space, t) for t in _XY_TERMS)
 
 
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
@@ -241,22 +241,23 @@ def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarr
     """Dense rotated-oscillator Hamiltonian on the chiral Fock space.
 
     ``H = (px^2 + py^2) / 2m + (m w1^2 x^2 + m w2^2 y^2 + m w3^2 (xy + yx)/2) / 2``
-    with the complex frequency combinations of :func:`complex_frequencies`.
+    with the complex frequency combinations of :func:`complex_frequencies`,
+    built as ``exp(w Lz) H_0 exp(-w Lz)`` from the ``w = 0`` matrix ``H_0`` by the
+    assembler's rule with ``ws = (w, -w)`` (a chiral quantum carries ``Lz = +-1``).
     Pseudo-hermitian with respect to :func:`oscillator_metric`; isospectral
-    to the ``w = 0`` matrix at any cutoff because the similarity
-    ``exp(w Lz)`` is diagonal in this basis.
+    to ``H_0`` at any cutoff because the similarity is diagonal in this basis.
     """
     _require_two_modes(space)
     _guard_overflow(space.cutoff, params.gamma)
-    freqs = complex_frequencies(params)
     x, y, px, py = _CARTESIAN
-    # H = sum_ij coef[i, j] f_i f_j over the chiral factors
+    # H_0 = sum_ij coef[i, j] f_i f_j over the chiral factors
     coef = (np.outer(px, px) + np.outer(py, py)) / (2.0 * params.m) + 0.5 * (
-        freqs.m_w1_sq * np.outer(x, x)
-        + freqs.m_w2_sq * np.outer(y, y)
-        + freqs.m_w3_sq * 0.5 * (np.outer(x, y) + np.outer(y, x))
+        params.k1 * np.outer(x, x)
+        + params.k2 * np.outer(y, y)
+        + params.k3 * 0.5 * (np.outer(x, y) + np.outer(y, x))
     )
-    return _assemble(space, list(zip(coef.ravel(), product(_CHIRAL, repeat=2))))
+    terms = list(zip(coef.ravel(), product(_CHIRAL, repeat=2)))
+    return _assemble(space, terms, (params.w, -params.w))
 
 
 def transformed_canonical_ops(
@@ -266,21 +267,16 @@ def transformed_canonical_ops(
 
     ``X = x cosh w + 1j y sinh w``, ``Y = -1j x sinh w + y cosh w`` and the
     same mixing for the momenta; ``LZ`` equals the undeformed angular
-    momentum.  The rotation has unit determinant, so ``X^2 + Y^2 = x^2 + y^2``
-    and ``PX^2 + PY^2 = px^2 + py^2`` hold as exact matrix identities and
-    ``[X, PX] = 1j`` below the cutoff.
+    momentum.  The mixing is the similarity ``exp(w Lz) x exp(-w Lz)``, built
+    by the assembler's rule with ``ws = (w, -w)``.  The rotation has unit
+    determinant, so ``X^2 + Y^2 = x^2 + y^2`` and ``PX^2 + PY^2 = px^2 +
+    py^2`` hold as matrix identities and ``[X, PX] = 1j`` below the cutoff.
     """
     w = complex(w)
     if not (np.isfinite(w.real) and np.isfinite(w.imag)):
         raise ValueError("w must be finite")
-    x, y, px, py = cartesian_operators(space)
-    c, s = np.cosh(w), np.sinh(w)
-    big_x = c * x + 1j * s * y
-    big_y = -1j * s * x + c * y
-    big_px = c * px + 1j * s * py
-    big_py = -1j * s * px + c * py
     lz = np.diag(angular_momentum_diag(space).astype(complex))
-    return big_x, big_y, big_px, big_py, lz
+    return (*(_assemble(space, t, (w, -w)) for t in _XY_TERMS), lz)
 
 
 # i Lz = a1^dag a2 - a1 a2^dag over the plain (non-chiral) two-mode ladders

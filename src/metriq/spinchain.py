@@ -12,8 +12,9 @@ A chain of ``n`` sites is ``FockSpace(n, 1)`` with its sites in reverse order,
 so site ``k`` is bit ``n - 1 - k`` of the basis index (1 is down/occupied).
 Site operators and Hamiltonians come from the boson assembler, with no kron
 embedding: ``S^+``/``S^-`` lower/raise a bit, and a fermion operator takes its
-Jordan-Wigner sign from the parity of the more significant bits.  Every
-builder reaches the cap of 12 sites (dim 4096).
+Jordan-Wigner sign from the parity of the more significant bits.  Builders
+state hermitian couplings, deformed by the assembler's rule with the charge
+``S^z`` (``n`` for fermions).  Every builder reaches the cap of 12 sites (dim 4096).
 """
 from __future__ import annotations
 
@@ -89,11 +90,11 @@ def site_occupations(n_sites: int) -> np.ndarray:
     return FockSpace(n_sites, 1).occupation_table()[:, ::-1]
 
 
-def _assemble_sites(n_sites: int, terms) -> np.ndarray:
-    """Assemble terms of ``(kind, site)`` factors on ``FockSpace(n_sites, 1)``."""
+def _assemble_sites(n_sites: int, terms, ws=None) -> np.ndarray:
+    """Assemble terms of ``(kind, site)`` factors, deformed by per-site ``ws``."""
     top = n_sites - 1
     terms = [(coef, [(kind, top - k) for kind, k in factors]) for coef, factors in terms]
-    return _assemble(FockSpace(n_sites, 1), terms)
+    return _assemble(FockSpace(n_sites, 1), terms, None if ws is None else np.asarray(ws)[::-1])
 
 
 @dataclass(frozen=True)
@@ -201,27 +202,22 @@ def build_zeta_metric(spec: SpinChainSpec) -> np.ndarray:
     return similarity(0.5 - site_occupations(spec.n_sites), spec.ws)[0]
 
 
-def _chain_hamiltonian(spec: SpinChainSpec, deformed: bool) -> np.ndarray:
-    """Shared XXZ assembly; ``deformed`` toggles the w-dependent weights."""
+def _chain_terms(spec: SpinChainSpec) -> list:
+    """Assembler terms of the XXZ chain at ``w = 0``: its hermitian counterpart."""
     n = spec.n_sites
-    ws = np.asarray(spec.ws) if deformed else np.zeros(n, dtype=complex)
     terms = []
     for i in range(n - 1):
-        dw = ws[i] - ws[i + 1]
-        terms.append((spec.gamma_exchange * np.exp(dw), (("+", i), ("-", i + 1))))
-        terms.append((spec.gamma_exchange * np.exp(-dw), (("-", i), ("+", i + 1))))
+        terms.append((spec.gamma_exchange, (("+", i), ("-", i + 1))))
+        terms.append((spec.gamma_exchange, (("-", i), ("+", i + 1))))
         terms.append((spec.delta, (("z", i), ("z", i + 1))))
     for i in range(n):
         a, b, c = spec.fields_a[i], spec.fields_b[i], spec.fields_c[i]
         if a == 0.0 and b == 0.0 and c == 0.0:
             continue
-        cw, sw = np.cosh(ws[i]), np.sinh(ws[i])
-        x = a * cw - 1j * b * sw  # x S^x + y S^y, split into S^+ and S^-
-        y = b * cw + 1j * a * sw
-        terms.append((0.5 * x - 0.5j * y, (("+", i),)))
-        terms.append((0.5 * x + 0.5j * y, (("-", i),)))
+        terms.append((0.5 * (a - 1j * b), (("+", i),)))  # a S^x + b S^y
+        terms.append((0.5 * (a + 1j * b), (("-", i),)))
         terms.append((c, (("z", i),)))
-    return _assemble_sites(n, terms)
+    return terms
 
 
 def build_xxz_asymmetric(spec: SpinChainSpec) -> np.ndarray:
@@ -230,11 +226,11 @@ def build_xxz_asymmetric(spec: SpinChainSpec) -> np.ndarray:
     In-plane exchange written with ladder operators carries the weights
     ``exp(+-(w_i - w_{i+1}))``; the transverse fields mix as
     ``(A_i cosh w_i - 1j B_i sinh w_i) S_i^x + (B_i cosh w_i + 1j A_i sinh
-    w_i) S_i^y``.  Pseudo-hermitian with respect to
-    :func:`build_zeta_metric` and isospectral to
-    :func:`hermitian_counterpart` at any size.
+    w_i) S_i^y``, i.e. ``(A_i -+ 1j B_i) exp(+-w_i) S_i^+- / 2``: the assembler's
+    rule on :func:`hermitian_counterpart`.  Pseudo-hermitian with respect to
+    :func:`build_zeta_metric` and isospectral to the counterpart at any size.
     """
-    return _chain_hamiltonian(spec, deformed=True)
+    return _assemble_sites(spec.n_sites, _chain_terms(spec), spec.ws)
 
 
 def build_xxz_symmetric(spec: SpinChainSpec) -> np.ndarray:
@@ -246,12 +242,12 @@ def build_xxz_symmetric(spec: SpinChainSpec) -> np.ndarray:
     ws = spec.ws
     if any(w != ws[0] for w in ws):
         raise ValueError("the symmetric chain requires all ws equal")
-    return _chain_hamiltonian(spec, deformed=True)
+    return build_xxz_asymmetric(spec)
 
 
 def hermitian_counterpart(spec: SpinChainSpec) -> np.ndarray:
     """The equivalent hermitian chain: same couplings, undeformed fields."""
-    return _chain_hamiltonian(spec, deformed=False)
+    return _assemble_sites(spec.n_sites, _chain_terms(spec))
 
 
 def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
@@ -281,16 +277,14 @@ def build_haldane_shastry(
     if metric.n != n_sites:
         raise ValueError(f"metric has {metric.n} sites but the chain has {n_sites}")
     _guard_overflow(1, *metric.gammas)
-    ws = metric.ws
     terms = []
     for i in range(n_sites):
         for j in range(i + 1, n_sites):
             chord = 2.0 * np.sin(np.pi * (i - j) / n_sites) ** 2
-            dw = ws[i] - ws[j]
-            terms.append((sign * 0.5 * np.exp(dw) / chord, (("+", i), ("-", j))))
-            terms.append((sign * 0.5 * np.exp(-dw) / chord, (("-", i), ("+", j))))
+            terms.append((sign * 0.5 / chord, (("+", i), ("-", j))))
+            terms.append((sign * 0.5 / chord, (("-", i), ("+", j))))
             terms.append((sign / chord, (("z", i), ("z", j))))
-    return _assemble_sites(n_sites, terms)
+    return _assemble_sites(n_sites, terms, metric.ws)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +359,16 @@ def build_fermion_quadratic(
     dropped, giving the hermitian counterpart; the two are isospectral.
     """
     n = spec.n_sites
-    ws = np.asarray(spec.metric.ws) if deformed else np.zeros(n, dtype=complex)
     terms = []
     for i in range(n):
         for j in range(n):
             a, b = spec.hopping[i, j], 0.5 * spec.pairing[i, j]
             if a != 0.0:
-                terms.append((a * np.exp(ws[i] - ws[j]), (("cd", i), ("c", j))))
+                terms.append((a, (("cd", i), ("c", j))))
             if b != 0.0:
-                terms.append((b * np.exp(ws[i] + ws[j]), (("cd", i), ("cd", j))))
-                terms.append((b * np.exp(-(ws[i] + ws[j])), (("c", j), ("c", i))))
-    return _assemble_sites(n, terms)
+                terms.append((b, (("cd", i), ("cd", j))))
+                terms.append((b, (("c", j), ("c", i))))
+    return _assemble_sites(n, terms, spec.metric.ws if deformed else None)
 
 
 def suq2_limit(n_sites: int, q: float, ws: Sequence[complex] = ()) -> SpinChainSpec:

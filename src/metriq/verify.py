@@ -111,6 +111,18 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
+def _weights(w, dim: int) -> np.ndarray:
+    """``w`` as floats; raises unless it is real, finite, 1-D and of length ``dim``."""
+    w = np.asarray(w)
+    if w.ndim != 1 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
+        raise ValueError("metric weights must be a real, finite 1-D vector")
+    if len(w) != dim:
+        raise ValueError(
+            f"dimension mismatch: H is {dim}-dimensional, metric is {len(w)}-dimensional"
+        )
+    return w.astype(float)
+
+
 def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     vmin, vmax = float(np.min(w)), float(np.max(w))
     residual = max(0.0, -vmin / vmax) if vmax > 0 else np.inf
@@ -245,15 +257,7 @@ def run_suite(
     A dense metric goes through the ``linops`` functions instead.
     """
     h = as_operator(h)
-    w = np.asarray(w)
-    if w.ndim != 1 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
-        raise ValueError("metric weights must be a real, finite 1-D vector")
-    if len(w) != len(h):
-        raise ValueError(
-            f"dimension mismatch: H is {len(h)}-dimensional, "
-            f"metric is {len(w)}-dimensional"
-        )
-    w = w.astype(float)
+    w = _weights(w, len(h))
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -301,11 +305,12 @@ def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
     A diagonal similarity keeps the eigenvalues; they come sorted, as complex
     numbers.  Each sector of ``F`` goes to ``eigvalsh`` if ``F``'s hermiticity
     defect is within the isospectrality tolerance, else to ``eigvals``; with a
-    weight that is not positive and finite, ``H`` goes to ``eigenvalues``.
+    weight that is not positive, ``H`` goes to ``eigenvalues``.  Weights are
+    checked as :func:`run_suite` checks them.
     """
     h = as_operator(h)
-    w = np.asarray(w, dtype=float)
-    if 0 < np.min(w) and np.max(w) < np.inf:  # else F has no finite form
+    w = _weights(w, len(h))
+    if np.min(w) > 0:  # else F has no finite form
         lam, defect = _hermitian_form(h, w, u, _pattern_components(h), in_place=True)
         if defect <= DEFAULT_TOLERANCES["isospectrality"]:
             return lam.astype(complex)

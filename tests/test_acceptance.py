@@ -235,16 +235,16 @@ def test_criterion_07_xxz_chains():
             fields_c=tuple(rng.normal(size=n) * 0.3),
             ws=tuple(rng.normal(size=n) * 0.3),
         )
-        h_a = build_xxz_asymmetric(spec)
-        lam_a = spectrum(h_a).eigenvalues
-        lam_h = spectrum(hermitian_counterpart(spec)).eigenvalues
+        eigs_a = spectrum(build_xxz_asymmetric(spec))  # for the spectrum and the evolution
+        lam_a = eigs_a.eigenvalues
+        lam_h = np.linalg.eigvalsh(hermitian_counterpart(spec))
         worst_iso = max(worst_iso, float(np.max(np.abs(lam_a - lam_h))))
         worst_imag = max(worst_imag, float(np.max(np.abs(lam_a.imag))))
 
         eta = np.diag(build_zeta_metric(spec))
         psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         psi0 /= np.linalg.norm(psi0)
-        traj = evolve(h_a, psi0, times)
+        traj = eigs_a.evolve(psi0, times)
         norms = np.array([modified_inner(v, v, eta).real for v in traj])
         worst_norm = max(
             worst_norm, float(np.max(np.abs(norms - norms[0])) / norms[0])
@@ -387,7 +387,8 @@ def test_criterion_12_transformed_operators():
     )
 
 
-def test_criterion_13_cli_contract(tmp_path):
+def test_criterion_13_cli_contract(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config's relative output path lands here
     config = RunConfig(
         model=ModelSpec(
             "bosonQuadratic",
@@ -408,6 +409,7 @@ def test_criterion_13_cli_contract(tmp_path):
     passing = tmp_path / "passing.json"
     passing.write_text(serialize_config(config))
     assert main(["verify", str(passing)]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
 
     failing = tmp_path / "failing.json"
     failing.write_text(

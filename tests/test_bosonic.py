@@ -20,10 +20,21 @@ from metriq.bosonic import (
 from metriq.linops import MetricSpec, eta_adjoint, is_pseudo_hermitian, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
+    angular_momentum_diag,
     build_xy_hamiltonian,
     cartesian_operators,
     complex_frequencies,
     oscillator_metric,
+    transformed_canonical_ops,
+)
+from metriq.spinchain import (
+    FermionQuadraticSpec,
+    SpinChainSpec,
+    build_fermion_quadratic,
+    build_haldane_shastry,
+    build_xxz_asymmetric,
+    hermitian_counterpart,
+    site_occupations,
 )
 from test_spinchain import pseudo_hermiticity_entrywise
 
@@ -386,3 +397,69 @@ def test_boson_builders_reach_the_dim_cap():
         assert space.dim == 4096
         w = oscillator_metric(params, space) if ms is None else build_metric(space, ms)
         assert pseudo_hermiticity_entrywise(build(space), w) < 1e-12
+
+
+def deformation_case(name):
+    """Deformed operators, their ``w = 0`` builds, the charge table ``Q`` and ``ws``.
+
+    ``Q`` and ``ws`` are those the model's CLI builder passes to ``similarity``.
+    """
+    space = FockSpace(2, 6)
+    occ = space.occupation_table()
+    ms, flat = TWO_MODE.metric, MetricSpec([0.0, 0.0])
+    rng = np.random.default_rng(9)
+    n = 4
+    sites = MetricSpec(rng.normal(size=n) * 0.3, rng.normal(size=n) * 0.3)
+    spins = 0.5 - site_occupations(n)
+    if name == "bosonQuadratic":
+        forms = (TWO_MODE, BosonQuadraticForm(TWO_MODE.alpha, TWO_MODE.beta, flat))
+        return *([build_quadratic_hamiltonian(space, f)] for f in forms), occ, ms.ws
+    if name == "lmg":  # H reads the real gammas only
+        real = MetricSpec(ms.gammas)
+        return [build_lmg(space, real, 1.1, 0.4)], [build_lmg(space, flat, 1.1, 0.4)], occ, real.ws
+    if name == "fermionQuadratic":
+        hop, pair = rng.normal(size=(2, n, n))
+        spec = FermionQuadraticSpec(hop + hop.T, pair - pair.T, sites)
+        h, h0 = (build_fermion_quadratic(spec, deformed=d) for d in (True, False))
+        return [h], [h0], site_occupations(n), sites.ws
+    if name == "xxzAsymmetric":
+        fields = (tuple(rng.normal(size=n)) for _ in range(3))
+        spec = SpinChainSpec(n, 0.7, 0.4, *fields, ws=tuple(sites.ws))
+        return [build_xxz_asymmetric(spec)], [hermitian_counterpart(spec)], spins, sites.ws
+    if name == "haldaneShastry":
+        h, h0 = (build_haldane_shastry(n, m) for m in (sites, MetricSpec([0.0] * n)))
+        return [h], [h0], spins, sites.ws
+    lz = angular_momentum_diag(space)[:, None]
+    w = 0.3 + 0.2j
+    if name == "oscillator2d":
+        deformed = OscillatorParams(2.0, 1.0, 1.0, m=1.3, gamma=w.real, xi=w.imag)
+        bare = OscillatorParams(2.0, 1.0, 1.0, m=1.3)
+        return *([build_xy_hamiltonian(p, space)] for p in (deformed, bare)), lz, [w]
+    if name == "tilde_ops":
+        tilde = [op for k in (0, 1) for op in tilde_ops(space, ms, k)]
+        plain = [op for k in (0, 1) for op in ladder_ops(space, k)]
+        return tilde, plain, occ, ms.gammas
+    assert name == "transformed_canonical_ops"
+    return transformed_canonical_ops(space, w)[:4], cartesian_operators(space), lz, [w]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bosonQuadratic",
+        "lmg",
+        "fermionQuadratic",
+        "xxzAsymmetric",
+        "haldaneShastry",
+        "oscillator2d",
+        "tilde_ops",
+        "transformed_canonical_ops",
+    ],
+)
+def test_every_deformation_is_the_similarity_of_the_hermitian_build(name):
+    # one rule: the deformed operator is s H_0 s^{-1} with s = exp(Q w)
+    ops, bare, q, ws = deformation_case(name)
+    s = np.exp(q @ np.asarray(ws))
+    for op, op0 in zip(ops, bare, strict=True):
+        tol = 1e-14 * (1.0 + np.abs(op).max())
+        np.testing.assert_allclose(op, s[:, None] * op0 / s, rtol=0, atol=tol)

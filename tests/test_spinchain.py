@@ -134,8 +134,17 @@ def reference_fermion_quadratic(spec):
 def test_assembly_matches_kron_reference(n):
     rng = np.random.default_rng(10 + n)
     spec = random_chain_spec(rng, n)
-    assert np.array_equal(build_xxz_asymmetric(spec), reference_xxz(spec))
+    # S^+- of a transverse field carry (a -+ ib) e^{+-w} / 2; the reference mixes cosh and sinh
+    h = build_xxz_asymmetric(spec)
+    tol = 1e-14 * (1.0 + np.abs(h).max())
+    np.testing.assert_allclose(h, reference_xxz(spec), rtol=0, atol=tol)
     assert np.array_equal(hermitian_counterpart(spec), reference_xxz(spec, False))
+    # bonds, Ising terms and fields_c are bitwise those of the reference
+    ising = SpinChainSpec(
+        n, spec.gamma_exchange, spec.delta, fields_c=spec.fields_c, ws=spec.ws
+    )
+    assert np.array_equal(build_xxz_asymmetric(ising), reference_xxz(ising))
+    assert np.array_equal(hermitian_counterpart(ising), reference_xxz(ising, False))
     fq = random_quadratic_spec(rng, n)
     h = build_fermion_quadratic(fq)
     tol = 1e-14 * (1.0 + np.abs(h).max())

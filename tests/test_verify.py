@@ -341,9 +341,10 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
 
-@pytest.mark.parametrize("weight", [0.0, np.inf])
+@pytest.mark.parametrize("weight", [0.0, -1.0])
 def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(weight):
-    # F has no finite form: H goes to eigenvalues and is left as it was
+    # a finite weight that is not positive: F has no finite form, so H goes to
+    # eigenvalues and is left as it was
     h, w, u = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
     w = w.copy()
     w[0] = weight
@@ -351,6 +352,26 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
     lam = hermitian_form_eigenvalues(form, w, u)
     assert np.array_equal(form, h)
     assert np.array_equal(lam, eigenvalues(h))
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ([1.0], "dimension mismatch"),  # would broadcast over H
+        ([1.0, 1.0], "dimension mismatch"),
+        ([1.0, np.nan, 1.0, 1.0], "real, finite 1-D"),
+        ([1.0, np.inf, 1.0, 1.0], "real, finite 1-D"),
+        (np.array([1.0 + 0.5j, 1.0, 1.0, 1.0]), "real, finite 1-D"),
+    ],
+    ids=["length-1", "length-2", "nan", "inf", "complex"],
+)
+def test_malformed_weights_are_rejected_by_both_entry_points(w, message):
+    h, _, _ = pseudo_hermitian_pair(4, 1, seed=7)
+    for entry in (run_suite, hermitian_form_eigenvalues):
+        form = h.copy()
+        with pytest.raises(ValueError, match=message):
+            entry(form, w)
+        assert np.array_equal(form, h)
 
 
 # ---------------------------------------------------------------------------
