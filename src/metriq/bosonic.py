@@ -6,7 +6,8 @@ of mode ``k`` by ``exp(dQ w_k)``, ``dQ = +-1`` the move's change of the mode's
 charge ``Q``.  The result, ``s H_0 s^{-1}`` with ``s = exp(Q w)`` (``exp(w_i -
 w_j)`` on ``a_i^dag a_j``, ``exp(w_i + w_j)`` on ``a_i^dag a_j^dag``), is
 pseudo-hermitian with respect to the diagonal metric ``exp(-2 Q gamma)`` of
-:func:`similarity` entry by entry, even after truncation.
+:func:`similarity` entry by entry, even after truncation.  These two
+exponentials hold every exponent to one overflow guard, ``MAX_DEFORMATION_EXPONENT``.
 
 Basis ordering is little-endian in the occupation numbers: mode 0 varies
 fastest, i.e. basis index ``i`` encodes occupation ``n_k = (i // d**k) % d``
@@ -27,7 +28,7 @@ from .linops import MetricSpec
 
 __all__ = [
     "DIM_CAP",
-    "GAMMA_CUTOFF_GUARD",
+    "MAX_DEFORMATION_EXPONENT",
     "StabilityError",
     "FockSpace",
     "BosonQuadraticForm",
@@ -47,9 +48,10 @@ __all__ = [
 
 # Default ceiling on the dense Hilbert-space dimension.
 DIM_CAP = 4096
-# Metric weights are exp(-2 sum_k gamma_k n_k); refuse sum_k |gamma_k| * cutoff
-# beyond this so the weights stay comfortably inside double-precision range.
-GAMMA_CUTOFF_GUARD = 60.0
+# The overflow guard: the largest |Re x| of a deformation factor exp(x), a
+# metric weight exp(-2 Q gamma) or an assembled move's exp(dQ w).  Every such
+# factor lies within e^{+-120}, far inside double-precision range.
+MAX_DEFORMATION_EXPONENT = 120.0
 
 
 class StabilityError(ValueError):
@@ -139,6 +141,7 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
     is the occupation and ``"z"`` is ``1/2 - n``.  The last factor acts first.
     With ``ws``, a move of mode ``k`` also carries ``exp(dQ w_k)``: the sum is
     then ``s H_0 s^{-1}``, ``s = exp(Q w)``, for ``H_0`` the sum without ``ws``.
+    Each term's exponent is held to the overflow guard.
     """
     occ = space.occupation_table()
     ws = np.zeros(space.modes) if ws is None else np.asarray(ws)
@@ -160,7 +163,7 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
                 amp = amp * (1 - 2 * (occ[cur, mode + 1 :].sum(axis=1) & 1))
             cur = cur + step * (space.cutoff + 1) ** mode
             dw = dw + dq * ws[mode]
-        h[cur, src] += coef * np.exp(dw) * amp
+        h[cur, src] += coef * np.exp(_guard_overflow(dw)) * amp
     return h
 
 
@@ -169,17 +172,16 @@ def _check_mode(space: FockSpace, mode: int) -> None:
         raise ValueError(f"mode {mode} outside [0, {space.modes})")
 
 
-def _guard_overflow(cutoff: int, *gammas: float) -> None:
-    """The overflow guard: ``sum |gamma| * cutoff <= GAMMA_CUTOFF_GUARD``.
-
-    The metric's exponent sums over modes, so the guard does too.  A
-    spin-1/2 or fermion site has cutoff 1."""
-    worst = sum(abs(g) for g in gammas) * cutoff
-    if worst > GAMMA_CUTOFF_GUARD:
+def _guard_overflow(exponent):
+    """The overflow guard: ``exponent``, once every ``|Re|`` of it is at most
+    ``MAX_DEFORMATION_EXPONENT``; raises ``ValueError`` otherwise."""
+    worst = float(np.abs(np.real(exponent)).max(initial=0.0))
+    if not worst <= MAX_DEFORMATION_EXPONENT:  # NaN included
         raise ValueError(
-            f"sum |gamma| * cutoff = {worst:.1f} exceeds overflow guard "
-            f"{GAMMA_CUTOFF_GUARD}"
+            f"deformation exponent {worst:.1f} exceeds overflow guard "
+            f"{MAX_DEFORMATION_EXPONENT}"
         )
+    return exponent
 
 
 def _check_metric_matches(space: FockSpace, metric: MetricSpec) -> None:
@@ -187,7 +189,6 @@ def _check_metric_matches(space: FockSpace, metric: MetricSpec) -> None:
         raise ValueError(
             f"metric has {metric.n} modes but the space has {space.modes}"
         )
-    _guard_overflow(space.cutoff, *metric.gammas)
 
 
 def ladder_ops(space: FockSpace, mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +229,19 @@ def similarity(charges: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
     Returns the weights ``exp(-2 Q gamma)`` of the metric and the phases
     ``exp(-1j Q xi)`` of the unitary; every model of the package maps to its
     hermitian form by this one rule.  The exponent is summed in log space, so
-    positive definiteness is automatic.
+    positive definiteness is automatic, and held to the overflow guard: a
+    weight outside ``e^{+-MAX_DEFORMATION_EXPONENT}`` raises ``ValueError``.
     """
     ws = np.asarray(ws, dtype=complex)
-    return np.exp(-2.0 * charges @ ws.real), np.exp(-1j * charges @ ws.imag)
+    return np.exp(_guard_overflow(-2.0 * charges @ ws.real)), np.exp(-1j * charges @ ws.imag)
 
 
 def build_metric(space: FockSpace, metric: MetricSpec) -> np.ndarray:
     """Weights ``exp(-2 sum_k gamma_k n_k)``: the diagonal of the metric.
 
-    The overflow guard rejects ``sum |gamma| * cutoff`` beyond
-    ``GAMMA_CUTOFF_GUARD``.
+    The overflow guard of :func:`similarity` rejects a metric whose largest
+    exponent, ``2 * cutoff`` times the larger of the sums of the positive and
+    of the negative ``gamma_k``, exceeds ``MAX_DEFORMATION_EXPONENT``.
     """
     _check_metric_matches(space, metric)
     return similarity(space.occupation_table(), metric.ws)[0]
@@ -293,8 +296,6 @@ def build_quadratic_hamiltonian(
     get the bare normal-ordered form whose spectrum is shifted down by the
     same constant.
     """
-    if form.n != space.modes:
-        raise ValueError(f"form has {form.n} modes but the space has {space.modes}")
     _check_metric_matches(space, form.metric)
     terms = []
     for i, j in product(range(space.modes), repeat=2):

@@ -401,13 +401,14 @@ class _Built:
     form: BosonQuadraticForm | None = None
 
 
+# Each builder computes w before h, so the metric reports a deformation past the overflow guard.
 def _build_oscillator(p: dict) -> _Built:
     params = OscillatorParams(
         p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"]
     )
     space = FockSpace(2, p["cutoff"])
-    h = build_xy_hamiltonian(params, space)
-    return _Built(h, *similarity(angular_momentum_diag(space)[:, None], [params.w]))
+    w, u = similarity(angular_momentum_diag(space)[:, None], [params.w])
+    return _Built(build_xy_hamiltonian(params, space), w, u)
 
 
 def _metric_spec(p: dict, n: int) -> MetricSpec:
@@ -425,8 +426,8 @@ def _build_boson_quadratic(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
-    h = build_quadratic_hamiltonian(space, form)
-    return _Built(h, *similarity(space.occupation_table(), ms.ws), form=form)
+    w, u = similarity(space.occupation_table(), ms.ws)
+    return _Built(build_quadratic_hamiltonian(space, form), w, u, form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -434,33 +435,33 @@ def _build_lmg_model(p: dict) -> _Built:
     if ms.n != 2:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
-    h = build_lmg(space, ms, p["omega0"], p["omega"])
-    return _Built(h, *similarity(space.occupation_table(), ms.ws))
+    w, u = similarity(space.occupation_table(), ms.ws)
+    return _Built(build_lmg(space, ms, p["omega0"], p["omega"]), w, u)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    h = build_fermion_quadratic(spec)
-    return _Built(h, *similarity(site_occupations(spec.n_sites), ms.ws))
+    w, u = similarity(site_occupations(spec.n_sites), ms.ws)
+    return _Built(build_fermion_quadratic(spec), w, u)
 
 
 def _build_chain(p: dict, ms: MetricSpec) -> _Built:
     """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
     spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
-    h = build_xxz_asymmetric(spec)
-    return _Built(h, *similarity(0.5 - site_occupations(ms.n), ms.ws))
+    w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
+    return _Built(build_xxz_asymmetric(spec), w, u)
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
     ms = _metric_spec(p, p["n_sites"])
-    h = build_haldane_shastry(ms.n, ms, p["sign"])
-    return _Built(h, *similarity(0.5 - site_occupations(ms.n), ms.ws))
+    w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
+    return _Built(build_haldane_shastry(ms.n, ms, p["sign"]), w, u)
 
 
 def _build_graded(p: dict) -> _Built:
     gm = GradedMatrix(p["core"], p["grades"])
-    return _Built(gm.realized.astype(complex), gm.metric_weights)
+    return _Built(w=gm.metric_weights, h=gm.realized.astype(complex))
 
 
 _BUILDERS = {

@@ -326,8 +326,10 @@ class GradedMatrix:
     """A matrix of the form ``M_ij = a_ij exp(gamma_i - gamma_j)``.
 
     ``core`` is the real symmetric coefficient matrix and ``grades`` the
-    per-index exponents, each held to the overflow guard.  The realized
-    matrix is non-symmetric but shares the (real) spectrum of ``core``.
+    per-index exponents.  The realized matrix is non-symmetric but shares the
+    (real) spectrum of ``core``.  Its factors ``exp(gamma_i - gamma_j)`` and
+    the metric weights ``exp(-2 gamma_i)`` are each held to the overflow guard
+    where they are taken, so the weights need ``|gamma_i| <= 60``.
     """
 
     core: np.ndarray
@@ -344,7 +346,6 @@ class GradedMatrix:
             )
         if not (np.all(np.isfinite(core)) and np.all(np.isfinite(grades))):
             raise ValueError("core and grades must be finite")
-        _guard_overflow(1, max(np.abs(grades), default=0.0))  # weight exp(-2 gamma_i)
         bad = np.abs(core - core.T)
         if np.any(bad > 0):
             i, j = np.unravel_index(np.argmax(bad), core.shape)
@@ -355,8 +356,7 @@ class GradedMatrix:
     @property
     def realized(self) -> np.ndarray:
         """The weighted matrix ``core * exp(grades_i - grades_j)``."""
-        w = np.exp(self.grades)
-        return self.core * np.outer(w, 1.0 / w)
+        return self.core * np.exp(_guard_overflow(self.grades[:, None] - self.grades))
 
     @property
     def metric_weights(self) -> np.ndarray:
@@ -365,13 +365,13 @@ class GradedMatrix:
 
 
 def pseudo_symmetric_symmetrize(m: GradedMatrix) -> np.ndarray:
-    """Undo the grading: conjugate by ``diag(exp(-gamma_i))``.
+    """Undo the grading: conjugate by ``rho = diag(exp(-gamma_i))``, the metric's root.
 
     Returns ``rho @ realized @ rho^{-1}``, which recovers the symmetric
     core exactly (the exponents cancel entry by entry), proving the
     realized matrix has a real spectrum.
     """
-    rho = np.exp(-m.grades)
+    rho = np.sqrt(m.metric_weights)
     return (rho[:, None] * m.realized) * (1.0 / rho)[None, :]
 
 

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/peak_rss.py
 
 Run from the repository root.  Each gate runs one CLI command as a child
-process and passes if the child exits 0 within its bound on ``ru_maxrss``.
+process, with every RuntimeWarning raised as an error as in tier-1, and
+passes if the child exits 0 within its bound on ``ru_maxrss``.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 """
@@ -22,7 +23,7 @@ GATES = (
 def main() -> int:
     failed = False
     for command, config, limit, show in GATES:
-        argv = [sys.executable, "-m", "metriq.cli", command, config]
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config]
         quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
         pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)

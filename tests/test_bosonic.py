@@ -1,4 +1,6 @@
 """Fock spaces, deformed quadratic boson forms, Bogoliubov, LMG."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from metriq.oscillator2d import (
     build_xy_hamiltonian,
     cartesian_operators,
     complex_frequencies,
+    matrix_element_equivalence,
     oscillator_metric,
     transformed_canonical_ops,
 )
@@ -35,6 +38,7 @@ from metriq.spinchain import (
     build_xxz_asymmetric,
     hermitian_counterpart,
     site_occupations,
+    spin_orbit_check,
 )
 from test_spinchain import pseudo_hermiticity_entrywise
 
@@ -129,6 +133,33 @@ def test_build_metric_overflow_guard():
     space = FockSpace(1, 30)
     with pytest.raises(ValueError, match="guard"):
         build_metric(space, MetricSpec([2.5]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # exp(+-800) on the assembled x and y mixing
+        pytest.param(lambda: transformed_canonical_ops(FockSpace(2, 4), 800.0),
+                     id="transformed_canonical_ops"),
+        # the product metric exp(-2 * 400 * Lz)
+        pytest.param(lambda: spin_orbit_check(1, 0.5, 400.0, 0.1), id="spin_orbit_check"),
+        # past cosh's range too: the metric is refused before the rotated triples are formed
+        pytest.param(lambda: spin_orbit_check(1, 0.5, 800.0, 0.1), id="spin_orbit_check-800"),
+        # exp(-2 gamma Lz) with the truncated plain-basis Lz, which spans +-4.9 at cutoff 4
+        pytest.param(lambda: matrix_element_equivalence(
+            FockSpace(2, 4), np.eye(25), 20.0, [((0, 0), (0, 0))]),
+            id="matrix_element_equivalence"),
+        # a NaN exponent is no factor within e^{+-120} either
+        pytest.param(lambda: matrix_element_equivalence(
+            FockSpace(2, 4), np.eye(25), np.nan, [((0, 0), (0, 0))]),
+            id="matrix_element_equivalence-nan"),
+    ],
+)
+def test_entry_points_refuse_an_exponent_past_the_overflow_guard(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow guard"):
+            call()
 
 
 def test_quadratic_form_validation():

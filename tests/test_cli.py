@@ -425,7 +425,7 @@ def test_spectrum_refuses_a_grade_past_the_overflow_guard(tmp_path, capsys, grad
     code = main(["spectrum", write_config(tmp_path, {"model": model})])
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG_ERROR
-    assert "exceeds overflow guard 60.0" in captured.err
+    assert "exceeds overflow guard 120.0" in captured.err
     assert captured.out == ""
 
 
@@ -451,6 +451,12 @@ def test_haldane_shastry_with_sign_minus_one_negates_the_spectrum(tmp_path, caps
          "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [800.0, 0.0]},
         *(pytest.param({"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
                         "grades": [g, 0.0]}, id=f"gradedMatrix{g:+g}") for g in (400, -400)),
+        {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0, "gamma": 800.0,
+         "cutoff": 2},
+        {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
+         "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [800.0, 0.0], "cutoff": 2},
+        {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [800.0, 0.0], "cutoff": 2},
+        {"kind": "xxzSymmetric", "n_sites": 2, "fields_a": [0.4, 0.4], "gamma": 800.0},
     ],
     ids=lambda m: m["kind"],
 )
@@ -464,26 +470,64 @@ def test_chain_and_fermion_overflow_guard(tmp_path, capsys, model):
     assert captured.out == ""
 
 
+def _deformed(model, scale):
+    """``model`` with its ``gammas``, ``gamma`` or ``grades`` scaled by ``scale``."""
+    key = next(k for k in ("gammas", "gamma", "grades") if k in model)
+    g = model[key]
+    return {**model, key: [scale * x for x in g] if isinstance(g, list) else scale * g}
+
+
 @pytest.mark.parametrize(
     "model",
     [
-        # each site passes |gamma| <= 60, the metric exponent sums to 360
-        {"kind": "fermionQuadratic", "hopping": np.eye(6).tolist(),
-         "pairing": np.zeros((6, 6)).tolist(), "gammas": [-60.0] * 6},
-        # each mode passes 1 * 40 <= 60, the sum gives 80
-        {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
-         "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [1.0, 1.0], "cutoff": 40},
+        # Just inside the rule: the largest metric exponent |2 Q.gamma| is 119.2
+        # (Lz and occupations up to the cutoff 4) or 119.4 (S^z = +-1/2, fermion
+        # occupations up to 1, grades); scaled by 1.01 it is just outside.
+        {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0, "gamma": 14.9,
+         "cutoff": 4},
+        # the exponent sums over the modes of one sign: 2 * 4 * (7.45 + 7.45)
+        {"kind": "bosonQuadratic",
+         "alpha": [[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.8]],
+         "beta": [[0.4, 0.1, 0.0], [0.1, -0.2, 0.0], [0.0, 0.0, 0.1]],
+         "gammas": [7.45, 7.45, -14.9], "cutoff": 4},
+        {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [14.9, -14.9], "cutoff": 4},
+        # 2 * (29.85 + 29.85), though sum |gamma| = 119.4
+        {"kind": "fermionQuadratic",
+         "hopping": [[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.5]],
+         "pairing": [[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]],
+         "gammas": [29.85, 29.85, -59.7]},
+        {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+         "gammas": [39.8, 39.8, -39.8]},
+        {"kind": "xxzSymmetric", "n_sites": 3, "delta": 0.5,
+         "fields_a": [0.4, 0.4, 0.4], "gamma": 39.8},
+        {"kind": "haldaneShastry", "n_sites": 3, "gammas": [39.8, -39.8, 39.8]},
+        {"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
+         "grades": [59.7, -59.7]},
     ],
     ids=lambda m: m["kind"],
 )
 def test_overflow_guard_sums_over_modes(tmp_path, capsys, model):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["verify", write_config(tmp_path, {"model": model})])
-    captured = capsys.readouterr()
+    def cli(command, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, write_config(tmp_path, {"model": m})])
+        return code, capsys.readouterr()
+
+    lam = {}
+    for scale in (1.0, 0.0):  # the config and its w = 0 counterpart
+        code, captured = cli("spectrum", _deformed(model, scale))
+        assert code == EXIT_OK
+        (block,) = json.loads(captured.out)["spectra"]
+        lam[scale] = np.array(block["eigenvalues"]) @ [1.0, 1j]
+    assert np.max(np.abs(lam[1.0] - lam[0.0])) <= 1e-12 * (1.0 + np.max(np.abs(lam[0.0])))
+    code, captured = cli("run", model)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert len(json.loads(captured.out)["checks"]) == 5
+
+    code, captured = cli("verify", _deformed(model, 1.01))
     assert code == EXIT_CONFIG_ERROR
-    assert "sum |gamma| * cutoff" in captured.err
-    assert "exceeds overflow guard 60.0" in captured.err
+    assert "deformation exponent" in captured.err
+    assert "exceeds overflow guard 120.0" in captured.err
     assert captured.out == ""
 
 

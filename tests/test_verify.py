@@ -413,6 +413,19 @@ def test_graded_matrix_spectrum_matches_core():
     )
 
 
+def test_graded_matrix_guards_each_exponential_where_it_is_taken():
+    # every factor exp(g_i - g_j) of the realized matrix is 1, each weight exp(-2 g_i) e^-2000
+    m = GradedMatrix([[1.0, 0.5], [0.5, -1.0]], [1000.0, 1000.0])
+    np.testing.assert_array_equal(m.realized, m.core)
+    for call in (
+        lambda: m.metric_weights,
+        lambda: pseudo_symmetric_symmetrize(m),
+        lambda: GradedMatrix(m.core, [60.5, -60.5]).realized,  # factor e^121
+    ):
+        with pytest.raises(ValueError, match="exceeds overflow guard"):
+            call()
+
+
 def test_graded_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         GradedMatrix(np.zeros((2, 3)), [0.0, 0.0])
