@@ -141,7 +141,7 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
     is the occupation and ``"z"`` is ``1/2 - n``.  The last factor acts first.
     With ``ws``, a move of mode ``k`` also carries ``exp(dQ w_k)``: the sum is
     then ``s H_0 s^{-1}``, ``s = exp(Q w)``, for ``H_0`` the sum without ``ws``.
-    Each term's exponent is held to the overflow guard.
+    Each term that keeps an entry has its exponent held to the overflow guard.
     """
     occ = space.occupation_table()
     ws = np.zeros(space.modes) if ws is None else np.asarray(ws)
@@ -163,7 +163,8 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
                 amp = amp * (1 - 2 * (occ[cur, mode + 1 :].sum(axis=1) & 1))
             cur = cur + step * (space.cutoff + 1) ** mode
             dw = dw + dq * ws[mode]
-        h[cur, src] += coef * np.exp(_guard_overflow(dw)) * amp
+        if len(cur):  # a term truncation leaves empty has no factor to guard
+            h[cur, src] += coef * np.exp(_guard_overflow(dw)) * amp
     return h
 
 

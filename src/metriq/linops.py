@@ -32,6 +32,7 @@ __all__ = [
     "EPS_PD",
     "COND_LIMIT",
     "REALITY_TOL",
+    "REAL_FORM_TOL",
     "BLOCK",
     "DEFAULT_TOL",
     "NotHermitianError",
@@ -65,6 +66,10 @@ EPS_PD = 1e-12
 COND_LIMIT = 1e14
 # An eigenvalue counts as real when |Im(lam)| <= REALITY_TOL * (1 + |lam|).
 REALITY_TOL = 1e-9
+# eigvalsh reads a hermitian F's lower triangle, S + iA with A antisymmetric; by
+# Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
+# (size m) is read as real when that is <= REAL_FORM_TOL * (1 + ||F||_F / sqrt(m)).
+REAL_FORM_TOL = 1e-13
 # Default relative tolerance for residual checks.
 DEFAULT_TOL = 1e-12
 # Rows (or columns) per slice when a residual of a matrix is accumulated
@@ -393,6 +398,15 @@ def map_observable(bhat, space: InnerProductSpace) -> np.ndarray:
 
 def _principal(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
+
+
+def _eigvalsh(f: np.ndarray) -> np.ndarray:
+    """``eigvalsh(f)``, of ``f.real`` when ``REAL_FORM_TOL``'s Weyl bound allows it."""
+    im = ref = 0.0
+    for x in (f[r : r + BLOCK] for r in range(0, len(f), BLOCK)):
+        im, ref = im + np.vdot(x.imag, x.imag), ref + np.vdot(x, x).real
+    real = np.sqrt(2.0 * im) <= REAL_FORM_TOL * (1.0 + np.sqrt(ref / len(f)))
+    return np.linalg.eigvalsh(f.real if real else f)
 
 
 def _pattern_components(a: np.ndarray) -> list[np.ndarray]:

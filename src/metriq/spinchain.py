@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, similarity
+from .bosonic import FockSpace, _assemble, _guard_overflow, similarity
 from .linops import MetricSpec
 
 __all__ = [
@@ -117,11 +117,11 @@ def pseudo_spin_ops(site: PseudoSpinSite) -> tuple[np.ndarray, np.ndarray, np.nd
 
     ``TX = cosh(beta) Sx + 1j sinh(beta) Sy``, ``TY = -1j sinh(beta) Sx +
     cosh(beta) Sy``, ``TZ = Sz``.  Equivalently ``T^+- = exp(+-beta) S^+-``,
-    so the triple keeps the su(2) algebra and the total-spin Casimir while
-    being hermitian with respect to ``exp(-2 Re(beta) Sz)``.
+    so the triple keeps the su(2) algebra and the total-spin Casimir, is
+    hermitian for ``exp(-2 Re(beta) Sz)`` and holds ``Re(beta)`` to the overflow guard.
     """
     sx, sy, sz = spin_matrices(site.j)
-    c, s = np.cosh(site.beta), np.sinh(site.beta)
+    c, s = np.cosh(_guard_overflow(site.beta)), np.sinh(site.beta)
     return c * sx + 1j * s * sy, -1j * s * sx + c * sy, sz.copy()
 
 

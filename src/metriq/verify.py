@@ -13,12 +13,12 @@ check becomes a report entry rather than an exception; only structural misuse
 
 No residual forms a temporary of ``H``'s size.  Pseudo-hermiticity and the
 hermiticity defect of the hermitian-equivalent form ``F`` both measure
-``||X - X^dag||_F / (1 + ||X||_F)``, for ``X = eta H`` (as
-``H^dag eta = (eta H)^dag``) and for ``X = F``.  Its squares are summed over
-``linops.BLOCK`` rows at a time: rows ``s`` of ``X`` against the conjugate
-transpose of its columns ``s``.  The ``eigvalsh`` input of each sector is
-that sector's principal block of ``F``.  :func:`hermitian_form_eigenvalues`,
-the spectrum without checks, forms ``F`` in place of ``H``.
+``||X - X^dag||_F / (1 + ||X||_F)`` for ``X = eta H`` (``H^dag eta = (eta
+H)^dag``) and ``X = F``, summing squares over ``linops.BLOCK`` rows at a
+time: rows ``s`` of ``X`` against the conjugate transpose of columns ``s``.
+Each sector's principal block of ``F`` goes to ``eigvalsh``, as its real part
+when the Weyl bound of ``linops.REAL_FORM_TOL`` allows.  The spectrum without
+checks, :func:`hermitian_form_eigenvalues`, forms ``F`` in place of ``H``.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -45,7 +45,7 @@ from .linops import (
     eigenvalues,
     spectrum,
 )
-from .linops import _pattern_components, _principal
+from .linops import _eigvalsh, _pattern_components, _principal
 
 __all__ = [
     "DEFAULT_SEED",
@@ -185,7 +185,7 @@ def _hermitian_form(h, w, u, sectors, in_place=False) -> tuple[np.ndarray, float
         h *= right
     # rows r, columns c of F, from those of h
     f = (lambda x, r, c: x) if in_place else (lambda x, r, c: left[r, None] * x * right[c])
-    lam = np.concatenate([np.linalg.eigvalsh(f(_principal(h, s), s, s)) for s in sectors])
+    lam = np.concatenate([_eigvalsh(f(_principal(h, s), s, s)) for s in sectors])
     return np.sort(lam), _hermiticity_defect(
         len(w), lambda s: f(h[s], s, slice(None)), lambda s: f(h[:, s], slice(None), s)
     )
@@ -302,11 +302,11 @@ def run_suite(
 def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
     """Eigenvalues of ``H`` from ``F = (U rho) H (U rho)^{-1}``, formed in place of ``h``.
 
-    A diagonal similarity keeps the eigenvalues; they come sorted, as complex
-    numbers.  Each sector of ``F`` goes to ``eigvalsh`` if ``F``'s hermiticity
-    defect is within the isospectrality tolerance, else to ``eigvals``; with a
-    weight that is not positive, ``H`` goes to ``eigenvalues``.  Weights are
-    checked as :func:`run_suite` checks them.
+    A diagonal similarity keeps the eigenvalues, returned sorted and complex.
+    Each sector of ``F`` goes to ``eigvalsh`` (as its real part where Weyl's
+    bound of ``REAL_FORM_TOL`` allows) if ``F``'s hermiticity defect is within
+    the isospectrality tolerance, else to ``eigvals``; with a weight that is not
+    positive, ``H`` goes to ``eigenvalues``.  Weights are checked as in :func:`run_suite`.
     """
     h = as_operator(h)
     w = _weights(w, len(h))

@@ -15,8 +15,8 @@ import sys
 GATES = (
     # every check must pass; H itself is 256 MiB
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 600, True),
-    # one sector of 4096: H plus eigvalsh's own copy of the hermitian form
-    ("spectrum", "tests/configs/xxz_transverse_n12.json", 650, False),
+    # one sector of 4096: H plus eigvalsh's own real copy of the hermitian form
+    ("spectrum", "tests/configs/xxz_transverse_n12.json", 500, False),
 )
 
 

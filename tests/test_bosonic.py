@@ -32,14 +32,17 @@ from metriq.oscillator2d import (
 )
 from metriq.spinchain import (
     FermionQuadraticSpec,
+    PseudoSpinSite,
     SpinChainSpec,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
     hermitian_counterpart,
+    pseudo_spin_ops,
     site_occupations,
     spin_orbit_check,
 )
+from metriq.verify import run_suite
 from test_spinchain import pseudo_hermiticity_entrywise
 
 SWANSON = BosonQuadraticForm([[2.0]], [[0.5]], MetricSpec([0.3], [0.2]))
@@ -149,6 +152,8 @@ def test_build_metric_overflow_guard():
         pytest.param(lambda: matrix_element_equivalence(
             FockSpace(2, 4), np.eye(25), 20.0, [((0, 0), (0, 0))]),
             id="matrix_element_equivalence"),
+        # cosh and sinh of the complex rotation: Re(beta) is the exponent
+        pytest.param(lambda: pseudo_spin_ops(PseudoSpinSite(1.0, 800.0)), id="pseudo_spin_ops"),
         # a NaN exponent is no factor within e^{+-120} either
         pytest.param(lambda: matrix_element_equivalence(
             FockSpace(2, 4), np.eye(25), np.nan, [((0, 0), (0, 0))]),
@@ -317,6 +322,24 @@ def test_lmg_limits_and_sector_isospectrality():
         lam_p = np.sort(np.linalg.eigvals(plain[np.ix_(sector, sector)]).real)
         lam_d = np.sort(np.linalg.eigvals(deformed[np.ix_(sector, sector)]).real)
         np.testing.assert_allclose(lam_d, lam_p, atol=1e-10)
+
+
+def test_lmg_guards_only_the_terms_truncation_keeps():
+    # J+-^2 has no entry at cutoff 1, so its exponent 2 * (35 + 35) = 140 is
+    # never taken; the metric's own exponent is 70, within the guard
+    space = FockSpace(2, 1)
+    metric = MetricSpec([35.0, -35.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_lmg(space, metric, 1.0, 0.4)
+        w = build_metric(space, metric)
+    occ = space.occupation_table()
+    np.testing.assert_array_equal(h, np.diag(0.5 * (occ[:, 0] - occ[:, 1])))
+    assert pseudo_hermiticity_entrywise(h, w) == 0.0
+    # run_suite states the identity only within COND_LIMIT; kappa = e^140 is
+    # past it, so the check is a failed entry, not an exception
+    (check,) = run_suite(h, w, checks=["pseudo_hermiticity"]).checks
+    assert not check.passed and "condition number" in check.detail
 
 
 def kron_lowering(space, mode):

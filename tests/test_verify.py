@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metriq.bosonic import FockSpace
-from metriq.linops import BLOCK, MetricSpec, eigenvalues, spectrum
+from metriq.linops import BLOCK, REAL_FORM_TOL, MetricSpec, eigenvalues, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -339,6 +339,50 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
         np.testing.assert_allclose(form, (u * root)[:, None] * mat * (u.conj() / root))
         assert np.max(np.abs(lam - eigenvalues(mat))) <= 1e-12
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
+
+
+def transverse_chain(n):
+    built = build_chain({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
+                         "xis": CHAIN_N10["xis"][:n], "fields_a": [0.4] * n})
+    return built.h, built.w, built.u
+
+
+def near_weyl_threshold(scale, m=64, seed=8):
+    """Real symmetric ``S`` plus ``i eps A``, ``A`` antisymmetric, with ``eps`` at
+    ``scale`` times the largest ``eps`` for which ``eigvalsh`` may read ``S``."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(m, m))
+    sym, anti = g + g.T, g - g.T
+    eps = REAL_FORM_TOL * (1.0 + np.linalg.norm(sym) / np.sqrt(m))
+    eps /= np.sqrt(2.0) * np.linalg.norm(anti)
+    return sym + 1j * scale * eps * anti, np.ones(m), np.ones(m)
+
+
+@pytest.mark.parametrize(
+    "case, real",
+    [
+        (lambda: transverse_chain(8), True),  # the paper's chains map to a real F
+        (lambda: oscillator_fixture(cutoff=8), False),  # its chiral-basis F is complex
+        (lambda: near_weyl_threshold(0.99), True),
+        (lambda: near_weyl_threshold(1.01), False),
+    ],
+    ids=["transverse-chain", "oscillator2d", "below-threshold", "above-threshold"],
+)
+def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, case, real):
+    h, w, u = case()
+    root = np.sqrt(w)
+    form = (u * root)[:, None] * h * (u.conj() / root)
+    dtypes = []
+    numpy_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or numpy_eigvalsh(a)
+    )
+    lam = hermitian_form_eigenvalues(h.copy(), w, u)
+    assert dtypes and set(dtypes) == {np.dtype(float if real else complex)}
+    # the complex solve of the same F, sector by sector, agrees within the bound
+    sectors = [s.indices for s in spectrum(h).sectors]
+    ref = np.sort(np.concatenate([numpy_eigvalsh(form[np.ix_(s, s)]) for s in sectors]))
+    assert np.max(np.abs(lam - ref)) <= REAL_FORM_TOL * (1.0 + np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0])
