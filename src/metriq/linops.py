@@ -16,14 +16,14 @@ metrics as weight vectors ``w`` instead (``eta = diag(w)``), which
 
 Conventions
 -----------
-* Operators are square 2-D ``numpy`` arrays, states are 1-D arrays; both are
-  handled as ``complex128``.
+* Operators are square 2-D ``numpy`` arrays, states are 1-D arrays, both
+  ``complex128``; a sector that a phase gauge makes real is solved as real.
 * Functions are pure: inputs are never mutated.
 * Eigenvalues are always reported sorted by (real part, imaginary part).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,6 +70,10 @@ REALITY_TOL = 1e-9
 # Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
 # (size m) is read as real when that is <= REAL_FORM_TOL * (1 + ||F||_F / sqrt(m)).
 REAL_FORM_TOL = 1e-13
+# G = D A D^* of a non-normal A goes to real eig only if ||Im G||_F <= eps ||G||_F:
+# the dropped part is then within the rounding already in A, so the real solve is
+# backward stable for A as the complex one is; Bauer-Fike amplifies both by cond(V).
+_EPS = np.finfo(float).eps
 # Default relative tolerance for residual checks.
 DEFAULT_TOL = 1e-12
 # Rows (or columns) per slice when a residual of a matrix is accumulated
@@ -229,6 +233,9 @@ class SpectrumResult:
     sectors: tuple[Sector, ...]
     max_imag_abs: float
     residual: float
+    # the phases of _pattern_components, and how many sectors went to real eig
+    _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _n_real: int = field(default=0, repr=False, compare=False)
 
     def is_real(self, tol: float = REALITY_TOL) -> bool:
         """True when every eigenvalue satisfies |Im| <= tol * (1 + |lam|)."""
@@ -400,34 +407,50 @@ def _principal(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
 
 
-def _eigvalsh(f: np.ndarray) -> np.ndarray:
-    """``eigvalsh(f)``, of ``f.real`` when ``REAL_FORM_TOL``'s Weyl bound allows it."""
+def _real_form(b: np.ndarray, d: np.ndarray | None, tol: float, floor=0.0) -> np.ndarray:
+    """``Re(d_i b_ij conj(d_j))`` (``b.real`` if ``d`` is None) if ``||Im||_F <= floor +
+    tol ||.||_F``, else ``b``."""
+    g = b.real if d is None else np.empty(b.shape)
     im = ref = 0.0
-    for x in (f[r : r + BLOCK] for r in range(0, len(f), BLOCK)):
+    for r in range(0, len(b), BLOCK):  # no complex copy of b
+        x = b[r : r + BLOCK]
+        if d is not None:
+            x = d[r : r + BLOCK, None] * x * d.conj()
+            g[r : r + BLOCK] = x.real
         im, ref = im + np.vdot(x.imag, x.imag), ref + np.vdot(x, x).real
-    real = np.sqrt(2.0 * im) <= REAL_FORM_TOL * (1.0 + np.sqrt(ref / len(f)))
-    return np.linalg.eigvalsh(f.real if real else f)
+    return g if np.sqrt(im) <= floor + tol * np.sqrt(ref) else b
 
 
-def _pattern_components(a: np.ndarray) -> list[np.ndarray]:
-    """Connected components of ``a``'s exact nonzero pattern, by smallest index.
+def _eigvalsh(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of ``f.real``, else of its real form under ``d``, within the Weyl bound."""
+    floor = REAL_FORM_TOL / np.sqrt(2.0)
+    g = _real_form(f, None, floor / np.sqrt(len(f)), floor)
+    return np.linalg.eigvalsh(_real_form(f, d, floor / np.sqrt(len(f)), floor) if g is f else g)
+
+
+def _pattern_components(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Connected components of ``a``'s exact nonzero pattern, by smallest index, and
+    unit phases ``d``: ``d_i a_ij conj(d_j) > 0`` on the edges of the search trees.
 
     ``i ~ j`` when ``a[i, j] != 0`` or ``a[j, i] != 0``; no tolerance.
     """
     linked = a != 0
     linked |= linked.T
+    d = np.ones(len(a), dtype=complex)
     unseen = np.ones(len(a), dtype=bool)
     components = []
     while unseen.any():
         members = np.zeros(len(a), dtype=bool)
-        members[np.argmax(unseen)] = True
-        frontier = members.copy()
-        while frontier.any():  # breadth-first, one level per pass
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
+        frontier = np.array([np.argmax(unseen)])
+        members[frontier] = True
+        while len(frontier):  # breadth-first, one level per pass
+            new = np.flatnonzero(linked[frontier].any(axis=0) & ~members)
+            parent = frontier[np.argmax(linked[np.ix_(frontier, new)], axis=0)]  # one each
+            z = d[parent] * np.where(a[parent, new] != 0, a[parent, new], a[new, parent].conj())
+            d[new], members[new], frontier = z / np.abs(z), True, new
         unseen &= ~members
         components.append(np.flatnonzero(members))
-    return components
+    return components, d
 
 
 def _sorted(vals: np.ndarray) -> np.ndarray:
@@ -440,18 +463,21 @@ def spectrum(a) -> SpectrumResult:
 
     The basis splits into the connected components of the exact nonzero
     pattern of ``a``; each component's principal submatrix goes to
-    ``np.linalg.eig`` on its own (a single component is ``a`` itself).
-    Eigenvalues come back sorted by (real, imaginary) part.  The residual is
-    the worst ``||A v - lam v||`` over the unit right eigenvectors, which
-    stays near machine precision for well-conditioned problems; it is formed
-    on ``BLOCK`` eigenvectors at a time.
+    ``np.linalg.eig`` on its own (a single component is ``a`` itself), as the
+    real ``G = D A D^*`` if the pattern's phases ``d`` give ``||Im G||_F <= eps
+    ||G||_F`` (eigenvectors ``conj(d) * v_G``).  Eigenvalues are sorted by (real,
+    imaginary) part.  The residual, the worst ``||A v - lam v||`` over the unit
+    right eigenvectors on ``a``'s own blocks, is formed ``BLOCK`` at a time.
     """
     a = as_operator(a)
-    sectors = []
-    residual = 0.0
-    for idx in _pattern_components(a):
+    components, d = _pattern_components(a)
+    sectors, residual, n_real = [], 0.0, 0
+    for idx in components:
         block = _principal(a, idx)
-        vals, vecs = np.linalg.eig(block)
+        g = _real_form(block, d[idx], _EPS)
+        vals, vecs = np.linalg.eig(g)
+        if g is not block:
+            vals, vecs, n_real = vals.astype(complex), d[idx, None].conj() * vecs, n_real + 1
         for c in range(0, len(idx), BLOCK):
             v = vecs[:, c : c + BLOCK]
             res = np.linalg.norm(block @ v - v * vals[c : c + BLOCK], axis=0)
@@ -464,6 +490,7 @@ def spectrum(a) -> SpectrumResult:
         sectors=tuple(sectors),
         max_imag_abs=float(np.max(np.abs(lam.imag))),
         residual=residual,
+        _phases=d, _n_real=n_real,
     )
 
 
@@ -472,11 +499,12 @@ def eigenvalues(a) -> np.ndarray:
 
     Each sector goes to ``np.linalg.eigvals``, which forms no eigenvectors,
     so this costs less time and memory than :func:`spectrum` when only the
-    eigenvalues are read.
+    eigenvalues are read; it goes as its real gauge form under the same bound.
     """
     a = as_operator(a)
-    vals = [np.linalg.eigvals(_principal(a, idx)) for idx in _pattern_components(a)]
-    return _sorted(np.concatenate(vals))
+    components, d = _pattern_components(a)
+    forms = (_real_form(_principal(a, i), d[i], _EPS) for i in components)
+    return _sorted(np.concatenate([np.linalg.eigvals(g) for g in forms]).astype(complex))
 
 
 def evolve(h, psi0, times) -> np.ndarray:

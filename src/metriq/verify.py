@@ -16,8 +16,8 @@ hermiticity defect of the hermitian-equivalent form ``F`` both measure
 ``||X - X^dag||_F / (1 + ||X||_F)`` for ``X = eta H`` (``H^dag eta = (eta
 H)^dag``) and ``X = F``, summing squares over ``linops.BLOCK`` rows at a
 time: rows ``s`` of ``X`` against the conjugate transpose of columns ``s``.
-Each sector's principal block of ``F`` goes to ``eigvalsh``, as its real part
-when the Weyl bound of ``linops.REAL_FORM_TOL`` allows.  The spectrum without
+Each sector's block of ``F`` goes to ``eigvalsh``, as its real part or real gauge
+form within the Weyl bound of ``linops.REAL_FORM_TOL``.  The spectrum without
 checks, :func:`hermitian_form_eigenvalues`, forms ``F`` in place of ``H``.
 
 The module also carries the graded-matrix identities used by secular-matrix
@@ -164,11 +164,12 @@ def _reality_check(eigs: SpectrumResult, tol: float) -> CheckResult:
         worst,
         tol,
         f"max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}, "
-        f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}",
+        f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}, "
+        f"{eigs._n_real} real",
     )
 
 
-def _hermitian_form(h, w, u, sectors, in_place=False) -> tuple[np.ndarray, float]:
+def _hermitian_form(h, w, u, sectors, d, in_place=False) -> tuple[np.ndarray, float]:
     """Sorted ``eigvalsh`` per sector and hermiticity defect of ``F = (U rho) H (U rho)^{-1}``.
 
     ``in_place`` overwrites ``h`` with ``F``; else ``F`` is formed a block at a time.
@@ -185,7 +186,8 @@ def _hermitian_form(h, w, u, sectors, in_place=False) -> tuple[np.ndarray, float
         h *= right
     # rows r, columns c of F, from those of h
     f = (lambda x, r, c: x) if in_place else (lambda x, r, c: left[r, None] * x * right[c])
-    lam = np.concatenate([_eigvalsh(f(_principal(h, s), s, s)) for s in sectors])
+    d = d * u.conj()  # F's pattern phases, from H's phases d: rho is positive
+    lam = np.concatenate([_eigvalsh(f(_principal(h, s), s, s), d[s]) for s in sectors])
     return np.sort(lam), _hermiticity_defect(
         len(w), lambda s: f(h[s], s, slice(None)), lambda s: f(h[:, s], slice(None), s)
     )
@@ -195,7 +197,7 @@ def _isospectrality_check(
     eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
 ) -> CheckResult:
     # F is hermitian iff H^dag eta = eta H, and splits on H's sectors
-    lam_f, herm_defect = _hermitian_form(h, w, u, [s.indices for s in eigs.sectors])
+    lam_f, herm_defect = _hermitian_form(h, w, u, [s.indices for s in eigs.sectors], eigs._phases)
     lam_h = eigs.eigenvalues
     dev = float(np.max(np.abs(lam_h - lam_f)))
     residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
@@ -303,15 +305,15 @@ def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
     """Eigenvalues of ``H`` from ``F = (U rho) H (U rho)^{-1}``, formed in place of ``h``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
-    Each sector of ``F`` goes to ``eigvalsh`` (as its real part where Weyl's
-    bound of ``REAL_FORM_TOL`` allows) if ``F``'s hermiticity defect is within
+    Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form
+    where Weyl's bound allows) if ``F``'s hermiticity defect is within
     the isospectrality tolerance, else to ``eigvals``; with a weight that is not
     positive, ``H`` goes to ``eigenvalues``.  Weights are checked as in :func:`run_suite`.
     """
     h = as_operator(h)
     w = _weights(w, len(h))
     if np.min(w) > 0:  # else F has no finite form
-        lam, defect = _hermitian_form(h, w, u, _pattern_components(h), in_place=True)
+        lam, defect = _hermitian_form(h, w, u, *_pattern_components(h), in_place=True)
         if defect <= DEFAULT_TOLERANCES["isospectrality"]:
             return lam.astype(complex)
     return eigenvalues(h)

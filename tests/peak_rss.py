@@ -4,12 +4,14 @@
 
 Run from the repository root.  Each gate runs one CLI command as a child
 process, with every RuntimeWarning raised as an error as in tier-1, and
-passes if the child exits 0 within its bound on ``ru_maxrss``.
+passes if the child exits 0 within its bound on ``ru_maxrss``; its wall
+time is printed beside its peak, and bounds nothing.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 """
 import os
 import sys
+import time
 
 # (command, config, bound in MiB, print the command's output)
 GATES = (
@@ -25,11 +27,13 @@ def main() -> int:
     for command, config, limit, show in GATES:
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config]
         quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+        started = time.perf_counter()
         pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)
+        wall = time.perf_counter() - started
         code = os.waitstatus_to_exitcode(status)
         peak_mib = usage.ru_maxrss / 1024
-        print(f"metriq {command} {config}: exit {code}, "
+        print(f"metriq {command} {config}: exit {code}, wall {wall:.1f} s, "
               f"peak RSS {peak_mib:.0f} MiB (limit {limit})", flush=True)
         failed |= code != 0 or peak_mib > limit
     return 1 if failed else 0

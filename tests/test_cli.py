@@ -372,11 +372,13 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
 def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, command):
     calls = collections.Counter()
     eig_shapes = []
+    dtypes = set()
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             if _name != "eigh":
                 eig_shapes.append((_name, np.shape(a)))
+                dtypes.add((_name, np.asarray(a).dtype))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -396,6 +398,8 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     per_point = {"run": ["eig", "eigvalsh"], "spectrum": ["eigvalsh"]}[command]
     assert eig_shapes == [(name, s) for name in per_point for s in sectors] * 3
     assert calls == {name: 12 for name in per_point}
+    # the chain is real up to a diagonal phase gauge: every solve is real
+    assert dtypes == {(name, np.dtype(float)) for name in per_point}
 
 
 def test_spectrum_of_a_transverse_chain_matches_its_hermitian_counterpart(tmp_path, capsys):

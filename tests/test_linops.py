@@ -296,6 +296,105 @@ def test_tiny_coupling_joins_sectors():
     assert np.array_equal(sector.indices, np.arange(5))
 
 
+def gauged_real_pair(dim, n_sectors, seed):
+    """``H = D^* G D``: ``G`` real, non-normal, with a real spectrum, nonzero only
+    where ``i = j (mod n_sectors)``; ``D`` random phases.  Returns ``H, G``."""
+    rng = np.random.default_rng(seed)
+    g = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for k in range(min(dim, n_sectors)):
+        s = idx[idx % n_sectors == k]
+        basis = np.eye(len(s)) + 0.3 * rng.normal(size=(len(s), len(s))) / np.sqrt(len(s))
+        lam = rng.uniform(-2.0, 2.0, len(s))
+        g[np.ix_(s, s)] = basis @ np.diag(lam) @ np.linalg.inv(basis)
+    d = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+    return d.conj()[:, None] * g * d, g
+
+
+def flux_ring(m=3, flux=0.3):
+    """Hopping around an ``m``-cycle whose phases multiply to ``e^{i flux}``."""
+    a = np.diag(np.arange(m, dtype=complex))
+    for j in range(m):
+        a[j, (j + 1) % m] = np.exp(1j * flux / m)
+        a[(j + 1) % m, j] = np.exp(-1j * flux / m)
+    return a
+
+
+def record_solver_dtypes(monkeypatch):
+    """Wrap ``np.linalg.eig`` and ``eigvals``; return the list of their input dtypes."""
+    dtypes = []
+    for name in ("eig", "eigvals"):
+        def recorded(a, _real=getattr(np.linalg, name)):
+            dtypes.append(a.dtype)
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("n_sectors", [1, 5])
+def test_a_matrix_real_up_to_a_phase_gauge_is_solved_in_real_arithmetic(
+    monkeypatch, n_sectors
+):
+    h, _ = gauged_real_pair(150, n_sectors, seed=11)
+    ref_vals, ref_vecs = np.linalg.eig(h)  # complex, before the solvers are wrapped
+    ref = ref_vals[np.lexsort((ref_vals.imag, ref_vals.real))]
+    dtypes = record_solver_dtypes(monkeypatch)
+    res = spectrum(h)
+    lam = eigenvalues(h)
+    assert len(dtypes) == 2 * n_sectors and set(dtypes) == {np.dtype(float)}
+    scale = 1.0 + np.max(np.abs(ref))
+    for got in (res.eigenvalues, lam):
+        assert got.dtype == complex
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    # checked on H's own blocks: ||H v - lam v|| of the mapped-back eigenvectors
+    assert res.residual <= 1e-13 * scale
+
+    rng = np.random.default_rng(12)
+    psi0 = rng.normal(size=len(h)) + 1j * rng.normal(size=len(h))
+    times = np.linspace(0.0, 1.0, 5)
+    coeff = np.linalg.solve(ref_vecs, psi0)
+    dense = np.array([ref_vecs @ (np.exp(-1j * ref_vals * t) * coeff) for t in times])
+    np.testing.assert_allclose(res.evolve(psi0, times), dense, rtol=0, atol=1e-12)
+
+
+def test_a_one_sided_entry_gives_its_phase_through_its_conjugate(monkeypatch):
+    # lower bidiagonal: each index is reached through a[j, i] with a[i, j] == 0
+    g = np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.5), -1)
+    d = np.exp(1j * np.random.default_rng(14).uniform(-np.pi, np.pi, 6))
+    h = d.conj()[:, None] * g * d
+    dtypes = record_solver_dtypes(monkeypatch)
+    res = spectrum(h)
+    assert dtypes == [np.dtype(float)]
+    np.testing.assert_allclose(res.eigenvalues, np.arange(6.0), rtol=0, atol=1e-13)
+    assert res.residual <= 1e-14
+
+
+def test_a_flux_through_a_cycle_keeps_the_complex_path(monkeypatch):
+    a = flux_ring()
+    ref = np.sort(np.linalg.eigvalsh(a)).astype(complex)
+    dtypes = record_solver_dtypes(monkeypatch)
+    res = spectrum(a)
+    assert dtypes == [np.dtype(complex)]
+    np.testing.assert_allclose(res.eigenvalues, ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(eigenvalues(a), ref, rtol=0, atol=1e-14)
+    assert dtypes == [np.dtype(complex)] * 2
+
+
+@pytest.mark.parametrize("scale, real", [(0.99, True), (1.01, False)])
+def test_the_real_path_needs_im_g_within_eps_of_g(monkeypatch, scale, real):
+    # Positive off-diagonal entries leave every phase 1, so G is H; its
+    # imaginary part is on the diagonal, which no gauge moves.
+    rng = np.random.default_rng(13)
+    re = rng.uniform(0.1, 1.0, size=(40, 40))
+    im = np.diag(rng.normal(size=40))
+    t = scale * np.finfo(float).eps * np.linalg.norm(re) / np.linalg.norm(im)
+    dtypes = record_solver_dtypes(monkeypatch)
+    spectrum(re + 1j * t * im)
+    eigenvalues(re + 1j * t * im)
+    assert dtypes == [np.dtype(float if real else complex)] * 2
+
+
 def test_evolve_rejects_a_defective_sector():
     a = np.zeros((3, 3), dtype=complex)
     a[:2, :2] = E12

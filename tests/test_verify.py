@@ -341,10 +341,14 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
 
-def transverse_chain(n):
+def chain(n, **fields):
     built = build_chain({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
-                         "xis": CHAIN_N10["xis"][:n], "fields_a": [0.4] * n})
+                         "xis": CHAIN_N10["xis"][:n], **fields})
     return built.h, built.w, built.u
+
+
+def transverse_chain(n):
+    return chain(n, fields_a=[0.4] * n)
 
 
 def near_weyl_threshold(scale, m=64, seed=8):
@@ -358,15 +362,26 @@ def near_weyl_threshold(scale, m=64, seed=8):
     return sym + 1j * scale * eps * anti, np.ones(m), np.ones(m)
 
 
+def flux_ring(m=8, flux=0.3, seed=9):
+    """A hermitian hopping around an ``m``-cycle whose phases multiply to
+    ``e^{i flux}``: no diagonal gauge makes it real."""
+    a = np.diag(np.random.default_rng(seed).normal(size=m)).astype(complex)
+    for j in range(m):
+        a[j, (j + 1) % m] = np.exp(1j * flux / m)
+        a[(j + 1) % m, j] = np.exp(-1j * flux / m)
+    return a, np.ones(m), np.ones(m)
+
+
 @pytest.mark.parametrize(
     "case, real",
     [
         (lambda: transverse_chain(8), True),  # the paper's chains map to a real F
-        (lambda: oscillator_fixture(cutoff=8), False),  # its chiral-basis F is complex
+        (lambda: oscillator_fixture(cutoff=8), True),  # its chiral-basis F gauges to real
+        (lambda: flux_ring(), False),
         (lambda: near_weyl_threshold(0.99), True),
         (lambda: near_weyl_threshold(1.01), False),
     ],
-    ids=["transverse-chain", "oscillator2d", "below-threshold", "above-threshold"],
+    ids=["transverse-chain", "oscillator2d", "flux", "below-threshold", "above-threshold"],
 )
 def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, case, real):
     h, w, u = case()
@@ -383,6 +398,19 @@ def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, 
     sectors = [s.indices for s in spectrum(h).sectors]
     ref = np.sort(np.concatenate([numpy_eigvalsh(form[np.ix_(s, s)]) for s in sectors]))
     assert np.max(np.abs(lam - ref)) <= REAL_FORM_TOL * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "case, detail",
+    [
+        (lambda: chain(4), "5 sectors, largest 6, 5 real"),
+        (lambda: pseudo_hermitian_pair(BLOCK + 1, 5, seed=9), "5 sectors, largest 26, 0 real"),
+    ],
+    ids=["chain", "complex-hermitian-form"],
+)
+def test_reality_detail_counts_the_sectors_solved_in_real_arithmetic(case, detail):
+    (reality,) = run_suite(*case(), checks=["reality"]).checks
+    assert reality.detail.endswith(detail)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0])
