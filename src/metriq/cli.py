@@ -5,9 +5,10 @@ Subcommands
 ``metriq run <config.json>``
     Build the model, run the requested checks and compute spectra (per
     sweep point when a sweep is configured), emit a JSON report and
-    optionally a CSV spectra table.  The spectrum reuses the
-    eigendecomposition of the spectral checks; when none of them ran it is
-    read off the hermitian-equivalent form, as for ``metriq spectrum``.
+    optionally a CSV spectra table.  The checks pass on bounds from one pass
+    over the hermitian-equivalent form, whose eigenvalues are the spectrum,
+    read as for ``metriq spectrum``; a general ``eig`` runs only where a bound
+    does not certify a check.
 ``metriq spectrum <config.json>``
     Spectra only: ``eigvalsh`` per sector of the hermitian-equivalent form
     ``F``, once ``F``'s hermiticity defect is within tolerance.
@@ -538,10 +539,10 @@ def _run_point(
             extra_checks=extra,
         )
         results = list(report.checks)
-        eigs = report.decomposition  # the spectrum below reuses it
+        eigs = report._eigenvalues  # the spectrum below reuses the checks' own
     spectra: list[list[float]] = []
     if run_spectrum:
-        lam = eigs.eigenvalues if eigs is not None else hermitian_form_eigenvalues(
+        lam = eigs if eigs is not None else hermitian_form_eigenvalues(
             built.h, built.w, built.u  # F takes the place of H: the suite is done with it
         )
         spectra = [[float(z.real), float(z.imag)] for z in lam]

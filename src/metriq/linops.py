@@ -233,9 +233,9 @@ class SpectrumResult:
     sectors: tuple[Sector, ...]
     max_imag_abs: float
     residual: float
-    # the phases of _pattern_components, and how many sectors went to real eig
+    # the phases of _pattern_components, and which sectors went to real eig
     _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _n_real: int = field(default=0, repr=False, compare=False)
+    _real: tuple[bool, ...] = field(default=(), repr=False, compare=False)
 
     def is_real(self, tol: float = REALITY_TOL) -> bool:
         """True when every eigenvalue satisfies |Im| <= tol * (1 + |lam|)."""
@@ -257,9 +257,11 @@ class SpectrumResult:
             raise ValueError("times must be a 1-D sequence")
         if not np.all(np.isfinite(tgrid)):
             raise ValueError("times contains non-finite entries")
-        sigma = np.concatenate(
-            [np.linalg.svd(s.eigenvectors, compute_uv=False) for s in self.sectors]
-        )
+        # a sector solved as real G holds conj(d) * v_G: D is unitary, so take the real v_G
+        sigma = np.concatenate([
+            np.linalg.svd((self._phases[idx, None] * vecs).real if real else vecs, compute_uv=False)
+            for (idx, _, vecs), real in zip(self.sectors, self._real or [False] * len(self.sectors))
+        ])
         cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise DefectiveMatrixError(
@@ -407,25 +409,27 @@ def _principal(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
 
 
-def _real_form(b: np.ndarray, d: np.ndarray | None, tol: float, floor=0.0) -> np.ndarray:
-    """``Re(d_i b_ij conj(d_j))`` (``b.real`` if ``d`` is None) if ``||Im||_F <= floor +
-    tol ||.||_F``, else ``b``."""
-    g = b.real if d is None else np.empty(b.shape)
+def _real_form(rows, m: int, d, tol: float, floor=0.0, out=None) -> np.ndarray | None:
+    """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None) of the ``m``-by-``m`` ``b`` with rows
+    ``rows(s)``, into ``out`` (may view ``b.real``), if ``||Im||_F <= floor + tol ||.||_F``."""
+    g = np.empty((m, m)) if out is None else out
     im = ref = 0.0
-    for r in range(0, len(b), BLOCK):  # no complex copy of b
-        x = b[r : r + BLOCK]
+    for r in range(0, m, BLOCK):  # no complex copy of b
+        x = rows(slice(r, r + BLOCK))
         if d is not None:
             x = d[r : r + BLOCK, None] * x * d.conj()
-            g[r : r + BLOCK] = x.real
+        g[r : r + BLOCK] = x.real
         im, ref = im + np.vdot(x.imag, x.imag), ref + np.vdot(x, x).real
-    return g if np.sqrt(im) <= floor + tol * np.sqrt(ref) else b
+    return g if np.sqrt(im) <= floor + tol * np.sqrt(ref) else None
 
 
-def _eigvalsh(f: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``eigvalsh`` of ``f.real``, else of its real form under ``d``, within the Weyl bound."""
+def _eigvalsh(rows, m: int, d: np.ndarray, real=None) -> tuple[np.ndarray, bool]:
+    """``eigvalsh`` of the hermitian ``m``-by-``m`` block with rows ``rows(s)``: of its real part
+    (``real`` may view it), else real form under ``d``, within the Weyl bound; and if real."""
     floor = REAL_FORM_TOL / np.sqrt(2.0)
-    g = _real_form(f, None, floor / np.sqrt(len(f)), floor)
-    return np.linalg.eigvalsh(_real_form(f, d, floor / np.sqrt(len(f)), floor) if g is f else g)
+    g = _real_form(rows, m, None, floor / np.sqrt(m), floor, real)
+    g = _real_form(rows, m, d, floor / np.sqrt(m), floor) if g is None else g
+    return np.linalg.eigvalsh(rows(slice(None)) if g is None else g), g is not None
 
 
 def _pattern_components(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -471,13 +475,14 @@ def spectrum(a) -> SpectrumResult:
     """
     a = as_operator(a)
     components, d = _pattern_components(a)
-    sectors, residual, n_real = [], 0.0, 0
+    sectors, residual, real = [], 0.0, []
     for idx in components:
         block = _principal(a, idx)
-        g = _real_form(block, d[idx], _EPS)
-        vals, vecs = np.linalg.eig(g)
-        if g is not block:
-            vals, vecs, n_real = vals.astype(complex), d[idx, None].conj() * vecs, n_real + 1
+        g = _real_form(block.__getitem__, len(idx), d[idx], _EPS)
+        vals, vecs = np.linalg.eig(block if g is None else g)
+        real.append(g is not None)
+        if g is not None:
+            vals, vecs = vals.astype(complex), d[idx, None].conj() * vecs
         for c in range(0, len(idx), BLOCK):
             v = vecs[:, c : c + BLOCK]
             res = np.linalg.norm(block @ v - v * vals[c : c + BLOCK], axis=0)
@@ -490,7 +495,7 @@ def spectrum(a) -> SpectrumResult:
         sectors=tuple(sectors),
         max_imag_abs=float(np.max(np.abs(lam.imag))),
         residual=residual,
-        _phases=d, _n_real=n_real,
+        _phases=d, _real=tuple(real),
     )
 
 
@@ -503,8 +508,10 @@ def eigenvalues(a) -> np.ndarray:
     """
     a = as_operator(a)
     components, d = _pattern_components(a)
-    forms = (_real_form(_principal(a, i), d[i], _EPS) for i in components)
-    return _sorted(np.concatenate([np.linalg.eigvals(g) for g in forms]).astype(complex))
+    blocks = ((_principal(a, i), d[i]) for i in components)
+    forms = ((b, _real_form(b.__getitem__, len(b), di, _EPS)) for b, di in blocks)
+    lam = [np.linalg.eigvals(b if g is None else g) for b, g in forms]
+    return _sorted(np.concatenate(lam).astype(complex))
 
 
 def evolve(h, psi0, times) -> np.ndarray:

@@ -3,22 +3,15 @@
 :func:`run_suite` takes a Hamiltonian and the weight vector of its diagonal
 metric and runs the standard battery (metric positivity, pseudo-hermiticity,
 spectral reality, isospectrality with the hermitian-equivalent form, eta-norm
-conservation under evolution), the last three on one eigendecomposition of
-``H``, made sector by sector on the blocks of its exact zero pattern.  With a
-diagonal metric every identity is entrywise: ``H^dag eta = eta H`` compares
-scaled columns with scaled rows, ``rho = sqrt(eta)`` is the square root of
-each weight, and the eta-norm is a weighted sum.  A failed
-check becomes a report entry rather than an exception; only structural misuse
-(wrong dimensions, invalid arguments) raises.
-
-No residual forms a temporary of ``H``'s size.  Pseudo-hermiticity and the
-hermiticity defect of the hermitian-equivalent form ``F`` both measure
-``||X - X^dag||_F / (1 + ||X||_F)`` for ``X = eta H`` (``H^dag eta = (eta
-H)^dag``) and ``X = F``, summing squares over ``linops.BLOCK`` rows at a
-time: rows ``s`` of ``X`` against the conjugate transpose of columns ``s``.
-Each sector's block of ``F`` goes to ``eigvalsh``, as its real part or real gauge
-form within the Weyl bound of ``linops.REAL_FORM_TOL``.  The spectrum without
-checks, :func:`hermitian_form_eigenvalues`, forms ``F`` in place of ``H``.
+conservation under evolution).  With a diagonal metric every identity reads
+off one pass over ``F = (U rho) H (U rho)^{-1}``, formed ``linops.BLOCK`` rows
+at a time so that no temporary grows to ``H``'s size: ``H^dag eta = eta H`` iff
+``F`` is hermitian, and ``||F - F^dag||`` bounds how far ``H``'s spectrum can be
+from real and from ``eigvalsh`` of ``F``'s sectors, and the eta-norm from conserved.
+A check whose bound exceeds its tolerance is read off ``spectrum(H)`` instead.
+A failed check becomes a report entry rather than an exception; only
+structural misuse (wrong dimensions, invalid arguments) raises.  The spectrum
+without checks, :func:`hermitian_form_eigenvalues`, forms ``F`` in place of ``H``.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -30,7 +23,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,13 +32,14 @@ from .linops import (
     BLOCK,
     COND_LIMIT,
     REALITY_TOL,
+    REAL_FORM_TOL,
     as_operator,
     SpectrumResult,
     as_state,
     eigenvalues,
     spectrum,
 )
-from .linops import _eigvalsh, _pattern_components, _principal
+from .linops import _eigvalsh, _pattern_components
 
 __all__ = [
     "DEFAULT_SEED",
@@ -99,8 +93,10 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     wall_time_s: float
     seed: int
-    # spectrum(H) as the checks read it, None if none did
+    # spectrum(H), if a check whose bound did not certify it read it
     decomposition: SpectrumResult | None = field(default=None, repr=False, compare=False)
+    # H's eigenvalues from the hermitian form the checks read, as metriq spectrum reads them
+    _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.checks:
@@ -123,6 +119,30 @@ def _weights(w, dim: int) -> np.ndarray:
     return w.astype(float)
 
 
+# Each entry of F, formed as left_i H_ij right_j, is within c eps of the exact similarity:
+# 10u (u = eps / 2) from its factors' root, product and quotient and its two complex
+# products, 10u more where a sector is read in its real gauge form; c = 16 covers both.
+_F_ROUNDING = 16 * np.finfo(float).eps
+_GRID = np.linspace(0.0, 10.0, 32)  # the eta-norm check's times, on [0, T]
+
+
+class _HermitianForm(NamedTuple):
+    """Sorted ``eigvalsh`` of ``F = (U rho) H (U rho)^{-1}``'s sectors, and norms of ``F``."""
+
+    eigenvalues: np.ndarray
+    sizes: tuple[int, ...]
+    n_real: int  # sectors read in real arithmetic
+    defect: float  # ||F - F^dag||_F
+    norm: float  # ||F||_F
+    anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
+    slack: float  # relative error of each entry of F: rounding plus u's unitarity defect
+
+    def spectrum(self) -> np.ndarray | None:
+        """``H``'s eigenvalues, if ``F``'s defect is within the isospectrality tolerance."""
+        ok = self.defect / (1.0 + self.norm) <= DEFAULT_TOLERANCES["isospectrality"]
+        return self.eigenvalues.astype(complex) if ok else None
+
+
 def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     vmin, vmax = float(np.min(w)), float(np.max(w))
     residual = max(0.0, -vmin / vmax) if vmax > 0 else np.inf
@@ -131,49 +151,12 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
-def _hermiticity_defect(n: int, rows, cols) -> float:
-    """``||X - X^dag||_F / (1 + ||X||_F)`` of an ``n``-by-``n`` matrix ``X``.
+def _hermitian_form(h, w, u, sectors, d, in_place=False) -> _HermitianForm:
+    """One pass over ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector, then norms.
 
-    ``rows(s)`` and ``cols(s)`` return rows ``s`` and columns ``s`` of ``X``;
-    the squares are summed over ``BLOCK`` of them at a time.
-    """
-    diff = ref = 0.0
-    for r in range(0, n, BLOCK):
-        x = rows(slice(r, r + BLOCK))
-        d = x - cols(slice(r, r + BLOCK)).conj().T
-        diff += np.vdot(d, d).real
-        ref += np.vdot(x, x).real
-    return float(np.sqrt(diff) / (1.0 + np.sqrt(ref)))
-
-
-def _pseudo_hermiticity_check(h: np.ndarray, w: np.ndarray, tol: float) -> CheckResult:
-    # H^dag eta = (eta H)^dag; same residual as is_pseudo_hermitian
-    residual = _hermiticity_defect(
-        len(w), lambda s: w[s, None] * h[s], lambda s: w[:, None] * h[:, s]
-    )
-    return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
-
-
-def _reality_check(eigs: SpectrumResult, tol: float) -> CheckResult:
-    lam = eigs.eigenvalues
-    worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
-    sizes = [len(s.indices) for s in eigs.sectors]
-    return CheckResult(
-        "reality",
-        worst <= tol,
-        worst,
-        tol,
-        f"max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}, "
-        f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}, "
-        f"{eigs._n_real} real",
-    )
-
-
-def _hermitian_form(h, w, u, sectors, d, in_place=False) -> tuple[np.ndarray, float]:
-    """Sorted ``eigvalsh`` per sector and hermiticity defect of ``F = (U rho) H (U rho)^{-1}``.
-
-    ``in_place`` overwrites ``h`` with ``F``; else ``F`` is formed a block at a time.
-    ``eigvalsh`` runs first: its block copy then does not land on the defect's row blocks.
+    ``in_place`` overwrites ``h`` with ``F``; else ``F`` is formed a row block at a time, and
+    each sector's real form from ``h``'s rows.  ``eigvalsh`` runs first: its block copy then
+    does not land on the norms' row blocks.
     """
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
@@ -184,41 +167,83 @@ def _hermitian_form(h, w, u, sectors, d, in_place=False) -> tuple[np.ndarray, fl
     if in_place:
         h *= left[:, None]
         h *= right
-    # rows r, columns c of F, from those of h
-    f = (lambda x, r, c: x) if in_place else (lambda x, r, c: left[r, None] * x * right[c])
+    # rows r, columns c of F, from those of h; whole rows, as in place, give the same bits
+    f = (lambda x, r, c: x) if in_place else (lambda x, r, c: x * left[r, None] * right[c])
     d = d * u.conj()  # F's pattern phases, from H's phases d: rho is positive
-    lam = np.concatenate([_eigvalsh(f(_principal(h, s), s, s), d[s]) for s in sectors])
-    return np.sort(lam), _hermiticity_defect(
-        len(w), lambda s: f(h[s], s, slice(None)), lambda s: f(h[:, s], slice(None), s)
-    )
+    lam, n_real = [], 0
+    for s in sectors:
+        whole = in_place and len(s) == len(h)  # F is h itself: its rows and real part
+        rows = h.__getitem__ if whole else lambda r: f(h[s[r]], s[r], slice(None))[:, s]
+        vals, real = _eigvalsh(rows, len(s), d[s], h.real if whole else None)
+        lam, n_real = lam + [vals], n_real + real
+    diff = ref = row = col = 0.0
+    for r in range(0, len(w), BLOCK):
+        s = slice(r, r + BLOCK)
+        x = f(h[s], s, slice(None))
+        dx, a = x - f(h[:, s], slice(None), s).conj().T, np.abs(x)
+        diff, ref = diff + np.vdot(dx, dx).real, ref + np.vdot(x, x).real
+        row, col = max(row, a.sum(axis=1).max()), col + a.sum(axis=0)
+    slack = float(_F_ROUNDING + np.max(np.abs((u.conj() * u).real - 1.0)))
+    # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
+    anti = np.sqrt(diff) / 2.0 + slack * np.sqrt(row * np.max(col))
+    return _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)), n_real,
+                          float(np.sqrt(diff)), float(np.sqrt(ref)), float(anti), slack)
 
 
-def _isospectrality_check(
-    eigs: SpectrumResult, h: np.ndarray, w: np.ndarray, u, tol: float
-) -> CheckResult:
-    # F is hermitian iff H^dag eta = eta H, and splits on H's sectors
-    lam_f, herm_defect = _hermitian_form(h, w, u, [s.indices for s in eigs.sectors], eigs._phases)
-    lam_h = eigs.eigenvalues
-    dev = float(np.max(np.abs(lam_h - lam_f)))
-    residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), herm_defect)
-    return CheckResult(
-        "isospectrality", residual <= tol, residual, tol,
-        f"max eigenvalue deviation {dev:.3e}, hermiticity defect {herm_defect:.3e}",
-    )
+def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
+    # H^dag eta = eta H iff F is hermitian; on F a light row weighs as much as a heavy one
+    residual = form.defect / (1.0 + form.norm)
+    return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
 
-def _eta_norm_check(eigs: SpectrumResult, w: np.ndarray, tol: float, seed: int) -> CheckResult:
-    grid = np.linspace(0.0, 10.0, 32)
-    rng = np.random.default_rng(seed)
-    psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
-    psi0 /= np.linalg.norm(psi0)
-    traj = eigs.evolve(psi0, grid)
-    norms = np.array([np.vdot(v, w * v).real for v in traj])
-    residual = float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
-    return CheckResult(
-        "eta_norm", residual <= tol, residual, tol,
-        f"{len(grid)} time points on [{grid[0]:g}, {grid[-1]:g}]",
-    )
+def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckResult:
+    # lam = x^dag F x for a unit eigenvector x, so |Im lam| <= ||F_a||_2
+    worst = np.inf if form is None else form.anti
+    if worst <= tol:
+        detail, sizes, n_real = f"certified: max |Im| <= {worst:.3e}", form.sizes, form.n_real
+    else:
+        eigs = decompose()
+        lam = eigs.eigenvalues
+        worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
+        detail = f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}"
+        sizes, n_real = [len(s.indices) for s in eigs.sectors], sum(eigs._real)
+    sectors = f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}"
+    return CheckResult("reality", worst <= tol, worst, tol, f"{detail}, {sectors}, {n_real} real")
+
+
+def _isospectrality_check(form: _HermitianForm, decompose, tol: float) -> CheckResult:
+    # eigvalsh reads the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
+    # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan);
+    # reading M's real form moves them by <= REAL_FORM_TOL (1 + ||F||_F) more (Weyl)
+    defect = form.defect / (1.0 + form.norm)
+    dev = form.defect + 2.0**0.5 * form.slack * form.norm + REAL_FORM_TOL * (1.0 + form.norm)
+    top = max(float(np.max(np.abs(form.eigenvalues))) - dev, 0.0)  # <= max |lam_H|
+    residual, route = max(dev / (1.0 + top), defect), "certified: eigenvalue deviation <="
+    if residual > tol:
+        lam_h = decompose().eigenvalues
+        dev = float(np.max(np.abs(lam_h - form.eigenvalues)))
+        residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
+        route = "eig: max eigenvalue deviation"
+    detail = f"{route} {dev:.3e}, hermiticity defect {defect:.3e}"
+    return CheckResult("isospectrality", residual <= tol, residual, tol, detail)
+
+
+def _eta_norm_check(form: _HermitianForm | None, decompose, w, tol, seed) -> CheckResult:
+    # phi = U rho psi has d||phi||^2/dt = -i <phi, (F - F^dag) phi>, so on [0, T] every
+    # state's ||phi||^2 stays within exp(+-2 T ||F_a||_2) of its start (Gronwall), and its
+    # eta-norm within (1 + e) / (1 - e) of ||phi||^2, e <= slack being u's unitarity defect
+    residual = np.inf if form is None else float(
+        np.expm1(2.0 * _GRID[-1] * form.anti + 2.0 * np.arctanh(form.slack)))
+    detail = f"certified for every state on [0, {_GRID[-1]:g}]"
+    if residual > tol:
+        rng = np.random.default_rng(seed)
+        psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
+        psi0 /= np.linalg.norm(psi0)
+        traj = decompose().evolve(psi0, _GRID)
+        norms = np.array([np.vdot(v, w * v).real for v in traj])
+        residual = float(np.max(np.abs(norms - norms[0])) / abs(norms[0]))
+        detail = f"eig: {len(_GRID)} time points on [0, {_GRID[-1]:g}]"
+    return CheckResult("eta_norm", residual <= tol, residual, tol, detail)
 
 
 def run_suite(
@@ -256,6 +281,8 @@ def run_suite(
     exceptions.  A metric whose condition number ``max(w) / min(w)``
     exceeds ``COND_LIMIT`` fails pseudo_hermiticity and isospectrality.
     Isospectrality also fails on the hermiticity defect of the mapped form.
+    Reality, isospectrality and the eta-norm pass on a bound from that defect
+    where it is within their tolerance, else on ``spectrum(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """
     h = as_operator(h)
@@ -271,13 +298,16 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
     kappa = float(np.max(w) / np.min(w)) if np.min(w) > 0 else np.inf
-    decompose = functools.cache(lambda: spectrum(h))  # on first use, then shared
+    # each on first use, then shared; spectrum(H) only where a bound does not certify
+    form = functools.cache(  # F has no finite form past a weight that is not positive
+        lambda: _hermitian_form(h, w, u, *_pattern_components(h)) if np.min(w) > 0 else None)
+    decompose = functools.cache(lambda: spectrum(h))
     run = {
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
-        "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(h, w, tol),
-        "reality": lambda tol: _reality_check(decompose(), tol),
-        "isospectrality": lambda tol: _isospectrality_check(decompose(), h, w, u, tol),
-        "eta_norm": lambda tol: _eta_norm_check(decompose(), w, tol, seed),
+        "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
+        "reality": lambda tol: _reality_check(form(), decompose, tol),
+        "isospectrality": lambda tol: _isospectrality_check(form(), decompose, tol),
+        "eta_norm": lambda tol: _eta_norm_check(form(), decompose, w, tol, seed),
     }
 
     started = time.perf_counter()
@@ -293,11 +323,13 @@ def run_suite(
             results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
     results.extend(extra_checks)
     elapsed = time.perf_counter() - started
+    shared = form() if form.cache_info().currsize else None
     return VerificationReport(
         checks=tuple(results),
         wall_time_s=elapsed,
         seed=seed,
         decomposition=decompose() if decompose.cache_info().currsize else None,
+        _eigenvalues=shared and shared.spectrum(),
     )
 
 
@@ -305,17 +337,17 @@ def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
     """Eigenvalues of ``H`` from ``F = (U rho) H (U rho)^{-1}``, formed in place of ``h``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
-    Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form
-    where Weyl's bound allows) if ``F``'s hermiticity defect is within
-    the isospectrality tolerance, else to ``eigvals``; with a weight that is not
-    positive, ``H`` goes to ``eigenvalues``.  Weights are checked as in :func:`run_suite`.
+    Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form where
+    Weyl's bound allows), read if ``F``'s hermiticity defect is within the isospectrality
+    tolerance, else, or with a weight that is not positive, ``H`` goes to ``eigenvalues``.
+    Weights are checked as in :func:`run_suite`, whose spectrum takes the same rule.
     """
     h = as_operator(h)
     w = _weights(w, len(h))
     if np.min(w) > 0:  # else F has no finite form
-        lam, defect = _hermitian_form(h, w, u, *_pattern_components(h), in_place=True)
-        if defect <= DEFAULT_TOLERANCES["isospectrality"]:
-            return lam.astype(complex)
+        lam = _hermitian_form(h, w, u, *_pattern_components(h), in_place=True).spectrum()
+        if lam is not None:
+            return lam
     return eigenvalues(h)
 
 

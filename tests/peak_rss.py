@@ -19,6 +19,9 @@ GATES = (
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 600, True),
     # one sector of 4096: H plus eigvalsh's own real copy of the hermitian form
     ("spectrum", "tests/configs/xxz_transverse_n12.json", 500, False),
+    # the same sector, every check certified from one pass over the hermitian form:
+    # H, the form's real part written from H a row block at a time, eigvalsh's copy
+    ("run", "tests/configs/xxz_transverse_n12.json", 600, False),
 )
 
 

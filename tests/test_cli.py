@@ -393,9 +393,9 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     assert len(report["spectra"]) == 3
     # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}
     sectors = [(1, 1), (3, 3), (3, 3), (1, 1)]
-    # run reads eigenvectors in its checks, then isospectrality's eigvalsh of
-    # the hermitian form; spectrum reads the hermitian form's eigenvalues only
-    per_point = {"run": ["eig", "eigvalsh"], "spectrum": ["eigvalsh"]}[command]
+    # both read the hermitian form's eigenvalues only: run's checks pass on the
+    # bounds of that one pass, and its spectrum is the same eigvalsh
+    per_point = ["eigvalsh"]
     assert eig_shapes == [(name, s) for name in per_point for s in sectors] * 3
     assert calls == {name: 12 for name in per_point}
     # the chain is real up to a diagonal phase gauge: every solve is real

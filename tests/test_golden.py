@@ -79,6 +79,22 @@ def test_golden_report(tmp_path, name):
         np.testing.assert_allclose(np.asarray(lam), np.asarray(ref), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_run_calls_no_general_eig_where_the_bounds_certify(tmp_path, monkeypatch, name):
+    # every golden check either passes on its bound from the hermitian form or, on
+    # the ill-conditioned config, fails on the metric's condition number first
+    calls = []
+    for fn in ("eig", "eigvals"):
+        def recorded(*args, _fn=fn, _real=getattr(np.linalg, fn), **kwargs):
+            calls.append(_fn)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, recorded)
+    got = record(tmp_path, CONFIGS[name])
+    assert got["checks"] == json.loads(FIXTURE.read_text())[name]["checks"]
+    assert calls == []
+
+
 def assert_matches_the_hermitian_build(model: dict, lam) -> None:
     # the gamma = 0 build is hermitian and exactly isospectral; the pin above
     # only records rounding, this holds the spectrum to the benchmark oracle's rule

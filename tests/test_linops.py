@@ -358,6 +358,28 @@ def test_a_matrix_real_up_to_a_phase_gauge_is_solved_in_real_arithmetic(
     np.testing.assert_allclose(res.evolve(psi0, times), dense, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_sectors", [1, 5])
+def test_evolve_reads_the_condition_number_off_the_real_eigenvectors(monkeypatch, n_sectors):
+    # a sector solved as real G keeps conj(d) * v_G; D is unitary, so the real v_G
+    # has the same singular values
+    h, _ = gauged_real_pair(150, n_sectors, seed=11)
+    res = spectrum(h)
+    ref = np.concatenate([np.linalg.svd(s.eigenvectors, compute_uv=False) for s in res.sectors])
+    seen = []
+    numpy_svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append((a.dtype, numpy_svd(a, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    res.evolve(np.ones(len(h)), [0.0, 1.0])
+    assert [dtype for dtype, _ in seen] == [np.dtype(float)] * n_sectors
+    sigma = np.concatenate([s for _, s in seen])
+    np.testing.assert_allclose(np.sort(sigma), np.sort(ref), rtol=0, atol=1e-13 * ref.max())
+    np.testing.assert_allclose(sigma.max() / sigma.min(), ref.max() / ref.min(), rtol=1e-10)
+
+
 def test_a_one_sided_entry_gives_its_phase_through_its_conjugate(monkeypatch):
     # lower bidiagonal: each index is reached through a[j, i] with a[i, j] == 0
     g = np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.5), -1)

@@ -162,13 +162,14 @@ def test_diagonal_path_matches_dense_reference(model):
     built = _build_model(parse_config(json.dumps({"model": model})).model)
     h, w, u = built.h, built.w, built.u
     report = run_suite(h, w, u)
-    got = {c.name: c.residual for c in report.checks}
+    got = {c.name: c for c in report.checks}
     assert report.all_passed
 
     eta = np.diag(w)
-    _, ph = is_pseudo_hermitian(h, eta)
     herm = to_hermitian(h, matrix_sqrt_pd(eta), None if u is None else np.diag(u))
+    ph = np.linalg.norm(herm - herm.conj().T) / (1.0 + np.linalg.norm(herm))
     lam_h = spectrum(h).eigenvalues
+    reality = np.max(np.abs(lam_h.imag) / (1.0 + np.abs(lam_h)))
     iso = np.max(np.abs(lam_h - spectrum(herm).eigenvalues)) / (1.0 + np.max(np.abs(lam_h)))
     rng = np.random.default_rng(DEFAULT_SEED)
     psi0 = rng.normal(size=len(w)) + 1j * rng.normal(size=len(w))
@@ -178,9 +179,13 @@ def test_diagonal_path_matches_dense_reference(model):
     )
     eta_norm = np.max(np.abs(norms - norms[0])) / abs(norms[0])
 
-    assert abs(got["pseudo_hermiticity"] - ph) <= 1e-13
-    assert abs(got["isospectrality"] - iso) <= 1e-13
-    assert abs(got["eta_norm"] - eta_norm) <= 1e-13
+    # pseudo_hermiticity is F's defect, measured; the three spectral checks are
+    # certified, so each reads a bound, never below the dense measurement
+    assert abs(got["pseudo_hermiticity"].residual - ph) <= 1e-13
+    assert is_pseudo_hermitian(h, eta)[0]
+    for name, dense in (("reality", reality), ("isospectrality", iso), ("eta_norm", eta_norm)):
+        assert got[name].detail.startswith("certified")
+        assert got[name].residual >= dense
 
 
 def test_isospectrality_fails_for_the_wrong_metric_root():
@@ -193,26 +198,59 @@ def test_isospectrality_fails_for_the_wrong_metric_root():
     assert not iso.passed
     assert iso.residual > 1e-3
     assert "hermiticity defect" in iso.detail
+    # F's defect bounds nothing here, so reality is read off H's spectrum, which is real
     assert checks["reality"].passed
+    assert checks["reality"].detail.startswith("eig: ")
+
+
+def test_a_hermitian_h_under_a_metric_that_does_not_fit_it_fails_isospectrality():
+    # H itself is hermitian; F = rho H rho^{-1} is not, and the bounds read F
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    checks = {c.name: c for c in run_suite(g + g.conj().T, rng.uniform(0.5, 2.0, 6)).checks}
+    assert not checks["pseudo_hermiticity"].passed
+    assert not checks["isospectrality"].passed
+    assert checks["isospectrality"].detail.startswith("eig: ")
+    assert checks["reality"].passed and checks["reality"].detail.startswith("eig: ")
+
+
+def test_a_rotation_fails_reality_through_the_fallback():
+    # eigenvalues +-i: F = H is anti-hermitian, so no bound certifies it
+    (reality,) = run_suite([[0.0, 1.0], [-1.0, 0.0]], np.ones(2), checks=["reality"]).checks
+    assert not reality.passed
+    assert reality.residual == pytest.approx(0.5, rel=1e-12)
+    assert reality.detail.startswith("eig: max |Im| 1.000e+00")
 
 
 def test_decomposition_is_shared_and_only_computed_when_needed(monkeypatch):
     import metriq.verify
 
-    real_spectrum = metriq.verify.spectrum
-    calls = []
-    monkeypatch.setattr(
-        metriq.verify, "spectrum", lambda h: calls.append(h) or real_spectrum(h)
-    )
+    calls = collections.Counter()
+    for name in ("spectrum", "_hermitian_form"):
+        def counted(*args, _name=name, _real=getattr(metriq.verify, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(metriq.verify, name, counted)
     h, eta, u = oscillator_fixture(cutoff=6)
+    # one pass over F serves four checks; its bounds certify, so no eig runs
     report = run_suite(h, eta, u)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(
-        report.decomposition.eigenvalues, real_spectrum(h).eigenvalues
-    )
-    subset = run_suite(h, eta, u, checks=["metric_pd", "pseudo_hermiticity"])
-    assert subset.decomposition is None
-    assert len(calls) == 1
+    assert calls == {"_hermitian_form": 1}
+    assert report.decomposition is None
+    # the spectrum metriq run reports is the one metriq spectrum reads, bit for bit
+    np.testing.assert_array_equal(report._eigenvalues, hermitian_form_eigenvalues(h.copy(), eta, u))
+    calls.clear()
+    assert run_suite(h, eta, u, checks=["metric_pd", "pseudo_hermiticity"])._eigenvalues is not None
+    assert calls == {"_hermitian_form": 1}
+    calls.clear()
+    subset = run_suite(h, eta, u, checks=["metric_pd"])
+    assert subset.decomposition is None and subset._eigenvalues is None
+    assert not calls
+    # under a metric that does not fit H no bound certifies: the three spectral
+    # checks fall back to one shared spectrum(H), and F gives no eigenvalues
+    report = run_suite(h, 1.0 / eta, u)
+    assert calls == {"_hermitian_form": 1, "spectrum": 1}
+    assert report.decomposition is not None and report._eigenvalues is None
 
 
 def pseudo_hermitian_pair(dim, n_sectors, seed):
@@ -229,9 +267,8 @@ def pseudo_hermitian_pair(dim, n_sectors, seed):
 
 
 def dense_residuals(h, w, u):
-    """pseudo_hermiticity and isospectrality residuals from full-size matrices."""
-    eta_h = w[:, None] * h
-    ph = np.linalg.norm(h.conj().T * w - eta_h) / (1.0 + np.linalg.norm(eta_h))
+    """pseudo_hermiticity and isospectrality residuals from full-size matrices:
+    the hermiticity defect of ``F``, and the larger of it and the eigenvalue deviation."""
     root = np.sqrt(w)
     form = (u * root)[:, None] * h * (u.conj() / root)
     defect = np.linalg.norm(form - form.conj().T) / (1.0 + np.linalg.norm(form))
@@ -241,7 +278,7 @@ def dense_residuals(h, w, u):
     ))
     lam_h = eigs.eigenvalues
     dev = np.max(np.abs(lam_h - lam_f)) / (1.0 + np.max(np.abs(lam_h)))
-    return ph, max(dev, defect)
+    return defect, max(dev, defect)
 
 
 @pytest.mark.parametrize("n_sectors", [1, 5])
@@ -252,11 +289,16 @@ def test_row_blocked_residuals_match_the_dense_formula(dim, n_sectors):
     bad = h.copy()
     bad[-1, max(0, dim - 1 - n_sectors)] += 1e-6j
     for mat, passed in ((h, True), (bad, False)):
-        report = run_suite(mat, w, u, checks=["pseudo_hermiticity", "isospectrality"])
-        assert len(report.decomposition.sectors) == min(dim, n_sectors)
-        for check, dense in zip(report.checks, dense_residuals(mat, w, u)):
-            assert check.passed is passed
-            assert abs(check.residual - dense) <= 1e-15
+        report = run_suite(mat, w, u, checks=["pseudo_hermiticity", "isospectrality", "reality"])
+        ph, iso, reality = report.checks
+        dense_ph, dense_iso = dense_residuals(mat, w, u)
+        assert f"{min(dim, n_sectors)} sector" in reality.detail
+        assert ph.passed is iso.passed is passed
+        assert abs(ph.residual - dense_ph) <= 1e-15
+        if passed:  # certified: a bound, never below what it bounds
+            assert iso.detail.startswith("certified") and iso.residual >= dense_iso
+        else:  # on the fallback the residual is the dense measurement
+            assert iso.detail.startswith("eig: ") and abs(iso.residual - dense_iso) <= 1e-15
 
 
 def test_eig_residual_on_column_blocks_matches_the_dense_formula():
@@ -280,7 +322,7 @@ CHAIN_N10 = {"kind": "xxzAsymmetric", "n_sites": 10, "delta": 0.6,
              "xis": [0.4, -0.2, 0.1, 0.0, -0.4, 0.3, 0.2, -0.1, 0.5, -0.3]}
 
 
-def build_chain(model):
+def build_model(model):
     from metriq.cli import _build_model, parse_config
 
     return _build_model(parse_config(json.dumps({"model": model})).model)
@@ -289,7 +331,7 @@ def build_chain(model):
 def test_checks_hold_no_temporary_the_size_of_h():
     import tracemalloc
 
-    built = build_chain(CHAIN_N10)
+    built = build_model(CHAIN_N10)
     tracemalloc.start()
     try:
         report = run_suite(
@@ -306,7 +348,7 @@ def test_spectrum_step_forms_f_in_place_of_h():
     import tracemalloc
 
     # transverse fields break total Sz: one sector of 1024
-    built = build_chain({**CHAIN_N10, "fields_a": [0.4] * 10})
+    built = build_model({**CHAIN_N10, "fields_a": [0.4] * 10})
     tracemalloc.start()
     try:
         lam = hermitian_form_eigenvalues(built.h, built.w, built.u)
@@ -342,7 +384,7 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
 
 
 def chain(n, **fields):
-    built = build_chain({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
+    built = build_model({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
                          "xis": CHAIN_N10["xis"][:n], **fields})
     return built.h, built.w, built.u
 
@@ -411,6 +453,67 @@ def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, 
 def test_reality_detail_counts_the_sectors_solved_in_real_arithmetic(case, detail):
     (reality,) = run_suite(*case(), checks=["reality"]).checks
     assert reality.detail.endswith(detail)
+
+
+# the stiffnesses of the benchmark's osc_sweep at seed 1 (perfbench/workloads.py)
+OSC_SWEEP_SEED_1 = {"kind": "oscillator2d", "k1": 0.7343642441124012,
+                    "k2": 1.4474337369372328, "k3": 0.8702380929005847,
+                    "xi": -0.2449309742605783, "cutoff": 16}
+
+
+def test_eta_norm_is_certified_where_the_eigen_expansion_drifts():
+    built = build_model({**OSC_SWEEP_SEED_1, "gamma": 0.49})
+    # the expansion in H's eigenvectors, cond(V) large, drifts past the tolerance
+    rng = np.random.default_rng(DEFAULT_SEED)
+    psi0 = rng.normal(size=len(built.w)) + 1j * rng.normal(size=len(built.w))
+    traj = spectrum(built.h).evolve(psi0 / np.linalg.norm(psi0), np.linspace(0.0, 10.0, 32))
+    norms = np.array([np.vdot(v, built.w * v).real for v in traj])
+    assert np.max(np.abs(norms / norms[0] - 1.0)) > DEFAULT_TOLERANCES["eta_norm"]
+    # the bound from F's defect holds for every state and passes
+    report = run_suite(built.h, built.w, built.u)
+    assert report.all_passed
+    assert report.checks[-1].detail == "certified for every state on [0, 10]"
+
+
+def test_eta_norm_bound_covers_the_fastest_growing_state_to_the_grid_end():
+    # F = eps [[0, 1], [-1, 0]] has eigenvalues +-i eps: the state (1, i) / sqrt(2)
+    # grows as e^{eps t}, its norm by e^{20 eps} - 1 at t = 10
+    eps = 2e-12
+    (eta,) = run_suite(eps * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.ones(2),
+                       checks=["eta_norm"]).checks
+    assert eta.passed and eta.detail.startswith("certified")
+    assert eta.residual >= np.expm1(20.0 * eps)
+
+
+def test_every_certified_bound_carries_the_rounding_of_f():
+    # F is formed entry by entry with a relative error of up to 10 u = 5 eps, which
+    # its computed defect need not show; the bounds must add it
+    h, w, u = pseudo_hermitian_pair(40, 1, seed=4)
+    root = np.sqrt(w)
+    form = (u * root)[:, None] * h * (u.conj() / root)
+    norm2 = np.sqrt(np.abs(form).sum(axis=0).max() * np.abs(form).sum(axis=1).max())
+    rounding = 5.0 * np.finfo(float).eps * norm2
+    report = run_suite(h, w, u, checks=["reality", "eta_norm"])
+    reality, eta = report.checks
+    assert reality.detail.startswith("certified") and eta.detail.startswith("certified")
+    assert reality.residual >= rounding
+    assert eta.residual >= np.expm1(10.0 * 2.0 * rounding)
+
+
+@pytest.mark.parametrize("gamma", [0.6, 0.7, 0.8])
+def test_pseudo_hermiticity_sees_a_defect_in_the_lightest_row(gamma):
+    # one entry of the lightest row off by half its value; kappa = e^{40 gamma}
+    from metriq.linops import is_pseudo_hermitian
+
+    built = build_model({"kind": "bosonQuadratic", "alpha": [[2.0]], "beta": [[0.5]],
+                         "gammas": [gamma], "cutoff": 20})
+    h = built.h.copy()
+    h[20, 18] *= 1.5
+    assert np.argmin(built.w) == 20 and np.max(built.w) / built.w[20] < 1e14
+    (ph,) = run_suite(h, built.w, built.u, checks=["pseudo_hermiticity"]).checks
+    assert not ph.passed and ph.residual > 1e-2
+    # eta H weighs that row by its weight: at gamma = 0.8 its defect is below tolerance
+    assert is_pseudo_hermitian(h, np.diag(built.w))[0] is (gamma == 0.8)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0])
