@@ -13,18 +13,20 @@ Basis ordering is little-endian in the occupation numbers: mode 0 varies
 fastest, i.e. basis index ``i`` encodes occupation ``n_k = (i // d**k) % d``
 with ``d = cutoff + 1``.
 
-One assembler sums every Hamiltonian of the package on these basis indices,
-with no kron-embedded operator and no dense product.
+One assembler sums every Hamiltonian of the package on these basis indices into its
+nonzeros, with no kron-embedded operator and no dense product; a public builder returns
+their dense matrix, and the checks read the nonzeros.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linops import MetricSpec
+from .linops import MetricSpec, _Triplets
 
 __all__ = [
     "DIM_CAP",
@@ -131,8 +133,8 @@ class FockSpace:
 _MOVES = {"a": (-1, -1), "c": (-1, -1), "ad": (1, 1), "cd": (1, 1), "+": (-1, 1), "-": (1, -1)}
 
 
-def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
-    """Dense sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
+def _assemble(space: FockSpace, terms, ws=None) -> _Triplets:
+    """Nonzeros of the sum of ``coef * f_1 ... f_k`` terms, built on basis indices.
 
     A factor is ``(kind, mode)``.  A move shifts the index by the mode's
     stride with amplitude ``sqrt(n)`` down or ``sqrt(n + 1)`` up and drops
@@ -142,10 +144,11 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
     With ``ws``, a move of mode ``k`` also carries ``exp(dQ w_k)``: the sum is
     then ``s H_0 s^{-1}``, ``s = exp(Q w)``, for ``H_0`` the sum without ``ws``.
     Each term that keeps an entry has its exponent held to the overflow guard.
+    Entries at one position are summed in term order, as a dense scatter sums them.
     """
     occ = space.occupation_table()
     ws = np.zeros(space.modes) if ws is None else np.asarray(ws)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
+    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]  # rows, columns, values
     for coef, factors in terms:
         src = cur = np.arange(space.dim)
         amp = np.ones(space.dim)
@@ -164,8 +167,20 @@ def _assemble(space: FockSpace, terms, ws=None) -> np.ndarray:
             cur = cur + step * (space.cutoff + 1) ** mode
             dw = dw + dq * ws[mode]
         if len(cur):  # a term truncation leaves empty has no factor to guard
-            h[cur, src] += coef * np.exp(_guard_overflow(dw)) * amp
-    return h
+            parts.append((cur, src, coef * np.exp(_guard_overflow(dw)) * amp))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    keys, at = np.unique(rows * space.dim + cols, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=complex)
+    np.add.at(sums, at, vals)
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    return _Triplets(space.dim, keys // space.dim, keys % space.dim, sums)
+
+
+def _dense(build):
+    """The dense public builder of triplet builder ``build``, kept as its ``_triplets``."""
+    dense = functools.wraps(build)(lambda *args, **kwargs: build(*args, **kwargs).dense())
+    dense._triplets = build
+    return dense
 
 
 def _check_mode(space: FockSpace, mode: int) -> None:
@@ -200,7 +215,7 @@ def ladder_ops(space: FockSpace, mode: int) -> tuple[np.ndarray, np.ndarray]:
     exactly below the cutoff.
     """
     _check_mode(space, mode)
-    a = _assemble(space, [(1.0, (("a", mode),))])
+    a = _assemble(space, [(1.0, (("a", mode),))]).dense()
     return a, a.conj().T
 
 
@@ -219,7 +234,8 @@ def tilde_ops(space: FockSpace, metric: MetricSpec, mode: int) -> tuple[np.ndarr
     """
     _check_metric_matches(space, metric)
     _check_mode(space, mode)
-    return tuple(_assemble(space, [(1.0, ((k, mode),))], metric.gammas) for k in ("a", "ad"))
+    return tuple(_assemble(space, [(1.0, ((k, mode),))], metric.gammas).dense()
+                 for k in ("a", "ad"))
 
 
 def similarity(charges: np.ndarray, ws) -> tuple[np.ndarray, np.ndarray]:
@@ -279,6 +295,7 @@ class BosonQuadraticForm:
         return self.metric.n
 
 
+@_dense
 def build_quadratic_hamiltonian(
     space: FockSpace,
     form: BosonQuadraticForm,
@@ -405,9 +422,10 @@ def schwinger_su2(
     """
     _check_su2(space, metric)
     terms = ([(1.0, _J_PLUS)], [(1.0, _J_MINUS)], _J_Z)
-    return tuple(_assemble(space, t, metric.gammas) for t in terms)
+    return tuple(_assemble(space, t, metric.gammas).dense() for t in terms)
 
 
+@_dense
 def build_lmg(
     space: FockSpace, metric: MetricSpec, omega0: float, omega: float
 ) -> np.ndarray:

@@ -39,7 +39,7 @@ from .bosonic import (
     build_quadratic_hamiltonian,
     similarity,
 )
-from .linops import MetricSpec
+from .linops import MetricSpec, _Triplets
 from .oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -394,9 +394,9 @@ def serialize_config(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class _Built:
-    """Hamiltonian, metric weights ``w`` (``eta = diag(w)``) and phases ``u``."""
+    """Hamiltonian as its nonzeros, metric weights ``w`` (``eta = diag(w)``) and phases ``u``."""
 
-    h: np.ndarray
+    h: _Triplets
     w: np.ndarray
     u: np.ndarray | None = None
     form: BosonQuadraticForm | None = None
@@ -404,12 +404,10 @@ class _Built:
 
 # Each builder computes w before h, so the metric reports a deformation past the overflow guard.
 def _build_oscillator(p: dict) -> _Built:
-    params = OscillatorParams(
-        p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"]
-    )
+    params = OscillatorParams(p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"])
     space = FockSpace(2, p["cutoff"])
     w, u = similarity(angular_momentum_diag(space)[:, None], [params.w])
-    return _Built(build_xy_hamiltonian(params, space), w, u)
+    return _Built(build_xy_hamiltonian._triplets(params, space), w, u)
 
 
 def _metric_spec(p: dict, n: int) -> MetricSpec:
@@ -428,7 +426,7 @@ def _build_boson_quadratic(p: dict) -> _Built:
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
     w, u = similarity(space.occupation_table(), ms.ws)
-    return _Built(build_quadratic_hamiltonian(space, form), w, u, form=form)
+    return _Built(build_quadratic_hamiltonian._triplets(space, form), w, u, form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -437,32 +435,32 @@ def _build_lmg_model(p: dict) -> _Built:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
     w, u = similarity(space.occupation_table(), ms.ws)
-    return _Built(build_lmg(space, ms, p["omega0"], p["omega"]), w, u)
+    return _Built(build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w, u)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
     w, u = similarity(site_occupations(spec.n_sites), ms.ws)
-    return _Built(build_fermion_quadratic(spec), w, u)
+    return _Built(build_fermion_quadratic._triplets(spec), w, u)
 
 
 def _build_chain(p: dict, ms: MetricSpec) -> _Built:
     """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
     spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
     w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
-    return _Built(build_xxz_asymmetric(spec), w, u)
+    return _Built(build_xxz_asymmetric._triplets(spec), w, u)
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
     ms = _metric_spec(p, p["n_sites"])
     w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
-    return _Built(build_haldane_shastry(ms.n, ms, p["sign"]), w, u)
+    return _Built(build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w, u)
 
 
 def _build_graded(p: dict) -> _Built:
     gm = GradedMatrix(p["core"], p["grades"])
-    return _Built(w=gm.metric_weights, h=gm.realized.astype(complex))
+    return _Built(w=gm.metric_weights, h=_Triplets.of(gm.realized))
 
 
 _BUILDERS = {
@@ -525,26 +523,16 @@ def _run_point(
         suite = [c for c in selected if c != "bogoliubov"]
         extra = []
         if "bogoliubov" in selected:
-            extra.append(
-                _bogoliubov_check(built.form, tolerances.get("bogoliubov", BOGOLIUBOV_TOL))
-            )
+            tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
+            extra.append(_bogoliubov_check(built.form, tol))
         suite_tols = {k: v for k, v in tolerances.items() if k in DEFAULT_TOLERANCES}
-        report = run_suite(
-            built.h,
-            built.w,
-            built.u,
-            checks=suite,
-            tolerances=suite_tols,
-            seed=seed,
-            extra_checks=extra,
-        )
+        report = run_suite(built.h, built.w, built.u, checks=suite, tolerances=suite_tols,
+                           seed=seed, extra_checks=extra)
         results = list(report.checks)
         eigs = report._eigenvalues  # the spectrum below reuses the checks' own
     spectra: list[list[float]] = []
     if run_spectrum:
-        lam = eigs if eigs is not None else hermitian_form_eigenvalues(
-            built.h, built.w, built.u  # F takes the place of H: the suite is done with it
-        )
+        lam = eigs if eigs is not None else hermitian_form_eigenvalues(built.h, built.w, built.u)
         spectra = [[float(z.real), float(z.imag)] for z in lam]
     return results, spectra
 

@@ -7,17 +7,17 @@ generic machinery for a metric given as an explicit complex matrix, such as
 one a user supplies: metric validation and square roots, eta-adjoints,
 similarity maps to an ordinary hermitian operator, plus spectra and time
 evolution.  A spectrum splits the basis into the connected components of the
-matrix's exact nonzero pattern and decomposes each one on its own, so a
-conserved quantity is found from the matrix, not from a model label;
-:func:`eigenvalues` does the same without eigenvectors, for callers that
-read only the spectrum.  The package's model builders give their diagonal
-metrics as weight vectors ``w`` instead (``eta = diag(w)``), which
-:func:`metriq.verify.run_suite` checks entry by entry.
+matrix's exact nonzero pattern, read off its nonzeros, and makes each one dense and
+decomposes it on its own, so a conserved quantity is found from the matrix, not from
+a model label; :func:`eigenvalues` does the same without eigenvectors.  The package's
+model builders give their diagonal metrics as weight vectors ``w`` instead (``eta =
+diag(w)``), which :func:`metriq.verify.run_suite` checks entry by entry.
 
 Conventions
 -----------
 * Operators are square 2-D ``numpy`` arrays, states are 1-D arrays, both
   ``complex128``; a sector that a phase gauge makes real is solved as real.
+  A model's ``H`` reaches the spectra and the checks as its nonzeros instead.
 * Functions are pure: inputs are never mutated.
 * Eigenvalues are always reported sorted by (real part, imaginary part).
 """
@@ -76,9 +76,7 @@ REAL_FORM_TOL = 1e-13
 _EPS = np.finfo(float).eps
 # Default relative tolerance for residual checks.
 DEFAULT_TOL = 1e-12
-# Rows (or columns) per slice when a residual of a matrix is accumulated
-# slice by slice, so that no temporary grows to the matrix's size: one slice
-# of a dim-4096 complex matrix is 8 MiB, the matrix 256 MiB.
+# Columns per slice of :func:`spectrum`'s residual: 8 MiB of a dim-4096 sector, not 256 MiB.
 BLOCK = 128
 
 
@@ -405,56 +403,80 @@ def map_observable(bhat, space: InnerProductSpace) -> np.ndarray:
     return space.rho_inverse @ bhat @ space.rho
 
 
-def _principal(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
+class _Triplets(NamedTuple):
+    """A square matrix as its nonzeros, ``a[rows[k], cols[k]] = vals[k]``, sorted by row, then
+    column: the form in which a model's ``H`` reaches the checks, with no ``dim**2`` array."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, a) -> _Triplets:
+        """``a`` if it is triplets, else the nonzeros of ``as_operator(a)``."""
+        if isinstance(a, cls):
+            return a
+        rows, cols = np.nonzero(a := as_operator(a))
+        return cls(len(a), rows, cols, a[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def find(self, rows, cols) -> np.ndarray:
+        """Positions of the entries at ``(rows, cols)``; -1 where the entry is zero."""
+        keys, want = self.rows * self.dim + self.cols, rows * self.dim + cols
+        at = np.searchsorted(keys, want)
+        return np.where(np.append(keys, -1)[at] == want, at, -1)
+
+    def sector(self, idx: np.ndarray) -> _Triplets:
+        """The principal block on the sorted ``idx``, a set that no entry links outside."""
+        held = np.isin(self.rows, idx)
+        local = np.searchsorted(idx, self.rows[held]), np.searchsorted(idx, self.cols[held])
+        return _Triplets(len(idx), *local, self.vals[held])
 
 
-def _real_form(rows, m: int, d, tol: float, floor=0.0, out=None) -> np.ndarray | None:
-    """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None) of the ``m``-by-``m`` ``b`` with rows
-    ``rows(s)``, into ``out`` (may view ``b.real``), if ``||Im||_F <= floor + tol ||.||_F``."""
-    g = np.empty((m, m)) if out is None else out
-    im = ref = 0.0
-    for r in range(0, m, BLOCK):  # no complex copy of b
-        x = rows(slice(r, r + BLOCK))
-        if d is not None:
-            x = d[r : r + BLOCK, None] * x * d.conj()
-        g[r : r + BLOCK] = x.real
-        im, ref = im + np.vdot(x.imag, x.imag), ref + np.vdot(x, x).real
-    return g if np.sqrt(im) <= floor + tol * np.sqrt(ref) else None
+def _real_form(b: _Triplets, d, tol: float, floor=0.0) -> tuple[np.ndarray, float] | None:
+    """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None), dense, and the ``||Im||_F`` it
+    drops, if that is ``<= floor + tol ||.||_F``."""
+    x = b.vals if d is None else d[b.rows] * b.vals * d.conj()[b.cols]
+    im = float(np.linalg.norm(x.imag))
+    return (b._replace(vals=x.real).dense(), im) if im <= floor + tol * np.linalg.norm(x) else None
 
 
-def _eigvalsh(rows, m: int, d: np.ndarray, real=None) -> tuple[np.ndarray, bool]:
-    """``eigvalsh`` of the hermitian ``m``-by-``m`` block with rows ``rows(s)``: of its real part
-    (``real`` may view it), else real form under ``d``, within the Weyl bound; and if real."""
+def _eigvalsh(b: _Triplets, d: np.ndarray) -> tuple[np.ndarray, bool, float]:
+    """``eigvalsh`` of the hermitian block ``b``: of its real part, else of its real form under
+    ``d``, within the Weyl bound; if it read one, and the ``sqrt 2 ||Im||_F`` it dropped."""
     floor = REAL_FORM_TOL / np.sqrt(2.0)
-    g = _real_form(rows, m, None, floor / np.sqrt(m), floor, real)
-    g = _real_form(rows, m, d, floor / np.sqrt(m), floor) if g is None else g
-    return np.linalg.eigvalsh(rows(slice(None)) if g is None else g), g is not None
+    tol = floor / np.sqrt(b.dim)
+    g, im = _real_form(b, None, tol, floor) or _real_form(b, d, tol, floor) or (b.dense(), None)
+    return np.linalg.eigvalsh(g), im is not None, np.sqrt(2.0) * (im or 0.0)
 
 
-def _pattern_components(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Connected components of ``a``'s exact nonzero pattern, by smallest index, and
-    unit phases ``d``: ``d_i a_ij conj(d_j) > 0`` on the edges of the search trees.
-
-    ``i ~ j`` when ``a[i, j] != 0`` or ``a[j, i] != 0``; no tolerance.
-    """
-    linked = a != 0
-    linked |= linked.T
-    d = np.ones(len(a), dtype=complex)
-    unseen = np.ones(len(a), dtype=bool)
-    components = []
-    while unseen.any():
-        members = np.zeros(len(a), dtype=bool)
-        frontier = np.array([np.argmax(unseen)])
-        members[frontier] = True
-        while len(frontier):  # breadth-first, one level per pass
-            new = np.flatnonzero(linked[frontier].any(axis=0) & ~members)
-            parent = frontier[np.argmax(linked[np.ix_(frontier, new)], axis=0)]  # one each
-            z = d[parent] * np.where(a[parent, new] != 0, a[parent, new], a[new, parent].conj())
-            d[new], members[new], frontier = z / np.abs(z), True, new
-        unseen &= ~members
-        components.append(np.flatnonzero(members))
-    return components, d
+def _pattern_components(t: _Triplets) -> tuple[list[np.ndarray], np.ndarray]:
+    """Connected components of ``t``'s exact nonzero pattern (``i ~ j`` when ``a[i, j] != 0``
+    or ``a[j, i] != 0``; no tolerance) by smallest index, and unit phases ``d``: ``d_i a_ij
+    conj(d_j) > 0`` on the edges of breadth-first trees from each component's smallest index."""
+    i, j = np.concatenate([t.rows, t.cols]), np.concatenate([t.cols, t.rows])
+    root, last = np.arange(t.dim), None
+    while not np.array_equal(root, last):  # the least root among the links, then its own root
+        last, root = root, root.copy()
+        np.minimum.at(root, i, last[j])
+        root = root[root]
+    roots = root == np.arange(t.dim)
+    d, seen, frontier = np.ones(t.dim, dtype=complex), roots, roots
+    while frontier.any():  # from every root at once, one level per pass
+        link = frontier[i] & ~seen[j]
+        parent = np.full(t.dim, t.dim)
+        np.minimum.at(parent, j[link], i[link])  # least linked: one search per component's tree
+        frontier = parent < t.dim
+        new, seen = np.flatnonzero(frontier), seen | frontier
+        p, at = parent[new], t.find(parent[new], new)
+        z = d[p] * np.where(at >= 0, t.vals[at], t.vals[t.find(new, p)].conj())
+        d[new] = z / np.abs(z)
+    return [np.flatnonzero(root == r) for r in np.flatnonzero(roots)], d
 
 
 def _sorted(vals: np.ndarray) -> np.ndarray:
@@ -465,21 +487,21 @@ def _sorted(vals: np.ndarray) -> np.ndarray:
 def spectrum(a) -> SpectrumResult:
     """Full eigensystem of a general complex matrix, sector by sector.
 
-    The basis splits into the connected components of the exact nonzero
-    pattern of ``a``; each component's principal submatrix goes to
-    ``np.linalg.eig`` on its own (a single component is ``a`` itself), as the
-    real ``G = D A D^*`` if the pattern's phases ``d`` give ``||Im G||_F <= eps
-    ||G||_F`` (eigenvectors ``conj(d) * v_G``).  Eigenvalues are sorted by (real,
-    imaginary) part.  The residual, the worst ``||A v - lam v||`` over the unit
-    right eigenvectors on ``a``'s own blocks, is formed ``BLOCK`` at a time.
+    The basis splits into the connected components of the exact nonzero pattern of ``a``;
+    each component's principal submatrix, made dense from its nonzeros, goes to
+    ``np.linalg.eig`` on its own, as the real ``G = D A D^*`` if the pattern's phases ``d``
+    give ``||Im G||_F <= eps ||G||_F`` (eigenvectors ``conj(d) * v_G``).  Eigenvalues are
+    sorted by (real, imaginary) part.  The residual, the worst ``||A v - lam v||`` over the
+    unit right eigenvectors on ``a``'s own blocks, is formed ``BLOCK`` columns at a time.
     """
-    a = as_operator(a)
-    components, d = _pattern_components(a)
-    sectors, residual, real = [], 0.0, []
-    for idx in components:
-        block = _principal(a, idx)
-        g = _real_form(block.__getitem__, len(idx), d[idx], _EPS)
-        vals, vecs = np.linalg.eig(block if g is None else g)
+    t = _Triplets.of(a)
+    sectors, d = _pattern_components(t)
+    out, residual, real = [], 0.0, []
+    for idx in sectors:
+        b = t.sector(idx)
+        g = _real_form(b, d[idx], _EPS)
+        block = b.dense()
+        vals, vecs = np.linalg.eig(block if g is None else g[0])
         real.append(g is not None)
         if g is not None:
             vals, vecs = vals.astype(complex), d[idx, None].conj() * vecs
@@ -488,15 +510,10 @@ def spectrum(a) -> SpectrumResult:
             res = np.linalg.norm(block @ v - v * vals[c : c + BLOCK], axis=0)
             norms = np.linalg.norm(v, axis=0)
             residual = max(residual, float(np.max(res / np.where(norms > 0, norms, 1.0))))
-        sectors.append(Sector(idx, vals, vecs))
-    lam = _sorted(np.concatenate([s.eigenvalues for s in sectors]))
-    return SpectrumResult(
-        eigenvalues=lam,
-        sectors=tuple(sectors),
-        max_imag_abs=float(np.max(np.abs(lam.imag))),
-        residual=residual,
-        _phases=d, _real=tuple(real),
-    )
+        out.append(Sector(idx, vals, vecs))
+    lam = _sorted(np.concatenate([s.eigenvalues for s in out]))
+    return SpectrumResult(lam, tuple(out), float(np.max(np.abs(lam.imag))), residual,
+                          _phases=d, _real=tuple(real))
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -506,11 +523,10 @@ def eigenvalues(a) -> np.ndarray:
     so this costs less time and memory than :func:`spectrum` when only the
     eigenvalues are read; it goes as its real gauge form under the same bound.
     """
-    a = as_operator(a)
-    components, d = _pattern_components(a)
-    blocks = ((_principal(a, i), d[i]) for i in components)
-    forms = ((b, _real_form(b.__getitem__, len(b), di, _EPS)) for b, di in blocks)
-    lam = [np.linalg.eigvals(b if g is None else g) for b, g in forms]
+    t = _Triplets.of(a)
+    sectors, d = _pattern_components(t)
+    blocks = ((t.sector(idx), d[idx]) for idx in sectors)
+    lam = [np.linalg.eigvals((_real_form(b, di, _EPS) or (b.dense(),))[0]) for b, di in blocks]
     return _sorted(np.concatenate(lam).astype(complex))
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, _guard_overflow, similarity
+from .bosonic import FockSpace, _assemble, _dense, _guard_overflow, similarity
 from .linops import as_operator
 
 __all__ = [
@@ -228,7 +228,7 @@ def cartesian_operators(
     with ``a1, a2`` the Cartesian ladder combinations of the chiral pair.
     """
     _require_two_modes(space)
-    return tuple(_assemble(space, t) for t in _XY_TERMS)
+    return tuple(_assemble(space, t).dense() for t in _XY_TERMS)
 
 
 def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
@@ -236,6 +236,7 @@ def oscillator_metric(params: OscillatorParams, space: FockSpace) -> np.ndarray:
     return similarity(angular_momentum_diag(space)[:, None], [params.w])[0]
 
 
+@_dense
 def build_xy_hamiltonian(params: OscillatorParams, space: FockSpace) -> np.ndarray:
     """Dense rotated-oscillator Hamiltonian on the chiral Fock space.
 
@@ -274,7 +275,7 @@ def transformed_canonical_ops(
     if not (np.isfinite(w.real) and np.isfinite(w.imag)):
         raise ValueError("w must be finite")
     lz = np.diag(angular_momentum_diag(space).astype(complex))
-    return (*(_assemble(space, t, (w, -w)) for t in _XY_TERMS), lz)
+    return (*(_assemble(space, t, (w, -w)).dense() for t in _XY_TERMS), lz)
 
 
 # i Lz = a1^dag a2 - a1 a2^dag over the plain (non-chiral) two-mode ladders
@@ -296,7 +297,7 @@ def lz_ladder_identity(space: FockSpace, n: int, m: int) -> float:
             f"n + m + 1 = {n + m + 1} must stay below the cutoff {space.cutoff}"
         )
     _require_two_modes(space)
-    ilz = _assemble(space, _I_LZ)
+    ilz = _assemble(space, _I_LZ).dense()
     state = space.basis_vector((n, m))
     target = np.zeros(space.dim, dtype=complex)
     if m >= 1:
@@ -332,7 +333,7 @@ def matrix_element_equivalence(
         raise ValueError("operator dimension does not match the Fock space")
     w = complex(w)
     _require_two_modes(space)
-    lz = _assemble(space, [(-1j * c, f) for c, f in _I_LZ])
+    lz = _assemble(space, [(-1j * c, f) for c, f in _I_LZ]).dense()
     vals, vecs = np.linalg.eigh(lz)
     vecs_h = vecs.conj().T
 

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bosonic import FockSpace, _assemble, _guard_overflow, similarity
-from .linops import MetricSpec
+from .bosonic import FockSpace, _assemble, _dense, _guard_overflow, similarity
+from .linops import MetricSpec, _Triplets
 
 __all__ = [
     "MAX_SITES",
@@ -80,7 +80,7 @@ def site_spin_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray, np.n
     _check_chain(n_sites, site)
 
     def op(*terms):
-        return _assemble_sites(n_sites, [(coef, ((kind, site),)) for kind, coef in terms])
+        return _assemble_sites(n_sites, [(coef, ((kind, site),)) for kind, coef in terms]).dense()
 
     return op(("+", 0.5), ("-", 0.5)), op(("+", -0.5j), ("-", 0.5j)), op(("z", 1.0))
 
@@ -90,7 +90,7 @@ def site_occupations(n_sites: int) -> np.ndarray:
     return FockSpace(n_sites, 1).occupation_table()[:, ::-1]
 
 
-def _assemble_sites(n_sites: int, terms, ws=None) -> np.ndarray:
+def _assemble_sites(n_sites: int, terms, ws=None) -> _Triplets:
     """Assemble terms of ``(kind, site)`` factors, deformed by per-site ``ws``."""
     top = n_sites - 1
     terms = [(coef, [(kind, top - k) for kind, k in factors]) for coef, factors in terms]
@@ -219,6 +219,7 @@ def _chain_terms(spec: SpinChainSpec) -> list:
     return terms
 
 
+@_dense
 def build_xxz_asymmetric(spec: SpinChainSpec) -> np.ndarray:
     """Deformed open XXZ chain with per-site ``w_i``.
 
@@ -246,7 +247,7 @@ def build_xxz_symmetric(spec: SpinChainSpec) -> np.ndarray:
 
 def hermitian_counterpart(spec: SpinChainSpec) -> np.ndarray:
     """The equivalent hermitian chain: same couplings, undeformed fields."""
-    return _assemble_sites(spec.n_sites, _chain_terms(spec))
+    return _assemble_sites(spec.n_sites, _chain_terms(spec)).dense()
 
 
 def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
@@ -258,6 +259,7 @@ def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
     return similarity(0.5 - site_occupations(spec.n_sites), spec.ws)[1]
 
 
+@_dense
 def build_haldane_shastry(
     n_sites: int, metric: MetricSpec, sign: int = 1
 ) -> np.ndarray:
@@ -297,7 +299,7 @@ def fermion_ops(n_sites: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     enforces anticommutation across sites.
     """
     _check_chain(n_sites, site)
-    c = _assemble_sites(n_sites, [(1.0, (("c", site),))])
+    c = _assemble_sites(n_sites, [(1.0, (("c", site),))]).dense()
     return c, c.conj().T
 
 
@@ -344,6 +346,7 @@ def fermion_metric(spec: FermionQuadraticSpec) -> np.ndarray:
     return similarity(site_occupations(spec.n_sites), spec.metric.ws)[0]
 
 
+@_dense
 def build_fermion_quadratic(
     spec: FermionQuadraticSpec, deformed: bool = True
 ) -> np.ndarray:

@@ -4,14 +4,14 @@
 metric and runs the standard battery (metric positivity, pseudo-hermiticity,
 spectral reality, isospectrality with the hermitian-equivalent form, eta-norm
 conservation under evolution).  With a diagonal metric every identity reads
-off one pass over ``F = (U rho) H (U rho)^{-1}``, formed ``linops.BLOCK`` rows
-at a time so that no temporary grows to ``H``'s size: ``H^dag eta = eta H`` iff
-``F`` is hermitian, and ``||F - F^dag||`` bounds how far ``H``'s spectrum can be
-from real and from ``eigvalsh`` of ``F``'s sectors, and the eta-norm from conserved.
+off one pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``, which has ``H``'s
+pattern, with only each sector of ``F`` made dense, for ``eigvalsh``: ``H^dag eta =
+eta H`` iff ``F`` is hermitian, and ``||F - F^dag||`` bounds how far ``H``'s spectrum can
+be from real and from ``eigvalsh`` of ``F``'s sectors, and the eta-norm from conserved.
 A check whose bound exceeds its tolerance is read off ``spectrum(H)`` instead.
-A failed check becomes a report entry rather than an exception; only
-structural misuse (wrong dimensions, invalid arguments) raises.  The spectrum
-without checks, :func:`hermitian_form_eigenvalues`, forms ``F`` in place of ``H``.
+A failed check becomes a report entry rather than an exception; only structural
+misuse (wrong dimensions, invalid arguments) raises.  The spectrum without checks,
+:func:`hermitian_form_eigenvalues`, reads the same sectors of ``F``.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -28,18 +28,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import _guard_overflow, similarity
-from .linops import (
-    BLOCK,
-    COND_LIMIT,
-    REALITY_TOL,
-    REAL_FORM_TOL,
-    as_operator,
-    SpectrumResult,
-    as_state,
-    eigenvalues,
-    spectrum,
-)
-from .linops import _eigvalsh, _pattern_components
+from .linops import COND_LIMIT, REALITY_TOL, SpectrumResult, as_operator, as_state
+from .linops import _eigvalsh, _pattern_components, _Triplets, eigenvalues, spectrum
 
 __all__ = [
     "DEFAULT_SEED",
@@ -136,6 +126,7 @@ class _HermitianForm(NamedTuple):
     norm: float  # ||F||_F
     anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
     slack: float  # relative error of each entry of F: rounding plus u's unitarity defect
+    weyl: float  # the largest sqrt 2 ||Im||_F a sector read in real arithmetic dropped
 
     def spectrum(self) -> np.ndarray | None:
         """``H``'s eigenvalues, if ``F``'s defect is within the isospectrality tolerance."""
@@ -151,43 +142,28 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
-def _hermitian_form(h, w, u, sectors, d, in_place=False) -> _HermitianForm:
-    """One pass over ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector, then norms.
-
-    ``in_place`` overwrites ``h`` with ``F``; else ``F`` is formed a row block at a time, and
-    each sector's real form from ``h``'s rows.  ``eigvalsh`` runs first: its block copy then
-    does not land on the norms' row blocks.
-    """
+def _hermitian_form(h: _Triplets, w, u, sectors, d) -> _HermitianForm:
+    """One pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector,
+    each made dense alone, then the norms of ``F`` as sums over its nonzeros."""
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
     if defect > 1e-10 * len(u):
         raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
-    root = np.sqrt(w)
-    left, right = u * root, u.conj() / root  # F[i, j] = left[i] * H[i, j] * right[j]
-    if in_place:
-        h *= left[:, None]
-        h *= right
-    # rows r, columns c of F, from those of h; whole rows, as in place, give the same bits
-    f = (lambda x, r, c: x) if in_place else (lambda x, r, c: x * left[r, None] * right[c])
+    left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
+    f = h._replace(vals=h.vals * left[h.rows] * right[h.cols])  # F has H's pattern
     d = d * u.conj()  # F's pattern phases, from H's phases d: rho is positive
-    lam, n_real = [], 0
-    for s in sectors:
-        whole = in_place and len(s) == len(h)  # F is h itself: its rows and real part
-        rows = h.__getitem__ if whole else lambda r: f(h[s[r]], s[r], slice(None))[:, s]
-        vals, real = _eigvalsh(rows, len(s), d[s], h.real if whole else None)
-        lam, n_real = lam + [vals], n_real + real
-    diff = ref = row = col = 0.0
-    for r in range(0, len(w), BLOCK):
-        s = slice(r, r + BLOCK)
-        x = f(h[s], s, slice(None))
-        dx, a = x - f(h[:, s], slice(None), s).conj().T, np.abs(x)
-        diff, ref = diff + np.vdot(dx, dx).real, ref + np.vdot(x, x).real
-        row, col = max(row, a.sum(axis=1).max()), col + a.sum(axis=0)
+    lam, real, weyl = zip(*(_eigvalsh(f.sector(idx), d[idx]) for idx in sectors))
+    # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
+    at, a = f.find(f.cols, f.rows), np.abs(f.vals)
+    diff = np.hypot(np.linalg.norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()),
+                    np.linalg.norm(a[at < 0]))
+    row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     slack = float(_F_ROUNDING + np.max(np.abs((u.conj() * u).real - 1.0)))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
-    anti = np.sqrt(diff) / 2.0 + slack * np.sqrt(row * np.max(col))
-    return _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)), n_real,
-                          float(np.sqrt(diff)), float(np.sqrt(ref)), float(anti), slack)
+    anti = diff / 2.0 + slack * np.sqrt(row * col)
+    return _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)),
+                          sum(real), float(diff), float(np.linalg.norm(a)), float(anti), slack,
+                          float(max(weyl)))
 
 
 def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
@@ -214,9 +190,9 @@ def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckR
 def _isospectrality_check(form: _HermitianForm, decompose, tol: float) -> CheckResult:
     # eigvalsh reads the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
     # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan);
-    # reading M's real form moves them by <= REAL_FORM_TOL (1 + ||F||_F) more (Weyl)
+    # reading a sector's real form moves them by <= the sqrt 2 ||Im||_F it dropped (Weyl)
     defect = form.defect / (1.0 + form.norm)
-    dev = form.defect + 2.0**0.5 * form.slack * form.norm + REAL_FORM_TOL * (1.0 + form.norm)
+    dev = form.defect + 2.0**0.5 * form.slack * form.norm + form.weyl
     top = max(float(np.max(np.abs(form.eigenvalues))) - dev, 0.0)  # <= max |lam_H|
     residual, route = max(dev / (1.0 + top), defect), "certified: eigenvalue deviation <="
     if residual > tol:
@@ -261,7 +237,7 @@ def run_suite(
     Parameters
     ----------
     h : array_like
-        Hamiltonian, a square matrix.
+        Hamiltonian, a square matrix; the checks read its nonzeros.
     w : array_like
         Real weights, the diagonal of the metric: ``eta = diag(w)``.
     u : array_like, optional
@@ -285,8 +261,8 @@ def run_suite(
     where it is within their tolerance, else on ``spectrum(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """
-    h = as_operator(h)
-    w = _weights(w, len(h))
+    h = _Triplets.of(h)
+    w = _weights(w, h.dim)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -334,7 +310,7 @@ def run_suite(
 
 
 def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
-    """Eigenvalues of ``H`` from ``F = (U rho) H (U rho)^{-1}``, formed in place of ``h``.
+    """Eigenvalues of ``H`` from the nonzeros of ``F = (U rho) H (U rho)^{-1}``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
     Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form where
@@ -342,13 +318,11 @@ def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
     tolerance, else, or with a weight that is not positive, ``H`` goes to ``eigenvalues``.
     Weights are checked as in :func:`run_suite`, whose spectrum takes the same rule.
     """
-    h = as_operator(h)
-    w = _weights(w, len(h))
-    if np.min(w) > 0:  # else F has no finite form
-        lam = _hermitian_form(h, w, u, *_pattern_components(h), in_place=True).spectrum()
-        if lam is not None:
-            return lam
-    return eigenvalues(h)
+    h = _Triplets.of(h)
+    w = _weights(w, h.dim)
+    # F has no finite form past a weight that is not positive
+    lam = _hermitian_form(h, w, u, *_pattern_components(h)).spectrum() if np.min(w) > 0 else None
+    return eigenvalues(h) if lam is None else lam
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import collections
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from metriq.cli import (
     parse_config,
     serialize_config,
 )
+from test_verify import CHAIN_N10
 
 OSC_CONFIG = {
     "model": {
@@ -559,3 +561,89 @@ def test_all_model_kinds_pass_default_suite(tmp_path, capsys):
         code = main(["verify", path])
         out = capsys.readouterr().out
         assert code == EXIT_OK, f"{model['kind']} failed:\n{out}"
+
+
+# The Hamiltonian builders the CLI calls for their nonzeros; each is also public, dense.
+_PUBLIC_BUILDERS = ("build_xy_hamiltonian", "build_quadratic_hamiltonian", "build_lmg",
+                    "build_fermion_quadratic", "build_xxz_asymmetric", "build_haldane_shastry")
+# sha256 prefixes of the dense matrices the public builders returned when the assembler
+# still scattered into a dense array: for each golden config, and for the benchmark's
+# three workloads at seed 1 over every sweep point, with the oracle's hermitian build
+BUILDER_PINS = json.loads((Path(__file__).parent / "builder_pins.json").read_text())
+
+
+def _builder_configs():
+    from test_golden import CONFIGS
+
+    return {**{name: {"model": m} for name, m in CONFIGS.items()}, **BUILDER_PINS["workloads"]}
+
+
+@pytest.mark.parametrize("name", sorted(_builder_configs()))
+def test_public_builders_return_the_dense_matrix_bit_for_bit(monkeypatch, name):
+    import hashlib
+
+    import metriq.cli
+    from metriq.cli import _apply_sweep, _build_model, _normalize_model
+
+    calls = []
+    for attr in _PUBLIC_BUILDERS:
+        build = getattr(metriq.cli, attr)
+        monkeypatch.setattr(build, "_triplets", lambda *a, _b=build, _t=build._triplets, **k:
+                            calls.append((_b, a, k)) or _t(*a, **k))
+    config = _builder_configs()[name]
+    spec = _normalize_model(config["model"])
+    sweep = config.get("sweep")
+    points = [spec.params] if sweep is None else [
+        _apply_sweep(spec.params, sweep["path"], v) for v in sweep["values"]]
+    digest = hashlib.sha256()
+    for params in points:
+        calls.clear()
+        built = _build_model(ModelSpec(spec.kind, params))
+        # the public builder on the arguments the CLI passed; gradedMatrix calls none
+        dense = built.h.dense() if not calls else calls[0][0](*calls[0][1], **calls[0][2])
+        assert dense.dtype == complex and np.array_equal(dense, built.h.dense())
+        digest.update(dense.tobytes())
+    assert digest.hexdigest()[:16] == BUILDER_PINS["sha256"][name]
+    if f"{name}:oracle" in BUILDER_PINS["sha256"]:
+        digest = hashlib.sha256(_oracle_build(config["model"]).tobytes())
+        assert digest.hexdigest()[:16] == BUILDER_PINS["sha256"][f"{name}:oracle"]
+
+
+def _oracle_build(model):
+    """The hermitian counterpart the benchmark's oracle builds for a workload's model."""
+    from metriq.bosonic import FockSpace
+    from metriq.oscillator2d import OscillatorParams, build_xy_hamiltonian
+    from metriq.spinchain import SpinChainSpec, hermitian_counterpart
+
+    if model["kind"] == "oscillator2d":
+        params = OscillatorParams(model["k1"], model["k2"], model["k3"])
+        return build_xy_hamiltonian(params, FockSpace(2, model["cutoff"]))
+    return hermitian_counterpart(SpinChainSpec(
+        n_sites=model["n_sites"], gamma_exchange=model["gamma_exchange"],
+        delta=model["delta"], fields_a=tuple(model.get("fields_a", ()))))
+
+
+@pytest.mark.parametrize(
+    "command, model, limit",
+    [
+        # 11 Sz sectors, the largest 252: no array of dim**2 entries, not even real ones
+        ("verify", CHAIN_N10, 1024**2 * 8),
+        ("run", CHAIN_N10, 1024**2 * 8),
+        # one sector of 1024: its real block, plus eigvalsh's own copy of it
+        ("spectrum", {**CHAIN_N10, "fields_a": [0.4] * 10}, 2 * 1024**2 * 8),
+    ],
+)
+def test_cli_makes_no_dense_h(tmp_path, capsys, command, model, limit):
+    import tracemalloc
+
+    path = write_config(tmp_path, {"model": model})
+    tracemalloc.start()
+    try:
+        code = main([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < 1024**2 * np.dtype(complex).itemsize  # a dense H is 16 MiB
+    assert peak <= limit

@@ -160,8 +160,8 @@ def test_diagonal_path_matches_dense_reference(model):
     )
 
     built = _build_model(parse_config(json.dumps({"model": model})).model)
-    h, w, u = built.h, built.w, built.u
-    report = run_suite(h, w, u)
+    h, w, u = built.h.dense(), built.w, built.u
+    report = run_suite(built.h, w, u)  # the CLI's route: H as its nonzeros
     got = {c.name: c for c in report.checks}
     assert report.all_passed
 
@@ -332,6 +332,7 @@ def test_checks_hold_no_temporary_the_size_of_h():
     import tracemalloc
 
     built = build_model(CHAIN_N10)
+    h = built.h.dense()
     tracemalloc.start()
     try:
         report = run_suite(
@@ -341,22 +342,42 @@ def test_checks_hold_no_temporary_the_size_of_h():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak < built.h.nbytes
+    assert peak < h.nbytes
 
 
-def test_spectrum_step_forms_f_in_place_of_h():
+def test_spectrum_step_makes_only_the_real_sector_dense():
     import tracemalloc
 
-    # transverse fields break total Sz: one sector of 1024
+    # transverse fields break total Sz: one sector of 1024, read as its real form
     built = build_model({**CHAIN_N10, "fields_a": [0.4] * 10})
+    h, dim = built.h.dense(), built.h.dim
     tracemalloc.start()
     try:
         lam = hermitian_form_eigenvalues(built.h, built.w, built.u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(lam) == len(built.h) and np.all(lam.imag == 0.0)
-    assert peak < built.h.nbytes
+    assert len(lam) == dim and np.all(lam.imag == 0.0)
+    assert peak < h.nbytes
+    # the real block, plus eigvalsh's own copy of it
+    assert peak <= 2 * dim**2 * np.dtype(float).itemsize
+    np.testing.assert_array_equal(lam, hermitian_form_eigenvalues(h, built.w, built.u))
+
+
+def test_hermitian_form_eigenvalues_leave_h_as_it_was():
+    # F = [[1, 1], [1, 3]] is hermitian: its eigenvalues are read, and h keeps its entries
+    h = np.array([[1.0, 2.0], [0.5, 3.0]], dtype=complex)
+    lam = hermitian_form_eigenvalues(h, [1.0, 4.0])
+    np.testing.assert_array_equal(h, [[1.0, 2.0], [0.5, 3.0]])
+    np.testing.assert_allclose(lam, [2.0 - np.sqrt(2.0), 2.0 + np.sqrt(2.0)], rtol=1e-15)
+
+
+def test_run_suite_reads_a_dense_h_as_the_cli_reads_its_nonzeros():
+    for model in SMALL_MODELS + [CHAIN_N10, {**CHAIN_N10, "fields_a": [0.4] * 10}]:
+        built = build_model(model)
+        dense, triplets = (run_suite(h, built.w, built.u) for h in (built.h.dense(), built.h))
+        assert [c.to_dict() for c in dense.checks] == [c.to_dict() for c in triplets.checks]
+        np.testing.assert_array_equal(dense._eigenvalues, triplets._eigenvalues)
 
 
 @pytest.mark.parametrize("n_sectors", [1, 5])
@@ -377,8 +398,7 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
         form = mat.copy()
         lam = hermitian_form_eigenvalues(form, w, u)
         assert calls == {name: n_sectors for name in branches}
-        root = np.sqrt(w)
-        np.testing.assert_allclose(form, (u * root)[:, None] * mat * (u.conj() / root))
+        np.testing.assert_array_equal(form, mat)
         assert np.max(np.abs(lam - eigenvalues(mat))) <= 1e-12
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
@@ -386,7 +406,7 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
 def chain(n, **fields):
     built = build_model({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
                          "xis": CHAIN_N10["xis"][:n], **fields})
-    return built.h, built.w, built.u
+    return built.h.dense(), built.w, built.u
 
 
 def transverse_chain(n):
@@ -475,6 +495,17 @@ def test_eta_norm_is_certified_where_the_eigen_expansion_drifts():
     assert report.checks[-1].detail == "certified for every state on [0, 10]"
 
 
+def test_isospectrality_bound_adds_only_the_imaginary_part_the_real_reads_dropped():
+    # osc_sweep's point at gamma = 0: both sectors are read as real forms, each dropping an
+    # imaginary part of ~1e-14, so the bound is F's rounding, 1.6e-12; adding
+    # REAL_FORM_TOL (1 + ||F||_F), the most any sector could drop, made it 3.3e-11
+    built = build_model({**OSC_SWEEP_SEED_1, "gamma": 0.0})
+    iso, reality = run_suite(built.h, built.w, built.u, checks=["isospectrality", "reality"]).checks
+    assert reality.detail.endswith("2 sectors, largest 145, 2 real")
+    bound = float(iso.detail.split("<= ")[1].split(",")[0])
+    assert iso.detail.startswith("certified") and 1.6e-12 <= bound <= 1.7e-12
+
+
 def test_eta_norm_bound_covers_the_fastest_growing_state_to_the_grid_end():
     # F = eps [[0, 1], [-1, 0]] has eigenvalues +-i eps: the state (1, i) / sqrt(2)
     # grows as e^{eps t}, its norm by e^{20 eps} - 1 at t = 10
@@ -507,7 +538,7 @@ def test_pseudo_hermiticity_sees_a_defect_in_the_lightest_row(gamma):
 
     built = build_model({"kind": "bosonQuadratic", "alpha": [[2.0]], "beta": [[0.5]],
                          "gammas": [gamma], "cutoff": 20})
-    h = built.h.copy()
+    h = built.h.dense()
     h[20, 18] *= 1.5
     assert np.argmin(built.w) == 20 and np.max(built.w) / built.w[20] < 1e14
     (ph,) = run_suite(h, built.w, built.u, checks=["pseudo_hermiticity"]).checks
