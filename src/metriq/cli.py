@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +228,8 @@ class RunConfig:
     checks: tuple[str, ...] | None = None
     sweep: SweepSpec | None = None
     output: OutputSpec | None = None
+    # the model parse_config built to validate it, kept for a config with no sweep
+    _built: _Built | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out: dict = {"model": self.model.to_dict()}
@@ -265,10 +267,10 @@ def _normalize_model(block: dict) -> ModelSpec:
     return ModelSpec(kind, params)
 
 
-def _validate_model(spec: ModelSpec) -> None:
+def _validate_model(spec: ModelSpec) -> _Built:
     """Construct the underlying objects so type invariants are enforced."""
     try:
-        _build_model(spec)
+        return _build_model(spec)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -347,7 +349,7 @@ def parse_config(text: str) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("config needs a 'model' block")
     model = _normalize_model(raw["model"])
-    _validate_model(model)
+    built = _validate_model(model)
 
     checks: tuple[str, ...] | None = None
     if "checks" in raw:
@@ -380,7 +382,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
         output = OutputSpec(block["path"], fmt)
 
-    return RunConfig(model, checks, sweep, output)
+    return RunConfig(model, checks, sweep, output, built if sweep is None else None)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -514,8 +516,9 @@ def _run_point(
     *,
     run_checks: bool,
     run_spectrum: bool,
+    built: _Built | None = None,
 ) -> tuple[list[CheckResult], list[list[float]]]:
-    built = _build_model(spec)
+    built = _build_model(spec) if built is None else built
     results: list[CheckResult] = []
     eigs = None
     if run_checks:
@@ -568,6 +571,7 @@ def _execute(
                 seed,
                 run_checks=run_checks,
                 run_spectrum=run_spectrum,
+                built=config._built if value is None else None,
             )
         except _NUMERICAL_ERRORS as exc:
             errors.append(f"{label}numerical failure: {exc}")

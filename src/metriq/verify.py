@@ -8,6 +8,10 @@ off one pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``, which has ``H`
 pattern, with only each sector of ``F`` made dense, for ``eigvalsh``: ``H^dag eta =
 eta H`` iff ``F`` is hermitian, and ``||F - F^dag||`` bounds how far ``H``'s spectrum can
 be from real and from ``eigvalsh`` of ``F``'s sectors, and the eta-norm from conserved.
+Where the index reversal ``J``, a chain's global spin flip, keeps a sector's real read
+``g`` within the Weyl floor of that read, the sector is solved as the two halves of
+``(g + J g J) / 2``, or takes the eigenvalues of the sector ``J`` maps it onto, and the
+part dropped joins the bound; ``H`` itself is not ``J``-symmetric under a non-uniform metric.
 A check whose bound exceeds its tolerance is read off ``spectrum(H)`` instead.
 A failed check becomes a report entry rather than an exception; only structural
 misuse (wrong dimensions, invalid arguments) raises.  The spectrum without checks,
@@ -28,8 +32,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import _guard_overflow, similarity
-from .linops import COND_LIMIT, REALITY_TOL, SpectrumResult, as_operator, as_state
-from .linops import _eigvalsh, _pattern_components, _Triplets, eigenvalues, spectrum
+from .linops import COND_LIMIT, REAL_FORM_TOL, REALITY_TOL, SpectrumResult, as_operator, as_state
+from .linops import _EPS, _fold_eigvalsh, _pattern_components, _real_read, _Triplets
+from .linops import eigenvalues, spectrum
 
 __all__ = [
     "DEFAULT_SEED",
@@ -122,11 +127,13 @@ class _HermitianForm(NamedTuple):
     eigenvalues: np.ndarray
     sizes: tuple[int, ...]
     n_real: int  # sectors read in real arithmetic
+    n_folded: int  # of those, sectors the spin flip maps to themselves, solved as two halves
+    n_mirrored: int  # and sectors that took the eigenvalues of the sector they mirror
     defect: float  # ||F - F^dag||_F
     norm: float  # ||F||_F
     anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
     slack: float  # relative error of each entry of F: rounding plus u's unitarity defect
-    weyl: float  # the largest sqrt 2 ||Im||_F a sector read in real arithmetic dropped
+    weyl: float  # the most any sector's eigenvalues moved by what its reads dropped
 
     def spectrum(self) -> np.ndarray | None:
         """``H``'s eigenvalues, if ``F``'s defect is within the isospectrality tolerance."""
@@ -142,6 +149,51 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
+# Each entry of a fold block sums at most four halves of entries of g; by Weyl that moves its
+# eigenvalues by <= sqrt 2 gamma_3 ||g||_F, gamma_3 = 3u / (1 - 3u), which is below 3 eps ||g||_F.
+_FOLD_ROUNDING = 3 * _EPS
+
+
+def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
+    """``eigvalsh`` of each sector of ``F``, as :func:`~metriq.linops._real_read` reads it: per
+    sector its eigenvalues, its route and the most they moved by what was dropped.
+
+    ``J``, the index reversal, is the chains' global spin flip.  A real read ``g`` of a sector
+    that ``J`` maps to itself is solved as the two halves of ``(g + J g J) / 2``, and one that
+    ``J`` maps onto an earlier sector ``S`` takes ``S``'s eigenvalues, each only where the part
+    dropped, ``||g - J g J||_F / 2`` or ``||g - J g_S J||_F``, is within the Weyl floor of the
+    real read; that part, and the fold's rounding, join the sector's term.
+    """
+    label = np.empty(f.dim, dtype=int)
+    for k, idx in enumerate(sectors):
+        label[idx] = k
+    kept = {}  # a sector whose image comes later: its g and eigenvalues
+    lam, route, weyl = [], [], []
+    for k, idx in enumerate(sectors):
+        g, drop = _real_read(f.sector(idx), d[idx])
+        image = label[f.dim - 1 - idx[::-1]]  # J(S) is sector t if all of it lies in t
+        t = int(image[0])
+        flips = (drop is not None and len(sectors[t]) == len(idx) and bool(np.all(image == t))
+                 and (t > k or t in kept or (t == k and len(idx) % 2 == 0)))
+        vals, how, moved = None, "real" if drop is not None else "complex", 0.0
+        if flips:
+            g = g.mirrored()
+            norm = float(np.linalg.norm(g.vals))
+            floor = REAL_FORM_TOL * (1.0 + norm / np.sqrt(len(idx)))  # as for the real read
+            if t == k and (gap := g.gap(g.flip()) / 2.0) <= floor:
+                vals, how, moved = _fold_eigvalsh(g), "folded", gap + _FOLD_ROUNDING * norm
+            elif t < k and (gap := g.gap(kept[t][0].flip())) <= floor:
+                vals, how, moved = kept[t][1], "mirrored", gap
+        if vals is None:
+            vals = np.linalg.eigvalsh(g.dense())
+        if flips and t > k:
+            kept[k] = (g, vals)
+        lam.append(vals)
+        route.append(how)
+        weyl.append((drop or 0.0) + moved)
+    return lam, route, weyl
+
+
 def _hermitian_form(h: _Triplets, w, u, sectors, d) -> _HermitianForm:
     """One pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector,
     each made dense alone, then the norms of ``F`` as sums over its nonzeros."""
@@ -152,7 +204,7 @@ def _hermitian_form(h: _Triplets, w, u, sectors, d) -> _HermitianForm:
     left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
     f = h._replace(vals=h.vals * left[h.rows] * right[h.cols])  # F has H's pattern
     d = d * u.conj()  # F's pattern phases, from H's phases d: rho is positive
-    lam, real, weyl = zip(*(_eigvalsh(f.sector(idx), d[idx]) for idx in sectors))
+    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
     # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
     at, a = f.find(f.cols, f.rows), np.abs(f.vals)
     diff = np.hypot(np.linalg.norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()),
@@ -162,8 +214,9 @@ def _hermitian_form(h: _Triplets, w, u, sectors, d) -> _HermitianForm:
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
     anti = diff / 2.0 + slack * np.sqrt(row * col)
     return _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)),
-                          sum(real), float(diff), float(np.linalg.norm(a)), float(anti), slack,
-                          float(max(weyl)))
+                          len(route) - route.count("complex"), route.count("folded"),
+                          route.count("mirrored"), float(diff), float(np.linalg.norm(a)),
+                          float(anti), slack, float(max(weyl)))
 
 
 def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
@@ -176,21 +229,24 @@ def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckR
     # lam = x^dag F x for a unit eigenvector x, so |Im lam| <= ||F_a||_2
     worst = np.inf if form is None else form.anti
     if worst <= tol:
-        detail, sizes, n_real = f"certified: max |Im| <= {worst:.3e}", form.sizes, form.n_real
+        detail, sizes = f"certified: max |Im| <= {worst:.3e}", form.sizes
+        routes = (form.n_real, form.n_folded, form.n_mirrored)
     else:
         eigs = decompose()
         lam = eigs.eigenvalues
         worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
         detail = f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}"
-        sizes, n_real = [len(s.indices) for s in eigs.sectors], sum(eigs._real)
+        sizes, routes = [len(s.indices) for s in eigs.sectors], (sum(eigs._real), 0, 0)
     sectors = f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}"
-    return CheckResult("reality", worst <= tol, worst, tol, f"{detail}, {sectors}, {n_real} real")
+    routes = "{} real, {} folded, {} mirrored".format(*routes)
+    return CheckResult("reality", worst <= tol, worst, tol, f"{detail}, {sectors}, {routes}")
 
 
 def _isospectrality_check(form: _HermitianForm, decompose, tol: float) -> CheckResult:
     # eigvalsh reads the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
     # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan);
-    # reading a sector's real form moves them by <= the sqrt 2 ||Im||_F it dropped (Weyl)
+    # reading a sector's real form moves them by <= the sqrt 2 ||Im||_F it dropped, and its
+    # fold or mirror by <= the part of it the spin flip does not keep (Weyl), in form.weyl
     defect = form.defect / (1.0 + form.norm)
     dev = form.defect + 2.0**0.5 * form.slack * form.norm + form.weyl
     top = max(float(np.max(np.abs(form.eigenvalues))) - dev, 0.0)  # <= max |lam_H|

@@ -17,14 +17,15 @@ import time
 # nonzeros; a dense H would be 256 MiB, and no gate leaves room for one.
 GATES = (
     # every check must pass; 13 Sz sectors, the largest 924 (6.5 MiB as a real block);
-    # measured at 51-54 MiB
+    # measured at 47-48 MiB
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 120, True),
-    # one sector of 4096: its real block (128 MiB) plus eigvalsh's own copy (128 MiB),
-    # over ~47 MiB for the interpreter, numpy and the nonzeros; measured at 302-303 MiB,
-    # so the bound leaves 27 MiB
-    ("spectrum", "tests/configs/xxz_transverse_n12.json", 330, False),
+    # one sector of 4096, which the spin flip folds into two halves of 2048, built and
+    # solved one at a time: one half (32 MiB) plus eigvalsh's own copy (32 MiB), over
+    # ~47 MiB for the interpreter, numpy and the nonzeros; measured at 109-110 MiB, so the
+    # bound leaves 25 MiB, less than a second half held alive (32 MiB)
+    ("spectrum", "tests/configs/xxz_transverse_n12.json", 135, False),
     # the same sector, every check certified from the same pass over the hermitian form
-    ("run", "tests/configs/xxz_transverse_n12.json", 330, False),
+    ("run", "tests/configs/xxz_transverse_n12.json", 135, False),
 )
 
 

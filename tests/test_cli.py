@@ -143,6 +143,26 @@ def test_round_trip_identity():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("command", ["run", "spectrum", "verify"])
+@pytest.mark.parametrize("sweep", [None, {"path": "delta", "values": [0.0, 0.5, 1.0]}])
+def test_the_model_is_built_once_per_point_and_once_to_validate_a_sweep(
+        tmp_path, capsys, monkeypatch, command, sweep):
+    import metriq.cli as cli
+
+    builds = []
+    build = cli._build_model
+    monkeypatch.setattr(cli, "_build_model", lambda spec: builds.append(spec) or build(spec))
+    payload = {"model": {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+                         "gammas": [0.3, 0.0, -0.2], "xis": [0.1, 0.0, 0.2]}}
+    if sweep:
+        payload["sweep"] = sweep
+    code = main([command, write_config(tmp_path, payload)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    # parse_config validates by building; with no sweep that build is the one point's
+    assert len(builds) == (1 if sweep is None else 1 + len(sweep["values"]))
+
+
 def test_parse_rejections():
     with pytest.raises(ConfigError, match="unknown top-level"):
         parse_config('{"model": {"kind": "haldaneShastry", "n_sites": 2}, "oops": 1}')
@@ -393,13 +413,14 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert len(report["spectra"]) == 3
-    # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}
-    sectors = [(1, 1), (3, 3), (3, 3), (1, 1)]
+    # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}; the spin
+    # flip maps the last two onto the first two, which lend them their eigenvalues
+    sectors = [(1, 1), (3, 3)]
     # both read the hermitian form's eigenvalues only: run's checks pass on the
     # bounds of that one pass, and its spectrum is the same eigvalsh
     per_point = ["eigvalsh"]
     assert eig_shapes == [(name, s) for name in per_point for s in sectors] * 3
-    assert calls == {name: 12 for name in per_point}
+    assert calls == {name: 6 for name in per_point}
     # the chain is real up to a diagonal phase gauge: every solve is real
     assert dtypes == {(name, np.dtype(float)) for name in per_point}
 
@@ -629,8 +650,9 @@ def _oracle_build(model):
         # 11 Sz sectors, the largest 252: no array of dim**2 entries, not even real ones
         ("verify", CHAIN_N10, 1024**2 * 8),
         ("run", CHAIN_N10, 1024**2 * 8),
-        # one sector of 1024: its real block, plus eigvalsh's own copy of it
-        ("spectrum", {**CHAIN_N10, "fields_a": [0.4] * 10}, 2 * 1024**2 * 8),
+        # one sector of 1024, folded by the spin flip into two halves of 512 solved one at a
+        # time: one half (2 MiB) and the nonzeros, measured at 3.8 MiB; both would be 5.8
+        ("spectrum", {**CHAIN_N10, "fields_a": [0.4] * 10}, 5 * 2**20),
     ],
 )
 def test_cli_makes_no_dense_h(tmp_path, capsys, command, model, limit):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metriq.bosonic import FockSpace
-from metriq.linops import BLOCK, REAL_FORM_TOL, MetricSpec, eigenvalues, spectrum
+from metriq.linops import BLOCK, REAL_FORM_TOL, MetricSpec, _Triplets, eigenvalues, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -359,8 +359,9 @@ def test_spectrum_step_makes_only_the_real_sector_dense():
         tracemalloc.stop()
     assert len(lam) == dim and np.all(lam.imag == 0.0)
     assert peak < h.nbytes
-    # the real block, plus eigvalsh's own copy of it
-    assert peak <= 2 * dim**2 * np.dtype(float).itemsize
+    # the flip folds the real block into two halves of 512, built and solved one at a time:
+    # one half (2 MiB) and the nonzeros, measured at 3.2 MiB; both halves at once would be 5.2
+    assert peak < 4.5 * 2**20
     np.testing.assert_array_equal(lam, hermitian_form_eigenvalues(h, built.w, built.u))
 
 
@@ -465,8 +466,9 @@ def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, 
 @pytest.mark.parametrize(
     "case, detail",
     [
-        (lambda: chain(4), "5 sectors, largest 6, 5 real"),
-        (lambda: pseudo_hermitian_pair(BLOCK + 1, 5, seed=9), "5 sectors, largest 26, 0 real"),
+        (lambda: chain(4), "5 sectors, largest 6, 5 real, 1 folded, 2 mirrored"),
+        (lambda: pseudo_hermitian_pair(BLOCK + 1, 5, seed=9),
+         "5 sectors, largest 26, 0 real, 0 folded, 0 mirrored"),
     ],
     ids=["chain", "complex-hermitian-form"],
 )
@@ -501,9 +503,158 @@ def test_isospectrality_bound_adds_only_the_imaginary_part_the_real_reads_droppe
     # REAL_FORM_TOL (1 + ||F||_F), the most any sector could drop, made it 3.3e-11
     built = build_model({**OSC_SWEEP_SEED_1, "gamma": 0.0})
     iso, reality = run_suite(built.h, built.w, built.u, checks=["isospectrality", "reality"]).checks
-    assert reality.detail.endswith("2 sectors, largest 145, 2 real")
+    assert reality.detail.endswith("2 sectors, largest 145, 2 real, 0 folded, 0 mirrored")
     bound = float(iso.detail.split("<= ")[1].split(",")[0])
     assert iso.detail.startswith("certified") and 1.6e-12 <= bound <= 1.7e-12
+
+
+def sector_reads(model):
+    """F's triplets, sectors and pattern phases, as ``run_suite`` forms them for ``model``."""
+    from metriq.linops import _pattern_components
+
+    built = build_model(model)
+    h, w, u = built.h, built.w, built.u
+    sectors, d = _pattern_components(h)
+    left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
+    return h._replace(vals=h.vals * left[h.rows] * right[h.cols]), sectors, d * u.conj()
+
+
+def full_blocks(f, sectors, d):
+    """``eigvalsh`` of each sector's read made dense whole: the route before the spin flip."""
+    from metriq.linops import _real_read
+
+    return [np.linalg.eigvalsh(_real_read(f.sector(idx), d[idx])[0].dense()) for idx in sectors]
+
+
+def within_weyl(vals, full, moved):
+    """``vals`` match ``full`` within ``moved``, plus the rounding of the two ``eigvalsh``
+    solves, which no bound counts: ``sqrt(m) eps max |lam|`` each (at m = 4096, a fold
+    and a full solve differ by up to 38 eps max |lam| beyond ``moved``)."""
+    solves = 2.0 * np.sqrt(len(full)) * np.finfo(float).eps * np.max(np.abs(full), initial=1.0)
+    return np.max(np.abs(np.sort(vals) - full)) <= moved + solves
+
+
+HS_N8 = {"kind": "haldaneShastry", "n_sites": 8,
+         "gammas": [0.2, -0.1, 0.3, 0.05, 0.1, -0.2, 0.0, 0.15],
+         "xis": [0.1, 0.0, -0.2, 0.3, 0.2, -0.1, 0.05, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "model, folded, mirrored",
+    [
+        ({**CHAIN_N10, "n_sites": 8, "gammas": CHAIN_N10["gammas"][:8],
+          "xis": CHAIN_N10["xis"][:8], "fields_a": [0.4] * 8}, 1, 0),
+        ({**CHAIN_N10, "fields_a": [0.4] * 10}, 1, 0),
+        (HS_N8, 1, 4),  # Sz sectors 1, 8, 28, 56, 70, 56, 28, 8, 1
+        (CHAIN_N10, 1, 5),
+    ],
+    ids=["transverse-n8", "transverse-n10", "haldane-shastry-n8", "sz-n10"],
+)
+def test_fold_and_mirror_match_the_full_blocks_within_the_weyl_term(model, folded, mirrored):
+    from metriq.verify import _sector_eigenvalues
+
+    f, sectors, d = sector_reads(model)
+    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
+    assert (route.count("folded"), route.count("mirrored")) == (folded, mirrored)
+    assert route.count("real") == len(sectors) - folded - mirrored
+    for vals, full, how, moved in zip(lam, full_blocks(f, sectors, d), route, weyl):
+        if how == "real":
+            np.testing.assert_array_equal(vals, full)
+        else:
+            assert within_weyl(vals, full, moved)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {**CHAIN_N10, "n_sites": 8, "gammas": CHAIN_N10["gammas"][:8], "xis": CHAIN_N10["xis"][:8],
+         "fields_a": [0.4] * 8, "fields_c": [1e-9] + [0.0] * 7},
+        OSC_SWEEP_SEED_1 | {"gamma": 0.2, "cutoff": 10},
+        SMALL_MODELS[1],  # bosonQuadratic
+        SMALL_MODELS[2],  # lmg
+    ],
+    ids=["chain-field-c-1e-9", "oscillator2d", "bosonQuadratic", "lmg"],
+)
+def test_sectors_the_flip_does_not_keep_take_the_full_block(monkeypatch, model):
+    from metriq.verify import _sector_eigenvalues
+
+    f, sectors, d = sector_reads(model)
+    full = full_blocks(f, sectors, d)
+    calls = collections.Counter()
+    numpy_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.update([a.shape]) or numpy_eigvalsh(a))
+    lam, route, _ = _sector_eigenvalues(f, sectors, d)
+    assert "folded" not in route
+    # lmg's only mirrors are two 1 x 1 sectors of 0, whose gap is exactly 0
+    mirrored = [k for k, how in enumerate(route) if how == "mirrored"]
+    assert len(mirrored) == (2 if model["kind"] == "lmg" else 0)
+    assert calls == collections.Counter(
+        (len(idx),) * 2 for k, idx in enumerate(sectors) if k not in mirrored)
+    for vals, ref in zip(lam, full):
+        np.testing.assert_array_equal(vals, ref)
+
+
+def test_an_odd_chain_has_no_self_mapped_sector_and_solves_each_mirrored_pair_once(monkeypatch):
+    from metriq.verify import _sector_eigenvalues
+
+    model = {**CHAIN_N10, "n_sites": 7, "gammas": CHAIN_N10["gammas"][:7],
+             "xis": CHAIN_N10["xis"][:7]}
+    f, sectors, d = sector_reads(model)
+    full = full_blocks(f, sectors, d)
+    calls = []
+    numpy_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or numpy_eigvalsh(a))
+    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
+    # Sz = +-1/2, ..., +-7/2: sectors 1, 7, 21, 35, 35, 21, 7, 1, the last four mirrors
+    assert route == ["real"] * 4 + ["mirrored"] * 4 and calls == [1, 7, 21, 35]
+    for k in range(4):
+        np.testing.assert_array_equal(lam[k], full[k])
+        assert lam[7 - k] is lam[k]
+        assert within_weyl(lam[7 - k], full[7 - k], weyl[7 - k])
+
+
+def flip_symmetric(scale, m=64, pair=False, seed=11):
+    """A real symmetric ``S`` that the index reversal ``J`` keeps, plus ``eps P``, ``P``
+    a symmetric part that ``J`` negates, with ``eps`` at ``scale`` times the largest for
+    which the fold may read ``S``.  With ``pair``, the block diagonal ``(S', J S' J + eps P)``
+    of two sectors that ``J`` swaps, where ``S'`` is any real symmetric block."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(m, m))
+    flip = np.eye(m)[::-1]
+    base = g + g.T if pair else g + g.T + flip @ (g + g.T) @ flip
+    odd = g + g.T - flip @ (g + g.T) @ flip
+    # the read drops ||eps P||_F: ||g - J g J||_F / 2 of the fold, ||g' - J g J||_F of the pair
+    eps = scale * REAL_FORM_TOL * (1.0 + np.linalg.norm(base) / np.sqrt(m)) / np.linalg.norm(odd)
+    if pair:
+        zero = np.zeros((m, m))
+        h = np.block([[base, zero], [zero, flip @ base @ flip + eps * odd]])
+    else:
+        h = base + eps * odd
+    return h, eps * np.linalg.norm(odd)
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["fold", "pair"])
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(pair, scale):
+    from metriq.linops import _pattern_components
+    from metriq.verify import _hermitian_form
+
+    h, dropped = flip_symmetric(scale, pair=pair)
+    w = np.ones(len(h))
+    form = _hermitian_form(_Triplets.of(h), w, None, *_pattern_components(_Triplets.of(h)))
+    admitted = (0, 0) if scale > 1 else ((0, 1) if pair else (1, 0))
+    assert (form.n_folded, form.n_mirrored) == admitted
+    ref = np.sort(np.linalg.eigvalsh(h))
+    if scale > 1:  # refused: each sector solved whole, as before
+        assert form.weyl == 0.0
+        blocks = np.split(np.arange(len(h)), 2 if pair else 1)
+        np.testing.assert_array_equal(form.eigenvalues, np.sort(np.concatenate(
+            [np.linalg.eigvalsh(h[s][:, s]) for s in blocks])))
+    else:  # the Weyl term carries the drop, and the rounding of the fold's sums
+        rounding = 3 * np.finfo(float).eps * np.linalg.norm(h)
+        assert 0.999 * dropped <= form.weyl <= 1.001 * dropped + rounding
+        assert within_weyl(form.eigenvalues, ref, form.weyl)
 
 
 def test_eta_norm_bound_covers_the_fastest_growing_state_to_the_grid_end():
