@@ -63,15 +63,14 @@ __all__ = [
 
 # Relative floor below which a metric eigenvalue counts as non-positive.
 EPS_PD = 1e-12
-# Condition-number ceiling for metrics and eigenvector matrices.  Beyond this
-# the computation is refused rather than silently degraded.  A diagonal
-# metric's condition number is max(w) / min(w).
+# Condition-number ceiling for dense metrics and eigenvector matrices.  Beyond
+# this the computation is refused rather than silently degraded.
 COND_LIMIT = 1e14
 # An eigenvalue counts as real when |Im(lam)| <= REALITY_TOL * (1 + |lam|).
 REALITY_TOL = 1e-9
 # eigvalsh reads a hermitian F's lower triangle, S + iA with A antisymmetric; by
 # Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
-# (size m) is read as real when that is <= REAL_FORM_TOL * (1 + ||F||_F / sqrt(m)).
+# is read as real when that is within _weyl_floor, whose scale this is.
 REAL_FORM_TOL = 1e-13
 # G = D A D^* of a non-normal A goes to real eig only if ||Im G||_F <= eps ||G||_F:
 # the dropped part is then within the rounding already in A, so the real solve is
@@ -462,21 +461,26 @@ class _Triplets(NamedTuple):
         return float(np.hypot(np.linalg.norm(other.vals - vals[at]), np.linalg.norm(vals[alone])))
 
 
-def _real_form(b: _Triplets, d, tol: float, floor=0.0) -> tuple[_Triplets, float] | None:
+def _weyl_floor(norm: float, m: int) -> float:
+    """The most a read of a hermitian block of size ``m`` and Frobenius norm ``norm`` may move
+    its eigenvalues by what it drops: ``REAL_FORM_TOL (1 + norm / sqrt m)``."""
+    return REAL_FORM_TOL * (1.0 + norm / np.sqrt(m))
+
+
+def _real_form(b: _Triplets, d, bound: float) -> tuple[_Triplets, float] | None:
     """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None) and the ``||Im||_F`` it drops, if
-    that is ``<= floor + tol ||.||_F``."""
+    that is ``<= bound``."""
     x = b.vals if d is None else d[b.rows] * b.vals * d.conj()[b.cols]
     im = float(np.linalg.norm(x.imag))
-    return (b._replace(vals=x.real), im) if im <= floor + tol * np.linalg.norm(x) else None
+    return (b._replace(vals=x.real), im) if im <= bound else None
 
 
 def _real_read(b: _Triplets, d: np.ndarray) -> tuple[_Triplets, float | None]:
     """What ``eigvalsh`` reads of the hermitian block ``b``: its real part, else its real form
     under ``d``, if the ``sqrt 2 ||Im||_F`` it drops is within the Weyl floor, with that drop;
     else ``b`` itself, and None."""
-    floor = REAL_FORM_TOL / np.sqrt(2.0)
-    tol = floor / np.sqrt(b.dim)
-    g, im = _real_form(b, None, tol, floor) or _real_form(b, d, tol, floor) or (b, None)
+    bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
+    g, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
     return g, None if im is None else np.sqrt(2.0) * im
 
 
@@ -543,7 +547,7 @@ def spectrum(a) -> SpectrumResult:
     out, residual, real = [], 0.0, []
     for idx in sectors:
         b = t.sector(idx)
-        g = _real_form(b, d[idx], _EPS)
+        g = _real_form(b, d[idx], _EPS * np.linalg.norm(b.vals))
         block = b.dense()
         vals, vecs = np.linalg.eig(block if g is None else g[0].dense())
         real.append(g is not None)
@@ -570,7 +574,8 @@ def eigenvalues(a) -> np.ndarray:
     t = _Triplets.of(a)
     sectors, d = _pattern_components(t)
     blocks = ((t.sector(idx), d[idx]) for idx in sectors)
-    lam = [np.linalg.eigvals((_real_form(b, di, _EPS) or (b,))[0].dense()) for b, di in blocks]
+    reads = ((_real_form(b, di, _EPS * np.linalg.norm(b.vals)) or (b,))[0] for b, di in blocks)
+    lam = [np.linalg.eigvals(g.dense()) for g in reads]
     return _sorted(np.concatenate(lam).astype(complex))
 
 

@@ -1,4 +1,4 @@
-"""Peak-RSS gates of the ``metriq`` CLI at the 12-site cap (dim 4096).
+"""Peak-RSS gates of the ``metriq`` CLI at the 12-site cap (dim 4096) and at cutoff 40.
 
     PYTHONPATH=src python tests/peak_rss.py
 
@@ -26,6 +26,10 @@ GATES = (
     ("spectrum", "tests/configs/xxz_transverse_n12.json", 135, False),
     # the same sector, every check certified from the same pass over the hermitian form
     ("run", "tests/configs/xxz_transverse_n12.json", 135, False),
+    # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
+    # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
+    # measured at 44 MiB, so the bound leaves 16 MiB, less than a dense complex H (43 MiB)
+    ("verify", "tests/configs/boson_quadratic_cutoff40.json", 60, True),
 )
 
 

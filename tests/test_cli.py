@@ -240,20 +240,54 @@ def test_verify_exit_check_failed(tmp_path, capsys):
     assert "dMinEigenvalue=-5.000000e-01" in out
 
 
-def test_singular_metric_is_a_failed_entry(tmp_path, capsys):
-    # passes the builder guard, but cond(eta) ~ 5e16 trips the singular-metric test
-    payload = {"model": {"kind": "oscillator2d", "k1": 1.0, "k2": 1.3, "k3": 0.4,
-                         "gamma": 0.8, "cutoff": 12}}
-    code = main(["verify", write_config(tmp_path, payload)])
-    lines = capsys.readouterr().out.strip().splitlines()
+def verify_lines(config, capsys, monkeypatch):
+    """``metriq verify`` on ``config``: its exit code, output lines and general ``eig`` calls."""
+    calls = []
+    for name in ("eig", "eigvals"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code = main(["verify", config])
+    return code, capsys.readouterr().out.strip().splitlines(), calls
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # passes the overflow guard (exponent 19.2 <= 120), with kappa ~ 4.75e16
+        {"model": {"kind": "oscillator2d", "k1": 1.0, "k2": 1.3, "k3": 0.4,
+                   "gamma": 0.8, "cutoff": 12}},
+        # the golden bosonQuadratic coefficients at cutoff 40: dim 1681, kappa ~ 2.35e17
+        str(Path(__file__).with_name("configs") / "boson_quadratic_cutoff40.json"),
+    ],
+    ids=["oscillator2d-kappa-5e16", "bosonQuadratic-cutoff-40"],
+)
+def test_an_ill_conditioned_metric_passes_every_check_on_its_bounds(
+        tmp_path, capsys, monkeypatch, config):
+    # the checks read F, whose entries do not grow with kappa: no check fails past 1e14
+    path = config if isinstance(config, str) else write_config(tmp_path, config)
+    code, lines, calls = verify_lines(path, capsys, monkeypatch)
+    assert code == EXIT_OK
+    assert [l.split(":")[0] for l in lines] == [
+        "PASS metric_pd", "PASS pseudo_hermiticity", "PASS reality", "PASS isospectrality",
+        "PASS eta_norm"]
+    assert all("certified" in l for l in lines[2:])
+    assert calls == []
+
+
+def test_a_numerical_failure_is_a_failed_entry(tmp_path, capsys, monkeypatch):
+    # lmg at cutoff 40 with gammas +-1.45: F's bound does not certify eta_norm (||F|| is
+    # large), and the fallback's eigen-expansion refuses its basis, of condition ~3.1e50
+    payload = {"model": {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [1.45, -1.45],
+                         "cutoff": 40}}
+    code, lines, _ = verify_lines(write_config(tmp_path, payload), capsys, monkeypatch)
     assert code == EXIT_CHECK_FAILED
     assert len(lines) == 5
-    assert lines[0].startswith("PASS metric_pd")
-    assert lines[1].startswith("FAIL pseudo_hermiticity: residual=inf")
-    assert "failed: metric condition number" in lines[1]
-    assert lines[3].startswith("FAIL isospectrality: residual=inf")
-    assert "failed: metric condition number" in lines[3]
-    assert lines[1].split("  ", 1)[1] == lines[3].split("  ", 1)[1]
+    assert all(l.startswith("PASS") for l in lines[:4])
+    assert lines[4].startswith("FAIL eta_norm: residual=inf")
+    assert "failed: eigenvector matrix condition" in lines[4]
 
 
 def test_exit_config_error(tmp_path, capsys):

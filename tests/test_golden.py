@@ -81,8 +81,8 @@ def test_golden_report(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_calls_no_general_eig_where_the_bounds_certify(tmp_path, monkeypatch, name):
-    # every golden check either passes on its bound from the hermitian form or, on
-    # the ill-conditioned config, fails on the metric's condition number first
+    # every golden check passes on its bound from the hermitian form, the
+    # ill-conditioned config's too
     calls = []
     for fn in ("eig", "eigvals"):
         def recorded(*args, _fn=fn, _real=getattr(np.linalg, fn), **kwargs):

@@ -499,13 +499,15 @@ def test_eta_norm_is_certified_where_the_eigen_expansion_drifts():
 
 def test_isospectrality_bound_adds_only_the_imaginary_part_the_real_reads_dropped():
     # osc_sweep's point at gamma = 0: both sectors are read as real forms, each dropping an
-    # imaginary part of ~1e-14, so the bound is F's rounding, 1.6e-12; adding
-    # REAL_FORM_TOL (1 + ||F||_F), the most any sector could drop, made it 3.3e-11
+    # imaginary part of ~1e-14, so the bound is F's rounding, 1.6e-12, plus the backward
+    # error of the larger solve, m eps max |lam| / (1 - m eps) = 1.35e-12 at m = 145 and
+    # max |lam| = 41.9; adding REAL_FORM_TOL (1 + ||F||_F), the most any sector could
+    # drop, made it 3.3e-11, and leaving out the solves' error made it 1.66e-12
     built = build_model({**OSC_SWEEP_SEED_1, "gamma": 0.0})
     iso, reality = run_suite(built.h, built.w, built.u, checks=["isospectrality", "reality"]).checks
     assert reality.detail.endswith("2 sectors, largest 145, 2 real, 0 folded, 0 mirrored")
     bound = float(iso.detail.split("<= ")[1].split(",")[0])
-    assert iso.detail.startswith("certified") and 1.6e-12 <= bound <= 1.7e-12
+    assert iso.detail.startswith("certified") and 2.95e-12 <= bound <= 3.05e-12
 
 
 def sector_reads(model):
@@ -527,9 +529,10 @@ def full_blocks(f, sectors, d):
 
 
 def within_weyl(vals, full, moved):
-    """``vals`` match ``full`` within ``moved``, plus the rounding of the two ``eigvalsh``
-    solves, which no bound counts: ``sqrt(m) eps max |lam|`` each (at m = 4096, a fold
-    and a full solve differ by up to 38 eps max |lam| beyond ``moved``)."""
+    """``vals`` match ``full`` within ``moved``, plus ``sqrt(m) eps max |lam|`` for each of
+    the two ``eigvalsh`` solves (at m = 4096 a fold and a full solve differ by up to 38 eps
+    max |lam| beyond the part the flip dropped).  ``moved`` counts the backward error of
+    the solve behind ``vals`` too; that of ``full`` it does not."""
     solves = 2.0 * np.sqrt(len(full)) * np.finfo(float).eps * np.max(np.abs(full), initial=1.0)
     return np.max(np.abs(np.sort(vals) - full)) <= moved + solves
 
@@ -634,26 +637,34 @@ def flip_symmetric(scale, m=64, pair=False, seed=11):
     return h, eps * np.linalg.norm(odd)
 
 
+def solve_error(vals, m):
+    """``eigvalsh``'s backward error on a block of size ``m`` that returned ``vals``:
+    ``m eps ||b||_2``, with ``||b||_2 <= max |vals| / (1 - m eps)``."""
+    eps = np.finfo(float).eps
+    return m * eps * float(np.max(np.abs(vals))) / (1.0 - m * eps)
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["fold", "pair"])
 @pytest.mark.parametrize("scale", [0.9, 1.1])
 def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(pair, scale):
-    from metriq.linops import _pattern_components
     from metriq.verify import _hermitian_form
 
     h, dropped = flip_symmetric(scale, pair=pair)
     w = np.ones(len(h))
-    form = _hermitian_form(_Triplets.of(h), w, None, *_pattern_components(_Triplets.of(h)))
+    form = _hermitian_form(_Triplets.of(h), w, None)
     admitted = (0, 0) if scale > 1 else ((0, 1) if pair else (1, 0))
     assert (form.n_folded, form.n_mirrored) == admitted
     ref = np.sort(np.linalg.eigvalsh(h))
-    if scale > 1:  # refused: each sector solved whole, as before
-        assert form.weyl == 0.0
+    if scale > 1:  # refused: each sector solved whole, as before, and its term is that solve's
         blocks = np.split(np.arange(len(h)), 2 if pair else 1)
-        np.testing.assert_array_equal(form.eigenvalues, np.sort(np.concatenate(
-            [np.linalg.eigvalsh(h[s][:, s]) for s in blocks])))
-    else:  # the Weyl term carries the drop, and the rounding of the fold's sums
+        lam = [np.linalg.eigvalsh(h[s][:, s]) for s in blocks]
+        np.testing.assert_array_equal(form.eigenvalues, np.sort(np.concatenate(lam)))
+        assert form.weyl == max(solve_error(vals, len(vals)) for vals in lam)
+    else:  # the Weyl term carries the drop, the rounding of the fold's sums and the solves'
+        # error: each fold half, and the pair's partner, is a block of len(h) / 2
         rounding = 3 * np.finfo(float).eps * np.linalg.norm(h)
-        assert 0.999 * dropped <= form.weyl <= 1.001 * dropped + rounding
+        solves = solve_error(form.eigenvalues, len(h) // 2)
+        assert 0.999 * dropped + solves <= form.weyl <= 1.001 * dropped + rounding + solves
         assert within_weyl(form.eigenvalues, ref, form.weyl)
 
 
@@ -682,20 +693,24 @@ def test_every_certified_bound_carries_the_rounding_of_f():
     assert eta.residual >= np.expm1(10.0 * 2.0 * rounding)
 
 
-@pytest.mark.parametrize("gamma", [0.6, 0.7, 0.8])
+@pytest.mark.parametrize("gamma", [0.6, 0.7, 0.8, 1.5, 3.0])
 def test_pseudo_hermiticity_sees_a_defect_in_the_lightest_row(gamma):
-    # one entry of the lightest row off by half its value; kappa = e^{40 gamma}
-    from metriq.linops import is_pseudo_hermitian
+    # one entry of the lightest row off by half its value; kappa = e^{40 gamma}, up to
+    # e^120 (1.3e52), the most the overflow guard admits for this mode
+    from metriq.linops import COND_LIMIT, is_pseudo_hermitian
 
     built = build_model({"kind": "bosonQuadratic", "alpha": [[2.0]], "beta": [[0.5]],
                          "gammas": [gamma], "cutoff": 20})
     h = built.h.dense()
     h[20, 18] *= 1.5
-    assert np.argmin(built.w) == 20 and np.max(built.w) / built.w[20] < 1e14
+    assert np.argmin(built.w) == 20
     (ph,) = run_suite(h, built.w, built.u, checks=["pseudo_hermiticity"]).checks
-    assert not ph.passed and ph.residual > 1e-2
-    # eta H weighs that row by its weight: at gamma = 0.8 its defect is below tolerance
-    assert is_pseudo_hermitian(h, np.diag(built.w))[0] is (gamma == 0.8)
+    # F's rows weigh alike, so the residual does not shrink as kappa grows
+    assert not ph.passed and ph.residual == pytest.approx(3.03e-2, rel=1e-2)
+    # eta H weighs that row by its weight: at gamma = 0.8 its defect is below tolerance;
+    # the dense API refuses a metric past its condition limit
+    if np.max(built.w) / built.w[20] < COND_LIMIT:
+        assert is_pseudo_hermitian(h, np.diag(built.w))[0] is (gamma == 0.8)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0])
@@ -709,6 +724,25 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
     lam = hermitian_form_eigenvalues(form, w, u)
     assert np.array_equal(form, h)
     assert np.array_equal(lam, eigenvalues(h))
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(weight):
+    # F has no finite form: pseudo_hermiticity and isospectrality fail naming the weight,
+    # metric_pd fails on it, and reality and eta_norm read spectrum(H) instead
+    h, w, u = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
+    w = w.copy()
+    w[0] = weight
+    report = run_suite(h, w, u)
+    verdicts = [(c.name, c.passed) for c in report.checks]
+    assert verdicts == [("metric_pd", False), ("pseudo_hermiticity", False), ("reality", True),
+                        ("isospectrality", False), ("eta_norm", False)]
+    no_form = f"failed: F has no finite form: weight w[0] = {weight:.3e} is not positive"
+    assert [c.detail for c in report.checks[1::2]] == [no_form, no_form]
+    assert report.checks[2].detail.startswith("eig:") and report.checks[4].detail.startswith("eig:")
+    assert report.decomposition is not None and report._eigenvalues is None
+    again = run_suite(h, w, u)
+    assert [c.to_dict() for c in again.checks] == [c.to_dict() for c in report.checks]
 
 
 @pytest.mark.parametrize(
