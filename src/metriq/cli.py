@@ -517,6 +517,7 @@ def _run_point(
     run_checks: bool,
     run_spectrum: bool,
     built: _Built | None = None,
+    solved: list | None = None,
 ) -> tuple[list[CheckResult], list[list[float]]]:
     built = _build_model(spec) if built is None else built
     results: list[CheckResult] = []
@@ -530,12 +531,13 @@ def _run_point(
             extra.append(_bogoliubov_check(built.form, tol))
         suite_tols = {k: v for k, v in tolerances.items() if k in DEFAULT_TOLERANCES}
         report = run_suite(built.h, built.w, built.u, checks=suite, tolerances=suite_tols,
-                           seed=seed, extra_checks=extra)
+                           seed=seed, extra_checks=extra, _solved=solved)
         results = list(report.checks)
         eigs = report._eigenvalues  # the spectrum below reuses the checks' own
     spectra: list[list[float]] = []
     if run_spectrum:
-        lam = eigs if eigs is not None else hermitian_form_eigenvalues(built.h, built.w, built.u)
+        lam = eigs if eigs is not None else hermitian_form_eigenvalues(
+            built.h, built.w, built.u, _solved=solved)
         spectra = [[float(z.real), float(z.imag)] for z in lam]
     return results, spectra
 
@@ -561,8 +563,10 @@ def _execute(
     spectra_out: list[dict] = []
     errors: list[str] = []
     exit_code = EXIT_OK
+    solved: list = ["", None]  # this point's label, and the last point whose sectors were solved
     for value, params in points:
         label = "" if value is None else f"[{config.sweep.path}={value:g}] "
+        solved[0] = label.strip()
         try:
             results, eigenvalues = _run_point(
                 ModelSpec(config.model.kind, params),
@@ -572,6 +576,7 @@ def _execute(
                 run_checks=run_checks,
                 run_spectrum=run_spectrum,
                 built=config._built if value is None else None,
+                solved=solved,
             )
         except _NUMERICAL_ERRORS as exc:
             errors.append(f"{label}numerical failure: {exc}")

@@ -135,6 +135,9 @@ class _HermitianForm(NamedTuple):
     anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
     slack: float  # relative error of each entry of F: rounding plus u's unitarity defect
     weyl: float  # the most any sector's eigenvalues moved by its reads' drops and its solves
+    f: _Triplets  # F itself, which a later sweep point compares with
+    at: str = ""  # the sweep point whose sectors were solved
+    gap: float | None = None  # ||F - F_at||_F, where this point took the sectors solved at `at`
 
     def spectrum(self) -> np.ndarray | None:
         """``H``'s eigenvalues, if ``F``'s defect is within the isospectrality tolerance."""
@@ -201,22 +204,24 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
     return lam, route, weyl
 
 
-def _hermitian_form(h: _Triplets, w, u) -> _HermitianForm:
+def _hermitian_form(h: _Triplets, w, u, solved: list | None = None) -> _HermitianForm:
     """One pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector of
     ``H``'s pattern, each made dense alone, then the norms of ``F`` as sums over its nonzeros.
-    ``F`` has a finite form only if every weight is positive; else this raises."""
+    ``F`` has a finite form only if every weight is positive; else this raises.
+
+    ``solved``, ``[label, form]``, names this sweep point and holds the form of the last point
+    whose sectors were solved.  Where ``F`` has that form's pattern and lies within the Weyl
+    floor of its ``F``, this point takes its sectors, eigenvalues and routes and solves none;
+    else it solves its own and takes that form's place.  Defect and norms are always its own."""
     if w[k := int(np.argmin(w))] <= 0:
         raise NotPositiveDefiniteError(
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
-    sectors, d = _pattern_components(h)
     u = np.ones(len(w)) if u is None else as_state(u, len(w))
     defect = np.linalg.norm((u.conj() * u).real - 1.0)
     if defect > 1e-10 * len(u):
         raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
     left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
     f = h._replace(vals=h.vals * left[h.rows] * right[h.cols])  # F has H's pattern
-    d = d * u.conj()  # F's pattern phases, from H's phases d: rho is positive
-    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
     # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
     at, a = f.find(f.cols, f.rows), np.abs(f.vals)
     diff = np.hypot(np.linalg.norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()),
@@ -224,11 +229,27 @@ def _hermitian_form(h: _Triplets, w, u) -> _HermitianForm:
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     slack = float(_F_ROUNDING + np.max(np.abs((u.conj() * u).real - 1.0)))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
-    anti = diff / 2.0 + slack * np.sqrt(row * col)
-    return _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)),
+    anti, norm = float(diff / 2.0 + slack * np.sqrt(row * col)), float(np.linalg.norm(a))
+    del at, a  # not held through the sector solves
+    own = {"defect": float(diff), "norm": norm, "anti": anti, "slack": slack, "f": f}
+    last = solved[1] if solved else None
+    if (last is not None and all(map(np.array_equal, last.f[:3], f[:3]))  # dim, rows, cols
+            and (gap := float(np.linalg.norm(f.vals - last.f.vals))) <= _weyl_floor(norm, f.dim)):
+        # eigvalsh read M, F's lower triangle mirrored: M - M_last holds each strict lower entry
+        # of F - F_last twice and its diagonal once, so ||M - M_last||_F <= sqrt 2 gap, which
+        # moves each eigenvalue by at most that (Weyl) beyond what last's own reads moved them;
+        # the gap is always to a solved point, so no gap adds to another
+        return last._replace(**own, weyl=last.weyl + 2.0**0.5 * gap, gap=gap)
+    sectors, d = _pattern_components(h)
+    d *= u.conj()  # F's pattern phases, from H's phases d: rho is positive
+    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
+    form = _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)),
                           len(route) - route.count("complex"), route.count("folded"),
-                          route.count("mirrored"), float(diff), float(np.linalg.norm(a)),
-                          float(anti), slack, float(max(weyl)))
+                          route.count("mirrored"), weyl=float(max(weyl)),
+                          at=solved[0] if solved else "", **own)
+    if solved is not None:
+        solved[1] = form
+    return form
 
 
 def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
@@ -242,15 +263,16 @@ def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckR
     worst = np.inf if form is None else form.anti
     if worst <= tol:
         detail, sizes = f"certified: max |Im| <= {worst:.3e}", form.sizes
-        routes = (form.n_real, form.n_folded, form.n_mirrored)
+        routes = (form.n_real, form.n_folded, form.n_mirrored,
+                  "" if form.gap is None else f", reused from {form.at} (gap {form.gap:.1e})")
     else:
         eigs = decompose()
         lam = eigs.eigenvalues
         worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
         detail = f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}"
-        sizes, routes = [len(s.indices) for s in eigs.sectors], (sum(eigs._real), 0, 0)
+        sizes, routes = [len(s.indices) for s in eigs.sectors], (sum(eigs._real), 0, 0, "")
     sectors = f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}"
-    routes = "{} real, {} folded, {} mirrored".format(*routes)
+    routes = "{} real, {} folded, {} mirrored{}".format(*routes)
     return CheckResult("reality", worst <= tol, worst, tol, f"{detail}, {sectors}, {routes}")
 
 
@@ -300,6 +322,7 @@ def run_suite(
     tolerances: Mapping[str, float] | None = None,
     seed: int = DEFAULT_SEED,
     extra_checks: Sequence[CheckResult] = (),
+    _solved: list | None = None,
 ) -> VerificationReport:
     """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
 
@@ -321,6 +344,8 @@ def run_suite(
         32 times on [0, 10].
     extra_checks : sequence of CheckResult
         Pre-computed results to append (e.g. model-specific checks).
+    _solved : list, optional
+        A sweep's ``[this point's label, last solved form]``, as ``_hermitian_form`` reads it.
 
     Returns a :class:`VerificationReport`; failing checks are entries, not
     exceptions.  Pseudo-hermiticity and isospectrality fail on the hermiticity
@@ -342,7 +367,7 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
     # each on first use, then shared; spectrum(H) only where a bound does not certify
-    form = functools.cache(lambda: _hermitian_form(h, w, u))
+    form = functools.cache(lambda: _hermitian_form(h, w, u, _solved))
     decompose = functools.cache(lambda: spectrum(h))
 
     def bounds() -> _HermitianForm | None:  # None where F has no finite form
@@ -376,20 +401,21 @@ def run_suite(
     )
 
 
-def hermitian_form_eigenvalues(h, w, u=None) -> np.ndarray:
+def hermitian_form_eigenvalues(h, w, u=None, *, _solved: list | None = None) -> np.ndarray:
     """Eigenvalues of ``H`` from the nonzeros of ``F = (U rho) H (U rho)^{-1}``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
     Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form where
     Weyl's bound allows), read if ``F``'s hermiticity defect is within the isospectrality
     tolerance, else, or where ``F`` has no finite form, ``H`` goes to ``eigenvalues``.
-    Weights are checked as in :func:`run_suite`, whose spectrum takes the same rule.
+    Weights are checked as in :func:`run_suite`, whose spectrum takes the same rule, and
+    ``_solved`` is as there.
     """
     h = _Triplets.of(h)
     w = _weights(w, h.dim)
     lam = None
     with contextlib.suppress(NotPositiveDefiniteError):  # F has no finite form
-        lam = _hermitian_form(h, w, u).spectrum()
+        lam = _hermitian_form(h, w, u, _solved).spectrum()
     return eigenvalues(h) if lam is None else lam
 
 

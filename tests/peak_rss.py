@@ -5,10 +5,13 @@
 Run from the repository root.  Each gate runs one CLI command as a child
 process, with every RuntimeWarning raised as an error as in tier-1, and
 passes if the child exits 0 within its bound on ``ru_maxrss``; its wall
-time is printed beside its peak, and bounds nothing.
+time is printed beside its peak, and bounds nothing.  A sweep's gate also
+prints its point count times the wall time of the same command on its first
+point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 """
+import json
 import os
 import sys
 import time
@@ -26,6 +29,11 @@ GATES = (
     ("spectrum", "tests/configs/xxz_transverse_n12.json", 135, False),
     # the same sector, every check certified from the same pass over the hermitian form
     ("run", "tests/configs/xxz_transverse_n12.json", 135, False),
+    # the same chain over 4 values of gammas[0]: the deformation leaves F as it is, so the
+    # later points take the first point's eigenvalues and solve nothing; holding the solved
+    # point's F costs O(nnz) and must not raise the peak; measured at 111 MiB in 2.2 s,
+    # against 2.1 s for the one point above
+    ("run", "tests/configs/xxz_transverse_n12_sweep.json", 135, False),
     # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
     # measured at 44 MiB, so the bound leaves 16 MiB, less than a dense complex H (43 MiB)
@@ -34,7 +42,7 @@ GATES = (
 
 
 def main() -> int:
-    failed = False
+    failed, last_wall = False, 0.0
     for command, config, limit, show in GATES:
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config]
         quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
@@ -44,8 +52,13 @@ def main() -> int:
         wall = time.perf_counter() - started
         code = os.waitstatus_to_exitcode(status)
         peak_mib = usage.ru_maxrss / 1024
-        print(f"metriq {command} {config}: exit {code}, wall {wall:.1f} s, "
+        with open(config) as f:
+            sweep = json.load(f).get("sweep")
+        against = "" if sweep is None else (
+            f" against {len(sweep['values'])} x {last_wall:.1f} s for one point")
+        print(f"metriq {command} {config}: exit {code}, wall {wall:.1f} s{against}, "
               f"peak RSS {peak_mib:.0f} MiB (limit {limit})", flush=True)
+        last_wall = wall
         failed |= code != 0 or peak_mib > limit
     return 1 if failed else 0
 

@@ -1,6 +1,7 @@
 """Config parsing, report emission, and exit codes of the batch front end."""
 import collections
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -17,11 +18,13 @@ from metriq.cli import (
     OutputSpec,
     RunConfig,
     SweepSpec,
+    _apply_sweep,
     main,
     parse_config,
     serialize_config,
 )
-from test_verify import CHAIN_N10
+from metriq.verify import hermitian_form_eigenvalues
+from test_verify import CHAIN_N10, OSC_SWEEP_SEED_1, build_model
 
 OSC_CONFIG = {
     "model": {
@@ -398,17 +401,50 @@ def test_sweep_into_invalid_point_reports_error(tmp_path, capsys):
     assert len(report["spectra"]) == 1
 
 
+CHAIN_N4 = {**CHAIN_N10, "n_sites": 4, "gammas": CHAIN_N10["gammas"][:4],
+            "xis": CHAIN_N10["xis"][:4]}
+# sweeps that move only the deformation, so every point has one hermitian form F
+DEFORMATION_SWEEPS = {
+    "oscillator2d-gamma": (OSC_SWEEP_SEED_1 | {"gamma": 0.0, "cutoff": 8}, "gamma",
+                           [0.0, 0.1, 0.2, 0.3]),
+    "xxzAsymmetric-gammas[1]": (CHAIN_N4, "gammas[1]", [-0.1, 0.0, 0.2, 0.4]),
+}
+
+
+def eigvalsh_shapes(monkeypatch) -> list:
+    """The shapes ``np.linalg.eigvalsh`` is called with from here on."""
+    shapes, numpy_eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: shapes.append(np.shape(a)) or numpy_eigvalsh(a))
+    return shapes
+
+
+def solves_alone(model, monkeypatch) -> list:
+    """The ``eigvalsh`` shapes of ``model``'s spectrum alone, outside any sweep."""
+    with monkeypatch.context() as m:
+        shapes = eigvalsh_shapes(m)
+        built = build_model(model)
+        hermitian_form_eigenvalues(built.h, built.w, built.u)
+    return shapes
+
+
+def certified_deviation(check) -> float:
+    """The eigenvalue deviation bound an isospectrality entry certified."""
+    assert "certified: eigenvalue deviation <= " in check["detail"]
+    return float(check["detail"].split("<= ")[1].split(",")[0])
+
+
 def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkeypatch):
     import metriq.cli
 
     real_eigenvalues = metriq.cli.hermitian_form_eigenvalues
     calls = []
 
-    def flaky_eigenvalues(h, w, u):
+    def flaky_eigenvalues(h, w, u, fails=(2,), **kwargs):
         calls.append(h)
-        if len(calls) == 2:
+        if len(calls) in fails:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigenvalues(h, w, u)
+        return real_eigenvalues(h, w, u, **kwargs)
 
     monkeypatch.setattr(metriq.cli, "hermitian_form_eigenvalues", flaky_eigenvalues)
     payload = {
@@ -422,6 +458,25 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
     assert report["error"] == (
         "[delta=0.5] numerical failure: Eigenvalues did not converge"
     )
+
+    # a deformation sweep that fails at its first and third points: the second solves, and
+    # the fourth and fifth reuse it, the last point solved, across the third's failure
+    once = solves_alone(_apply_sweep(CHAIN_N4, "gammas[1]", 0.1), monkeypatch)
+    shapes = eigvalsh_shapes(monkeypatch)
+    calls.clear()
+    monkeypatch.setattr(metriq.cli, "hermitian_form_eigenvalues",
+                        lambda *args, **kwargs: flaky_eigenvalues(*args, fails=(1, 3), **kwargs))
+    payload = {"model": CHAIN_N4,
+               "sweep": {"path": "gammas[1]", "values": [0.0, 0.1, 0.2, 0.3, 0.4]}}
+    code = main(["spectrum", write_config(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert [s["sweepValue"] for s in report["spectra"]] == [0.1, 0.3, 0.4]
+    assert report["error"] == ("[gammas[1]=0] numerical failure: Eigenvalues did not converge; "
+                               "[gammas[1]=0.2] numerical failure: Eigenvalues did not converge")
+    assert shapes == once
+    for lam in report["spectra"][1:]:
+        assert lam["eigenvalues"] == report["spectra"][0]["eigenvalues"]
 
 
 @pytest.mark.parametrize("command", ["run", "spectrum"])
@@ -457,6 +512,49 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     assert calls == {name: 6 for name in per_point}
     # the chain is real up to a diagonal phase gauge: every solve is real
     assert dtypes == {(name, np.dtype(float)) for name in per_point}
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMATION_SWEEPS))
+def test_a_sweep_of_the_deformation_solves_its_sectors_once(tmp_path, capsys, monkeypatch, name):
+    model, path, values = DEFORMATION_SWEEPS[name]
+    points = [_apply_sweep(model, path, v) for v in values]
+    once = solves_alone(points[0], monkeypatch)
+    shapes = eigvalsh_shapes(monkeypatch)
+    payload = {"model": model, "sweep": {"path": path, "values": values}}
+    code = main(["run", write_config(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and all(c["passed"] for c in report["checks"])
+    assert shapes == once  # the first point's solves, and no other
+    reality = [c for c in report["checks"] if c["name"] == "reality"]
+    iso = [c for c in report["checks"] if c["name"] == "isospectrality"]
+    assert "reused" not in reality[0]["detail"]
+    for k, (point, block) in enumerate(zip(points, report["spectra"])):
+        if k:
+            assert re.search(rf", reused from \[{re.escape(path)}={values[0]:g}\] "
+                             r"\(gap \d\.\de-\d\d\)$", reality[k]["detail"])
+        # the spectrum each point reports lies within its own certified deviation of the
+        # one it would read alone
+        built = build_model(point)
+        alone = hermitian_form_eigenvalues(built.h, built.w, built.u)
+        lam = np.asarray(block["eigenvalues"]) @ [1.0, 1j]
+        assert np.max(np.abs(lam - alone)) <= certified_deviation(iso[k])
+
+
+def test_a_sweep_that_changes_the_pattern_solves_each_point(tmp_path, capsys, monkeypatch):
+    # a transverse field on one site joins the Sz sectors into one: no point reuses another
+    model = CHAIN_N4 | {"fields_a": [0.0] * 4}
+    points = [_apply_sweep(model, "fields_a[0]", v) for v in (0.0, 0.3)]
+    each = [solves_alone(point, monkeypatch) for point in points]
+    # Sz sectors 1, 4, 6, 4, 1: the 6 folded in two, the last two mirrors; then one sector of
+    # 16, folded in two
+    assert each == [[(1, 1), (4, 4), (3, 3), (3, 3)], [(8, 8)] * 2]
+    shapes = eigvalsh_shapes(monkeypatch)
+    payload = {"model": model, "sweep": {"path": "fields_a[0]", "values": [0.0, 0.3]}}
+    code = main(["run", write_config(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert shapes == each[0] + each[1]
+    assert not any("reused" in c["detail"] for c in report["checks"])
 
 
 def test_spectrum_of_a_transverse_chain_matches_its_hermitian_counterpart(tmp_path, capsys):

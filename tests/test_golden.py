@@ -13,8 +13,11 @@ thread count and with any rounding-level change of the matrix.
 their eigenvalues from another LAPACK path than ``run``: ``eigvalsh`` of the
 hermitian-equivalent form.  They must match the same pins by the same rules.
 
-Regenerate (only when a change of verdict or spectrum is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+Re-record configs (only when a change of verdict or spectrum is intended) by name with
+``PYTHONPATH=src python tests/test_golden.py NAME...``: only the named entries are
+rewritten, and every other entry stays as it is.  With no names it
+lists the config names, re-records nothing and exits 2, so a pin that records
+rounding, such as the ill-conditioned spectrum, moves only when it is named.
 """
 import json
 from pathlib import Path
@@ -137,9 +140,38 @@ def test_run_with_no_spectral_check_matches_the_golden_spectra(tmp_path, name):
     assert_matches_the_golden_spectrum(name, lam)
 
 
-if __name__ == "__main__":
+def rerecord(names, fixture: Path = FIXTURE) -> None:
+    """Re-record the entries ``names`` of ``fixture`` and keep every other one."""
     import tempfile
 
+    unknown = set(names) - set(CONFIGS)
+    if unknown:
+        raise ValueError(f"no golden config named {sorted(unknown)}; known: {sorted(CONFIGS)}")
+    pins = json.loads(fixture.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        fixture = {name: record(Path(tmp), model) for name, model in CONFIGS.items()}
-    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
+        pins.update({name: record(Path(tmp), CONFIGS[name]) for name in names})
+    fixture.write_text(json.dumps(pins, indent=1) + "\n")
+
+
+def test_rerecording_one_config_leaves_every_other_entry_as_it_was(tmp_path):
+    fixture = tmp_path / "golden_reports.json"
+    pins = json.loads(FIXTURE.read_text())
+    pins["gradedMatrix"] = {"exit_code": -1, "checks": [], "spectra": []}
+    fixture.write_text(json.dumps(pins, indent=1) + "\n")
+    rerecord(["gradedMatrix"], fixture)
+    got = json.loads(fixture.read_text())
+    assert list(got) == list(pins)
+    assert got["gradedMatrix"]["exit_code"] == 0
+    assert {k: v for k, v in got.items() if k != "gradedMatrix"} == {
+        k: v for k, v in pins.items() if k != "gradedMatrix"}
+    with pytest.raises(ValueError, match="no golden config named"):
+        rerecord(["nope"], fixture)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) < 2:
+        print(f"usage: python tests/test_golden.py NAME...; names: {', '.join(CONFIGS)}")
+        sys.exit(2)
+    rerecord(sys.argv[1:])

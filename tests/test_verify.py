@@ -668,6 +668,85 @@ def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(pai
         assert within_weyl(form.eigenvalues, ref, form.weyl)
 
 
+def moved_along_the_top_eigenvector(scales, m=64, seed=12):
+    """A small real symmetric ``S`` and ``S + eps v v^T`` for each scale, ``v`` the eigenvector
+    of ``S``'s largest ``|lam|``: ``||eps v v^T||_F = eps`` is the scale times the Weyl floor
+    under which a state point may take ``S``'s eigenvalues, and that eigenvalue moves by all of
+    ``eps``.  ``S`` is small, so its solve's backward error is far below the floor."""
+    rng = np.random.default_rng(seed)
+    g = 1e-3 * rng.normal(size=(m, m))
+    s = g + g.T
+    lam, vecs = np.linalg.eigh(s)
+    v = vecs[:, np.argmax(np.abs(lam))]
+    floor = REAL_FORM_TOL * (1.0 + np.linalg.norm(s) / np.sqrt(m))
+    return s, [s + scale * floor * np.outer(v, v) for scale in scales]
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_a_sweep_point_takes_the_solved_eigenvalues_only_within_the_weyl_floor(monkeypatch, scale):
+    from metriq.verify import _hermitian_form
+
+    s, (moved,) = moved_along_the_top_eigenvector([scale])
+    w = np.ones(len(s))
+    state = ["[x=0]", None]
+    solved = _hermitian_form(_Triplets.of(s), w, None, state)
+    assert state[1] is solved and solved.gap is None and solved.at == "[x=0]"
+    calls = []
+    numpy_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or numpy_eigvalsh(a))
+    state[0] = "[x=1]"
+    form = _hermitian_form(_Triplets.of(moved), w, None, state)
+    ref = numpy_eigvalsh(moved)
+    if scale > 1:  # refused: solved anew, and it takes the solved point's place
+        assert calls == [len(s)] and state[1] is form
+        assert form.gap is None and form.at == "[x=1]"
+        np.testing.assert_array_equal(form.eigenvalues, ref)
+        return
+    # admitted: nothing solved, the solved point stays the one to compare with
+    assert calls == [] and state[1] is solved
+    assert form.eigenvalues is solved.eigenvalues and form.at == "[x=0]"
+    assert form.gap == pytest.approx(np.linalg.norm(moved - s), rel=1e-12)
+    assert form.defect == 0.0 and form.norm == pytest.approx(np.linalg.norm(moved), rel=1e-15)
+    # the top eigenvalue moved by the whole gap, which only the gap's own term covers
+    assert np.max(np.abs(form.eigenvalues - ref)) > 10.0 * solved.weyl
+    assert form.weyl == solved.weyl + np.sqrt(2.0) * form.gap
+    assert within_weyl(form.eigenvalues, ref, form.weyl)
+
+
+def test_a_sweep_point_is_held_to_the_last_point_solved_not_to_the_one_before():
+    from metriq.verify import _hermitian_form
+
+    # each point lies 0.6 of the floor from the one before: the second is within the floor
+    # of the first, the third only of the second, so it is solved, and the fourth reuses it
+    s, moved = moved_along_the_top_eigenvector([0.6, 1.2, 1.8])
+    w = np.ones(len(s))
+    state = ["[x=0]", None]
+    forms = []
+    for k, h in enumerate([s, *moved]):
+        state[0] = f"[x={k}]"
+        forms.append(_hermitian_form(_Triplets.of(h), w, None, state))
+    assert [form.at for form in forms] == ["[x=0]", "[x=0]", "[x=2]", "[x=2]"]
+    assert [form.gap is None for form in forms] == [True, False, True, False]
+    assert state[1] is forms[2]
+    for form, h in zip(forms, [s, *moved]):
+        assert within_weyl(form.eigenvalues, np.linalg.eigvalsh(h), form.weyl)
+
+
+def test_a_sweep_point_of_another_pattern_is_solved_anew_though_its_values_match():
+    from metriq.verify import _hermitian_form
+
+    # both hold 1, 2, 2, 2, 3 in row order, at other positions: sectors {0, 1}, {2} and
+    # {0, 2}, {1}, and other eigenvalues
+    first = np.array([[1.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    second = np.array([[1.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 3.0]])
+    state = ["[x=0]", None]
+    _hermitian_form(_Triplets.of(first), np.ones(3), None, state)
+    state[0] = "[x=1]"
+    form = _hermitian_form(_Triplets.of(second), np.ones(3), None, state)
+    assert form.gap is None and state[1] is form
+    np.testing.assert_allclose(form.eigenvalues, np.linalg.eigvalsh(second), rtol=0, atol=1e-14)
+
+
 def test_eta_norm_bound_covers_the_fastest_growing_state_to_the_grid_end():
     # F = eps [[0, 1], [-1, 0]] has eigenvalues +-i eps: the state (1, i) / sqrt(2)
     # grows as e^{eps t}, its norm by e^{20 eps} - 1 at t = 10
