@@ -517,11 +517,10 @@ def _run_point(
     run_checks: bool,
     run_spectrum: bool,
     built: _Built | None = None,
-    solved: list | None = None,
+    solved: list,
 ) -> tuple[list[CheckResult], list[list[float]]]:
     built = _build_model(spec) if built is None else built
     results: list[CheckResult] = []
-    eigs = None
     if run_checks:
         selected = list(checks) if checks is not None else list(DEFAULT_TOLERANCES)
         suite = [c for c in selected if c != "bogoliubov"]
@@ -533,11 +532,9 @@ def _run_point(
         report = run_suite(built.h, built.w, built.u, checks=suite, tolerances=suite_tols,
                            seed=seed, extra_checks=extra, _solved=solved)
         results = list(report.checks)
-        eigs = report._eigenvalues  # the spectrum below reuses the checks' own
     spectra: list[list[float]] = []
-    if run_spectrum:
-        lam = eigs if eigs is not None else hermitian_form_eigenvalues(
-            built.h, built.w, built.u, _solved=solved)
+    if run_spectrum:  # at gap 0 this takes the sectors the checks just solved
+        lam = hermitian_form_eigenvalues(built.h, built.w, built.u, _solved=solved)
         spectra = [[float(z.real), float(z.imag)] for z in lam]
     return results, spectra
 

@@ -38,6 +38,10 @@ GATES = (
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
     # measured at 44 MiB, so the bound leaves 16 MiB, less than a dense complex H (43 MiB)
     ("verify", "tests/configs/boson_quadratic_cutoff40.json", 60, True),
+    # lmg at cutoff 40 with gammas +-1.45 (dim 1681, 160 sectors, the largest 21): kappa ~ 6e100,
+    # and eta_norm's bound misses its tolerance, so a probe is evolved in the eigenvectors of
+    # the hermitian form's sectors; every check must pass; measured at 42 MiB
+    ("verify", "tests/configs/lmg_cutoff40.json", 60, True),
 )
 
 

@@ -280,17 +280,58 @@ def test_an_ill_conditioned_metric_passes_every_check_on_its_bounds(
     assert calls == []
 
 
+def eta_norm_fallback(lines):
+    """The residual and detail of ``metriq verify``'s ``eta_norm`` line."""
+    residual, detail = re.fullmatch(r"PASS eta_norm: residual=(\S+) tolerance=\S+  (.*)",
+                                    lines[4]).groups()
+    return float(residual), detail
+
+
+def test_an_eta_norm_the_bound_misses_passes_on_the_expansion_in_f(capsys, monkeypatch):
+    # lmg at cutoff 40 with gammas +-1.45 (kappa ~ 6e100): F's bound reads 7.7e-10 against
+    # 1e-10 (||F||_F ~ 1.2e4), and H's eigenvectors have condition ~3.1e50, which the
+    # expansion refuses; F's are near unitary, and its probe's norm drifts at rounding
+    config = str(Path(__file__).with_name("configs") / "lmg_cutoff40.json")
+    code, lines, calls = verify_lines(config, capsys, monkeypatch)
+    assert code == EXIT_OK
+    assert [l.split(":")[0] for l in lines] == [
+        "PASS metric_pd", "PASS pseudo_hermiticity", "PASS reality", "PASS isospectrality",
+        "PASS eta_norm"]
+    residual, detail = eta_norm_fallback(lines)
+    assert detail.startswith("eig: ") and residual < 1e-13
+    assert set(calls) == {"eig"}  # F's sectors, each once; eigvals of H never runs
+
+
+def test_the_fallback_on_f_stays_at_rounding_where_the_bound_misses(tmp_path, capsys):
+    # osc_sweep's seed-1 stiffnesses at gamma 0.49: F's bound, 4.0e-12, misses a 1e-12
+    # tolerance, and the expansion in H's eigenvectors drifts by 2.8e-10
+    config = write_config(tmp_path, {"model": {**OSC_SWEEP_SEED_1, "gamma": 0.49}})
+    code = main(["verify", config, "--tol", "eta_norm=1e-12"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == EXIT_OK and len(lines) == 5
+    residual, detail = eta_norm_fallback(lines)
+    assert detail.startswith("eig: ") and residual < 1e-13
+    # the drift carries the bound's term for u and F's rounding, 2 artanh(16 eps)
+    assert residual >= 2.0 * np.arctanh(16 * np.finfo(float).eps)
+
+
 def test_a_numerical_failure_is_a_failed_entry(tmp_path, capsys, monkeypatch):
-    # lmg at cutoff 40 with gammas +-1.45: F's bound does not certify eta_norm (||F|| is
-    # large), and the fallback's eigen-expansion refuses its basis, of condition ~3.1e50
-    payload = {"model": {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [1.45, -1.45],
-                         "cutoff": 40}}
-    code, lines, _ = verify_lines(write_config(tmp_path, payload), capsys, monkeypatch)
+    # every check but metric_pd reads F; a LinAlgError where it is formed fails each of
+    # them as an entry, and verify still prints all five
+    import metriq.verify
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(metriq.verify, "_hermitian_form", broken)
+    code = main(["verify", write_config(tmp_path, OSC_CONFIG)])
+    lines = capsys.readouterr().out.strip().splitlines()
     assert code == EXIT_CHECK_FAILED
-    assert len(lines) == 5
-    assert all(l.startswith("PASS") for l in lines[:4])
-    assert lines[4].startswith("FAIL eta_norm: residual=inf")
-    assert "failed: eigenvector matrix condition" in lines[4]
+    assert len(lines) == 5 and lines[0].startswith("PASS metric_pd")
+    for line, name in zip(lines[1:], ["pseudo_hermiticity", "reality", "isospectrality",
+                                       "eta_norm"]):
+        assert line.startswith(f"FAIL {name}: residual=inf")
+        assert line.endswith("failed: no convergence")
 
 
 def test_exit_config_error(tmp_path, capsys):

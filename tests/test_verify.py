@@ -225,32 +225,29 @@ def test_a_rotation_fails_reality_through_the_fallback():
 def test_decomposition_is_shared_and_only_computed_when_needed(monkeypatch):
     import metriq.verify
 
-    calls = collections.Counter()
+    calls, decomposed = collections.Counter(), []
     for name in ("spectrum", "_hermitian_form"):
         def counted(*args, _name=name, _real=getattr(metriq.verify, name), **kwargs):
             calls[_name] += 1
+            decomposed.extend(args[:1] if _name == "spectrum" else ())
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(metriq.verify, name, counted)
     h, eta, u = oscillator_fixture(cutoff=6)
     # one pass over F serves four checks; its bounds certify, so no eig runs
-    report = run_suite(h, eta, u)
-    assert calls == {"_hermitian_form": 1}
-    assert report.decomposition is None
-    # the spectrum metriq run reports is the one metriq spectrum reads, bit for bit
-    np.testing.assert_array_equal(report._eigenvalues, hermitian_form_eigenvalues(h.copy(), eta, u))
-    calls.clear()
-    assert run_suite(h, eta, u, checks=["metric_pd", "pseudo_hermiticity"])._eigenvalues is not None
+    assert run_suite(h, eta, u).all_passed
     assert calls == {"_hermitian_form": 1}
     calls.clear()
-    subset = run_suite(h, eta, u, checks=["metric_pd"])
-    assert subset.decomposition is None and subset._eigenvalues is None
+    run_suite(h, eta, u, checks=["metric_pd"])
     assert not calls
-    # under a metric that does not fit H no bound certifies: the three spectral
-    # checks fall back to one shared spectrum(H), and F gives no eigenvalues
-    report = run_suite(h, 1.0 / eta, u)
+    # under a metric that does not fit H no bound certifies: the three spectral checks
+    # fall back to one shared spectrum, of F's nonzeros, not H's
+    run_suite(h, 1.0 / eta, u)
     assert calls == {"_hermitian_form": 1, "spectrum": 1}
-    assert report.decomposition is not None and report._eigenvalues is None
+    root = np.sqrt(1.0 / eta)
+    (f,) = decomposed
+    np.testing.assert_allclose(f.dense(), (u * root)[:, None] * h * (u.conj() / root),
+                               rtol=1e-15, atol=0)
 
 
 def pseudo_hermitian_pair(dim, n_sectors, seed):
@@ -378,7 +375,8 @@ def test_run_suite_reads_a_dense_h_as_the_cli_reads_its_nonzeros():
         built = build_model(model)
         dense, triplets = (run_suite(h, built.w, built.u) for h in (built.h.dense(), built.h))
         assert [c.to_dict() for c in dense.checks] == [c.to_dict() for c in triplets.checks]
-        np.testing.assert_array_equal(dense._eigenvalues, triplets._eigenvalues)
+        np.testing.assert_array_equal(*(hermitian_form_eigenvalues(h, built.w, built.u)
+                                        for h in (built.h.dense(), built.h)))
 
 
 @pytest.mark.parametrize("n_sectors", [1, 5])
@@ -806,9 +804,15 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0])
-def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(weight):
-    # F has no finite form: pseudo_hermiticity and isospectrality fail naming the weight,
-    # metric_pd fails on it, and reality and eta_norm read spectrum(H) instead
+def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(monkeypatch, weight):
+    # F has no finite form: pseudo_hermiticity, isospectrality and eta_norm fail naming the
+    # weight, metric_pd fails on it, and reality alone reads spectrum(H) instead
+    import metriq.verify
+
+    decomposed = []
+    real_spectrum = metriq.verify.spectrum
+    monkeypatch.setattr(metriq.verify, "spectrum",
+                        lambda a: decomposed.append(a) or real_spectrum(a))
     h, w, u = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
     w = w.copy()
     w[0] = weight
@@ -817,9 +821,10 @@ def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(weight):
     assert verdicts == [("metric_pd", False), ("pseudo_hermiticity", False), ("reality", True),
                         ("isospectrality", False), ("eta_norm", False)]
     no_form = f"failed: F has no finite form: weight w[0] = {weight:.3e} is not positive"
-    assert [c.detail for c in report.checks[1::2]] == [no_form, no_form]
-    assert report.checks[2].detail.startswith("eig:") and report.checks[4].detail.startswith("eig:")
-    assert report.decomposition is not None and report._eigenvalues is None
+    assert [report.checks[k].detail for k in (1, 3, 4)] == [no_form] * 3
+    assert report.checks[2].detail.startswith("eig:")
+    (read,) = decomposed
+    assert np.array_equal(read.dense(), h)
     again = run_suite(h, w, u)
     assert [c.to_dict() for c in again.checks] == [c.to_dict() for c in report.checks]
 
