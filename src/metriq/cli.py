@@ -26,6 +26,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,50 +147,6 @@ _CHAIN = {  # the fields of a SpinChainSpec
     "fields_c": (False, _real_list, None),
 }
 
-_SCHEMAS: dict[str, dict] = {
-    "oscillator2d": {
-        "k1": (True, _real, None),
-        "k2": (True, _real, None),
-        "k3": (True, _real, None),
-        "m": (False, _real, 1.0),
-        "gamma": (False, _real, 0.0),
-        "xi": (False, _real, 0.0),
-        "cutoff": (False, _positive_int, 16),
-    },
-    "bosonQuadratic": {
-        "alpha": (True, _matrix, None),
-        "beta": (True, _matrix, None),
-        **_deformation(required=True),
-        "cutoff": (False, _positive_int, 12),
-    },
-    "lmg": {
-        "omega0": (True, _real, None),
-        "omega": (True, _real, None),
-        **_deformation(required=True),
-        "cutoff": (False, _positive_int, 12),
-    },
-    "fermionQuadratic": {
-        "hopping": (True, _matrix, None),
-        "pairing": (True, _matrix, None),
-        **_deformation(required=True),
-    },
-    "xxzAsymmetric": {**_CHAIN, **_deformation(required=False)},
-    "xxzSymmetric": {
-        **_CHAIN,
-        "gamma": (False, _real, 0.0),
-        "xi": (False, _real, 0.0),
-    },
-    "haldaneShastry": {
-        "n_sites": (True, _positive_int, None),
-        **_deformation(required=False),
-        "sign": (False, _sign, 1),
-    },
-    "gradedMatrix": {
-        "core": (True, _matrix, None),
-        "grades": (True, _real_list, None),
-    },
-}
-
 _CHECK_NAMES = tuple(DEFAULT_TOLERANCES) + ("bogoliubov",)
 
 
@@ -248,11 +205,11 @@ def _normalize_model(block: dict) -> ModelSpec:
     if "kind" not in block:
         raise ConfigError("'model' needs a 'kind' field")
     kind = block["kind"]
-    if not isinstance(kind, str) or kind not in _SCHEMAS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(
-            f"unknown model kind {kind!r}; expected one of {sorted(_SCHEMAS)}"
+            f"unknown model kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    schema = _SCHEMAS[kind]
+    schema = _KINDS[kind].schema
     unknown = set(block) - set(schema) - {"kind"}
     if unknown:
         raise ConfigError(f"unknown field(s) for {kind}: {sorted(unknown)}")
@@ -265,16 +222,6 @@ def _normalize_model(block: dict) -> ModelSpec:
         elif default is not None:
             params[name] = default
     return ModelSpec(kind, params)
-
-
-def _validate_model(spec: ModelSpec) -> _Built:
-    """Construct the underlying objects so type invariants are enforced."""
-    try:
-        return _build_model(spec)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _parse_sweep(block: dict, model: ModelSpec) -> SweepSpec:
@@ -293,8 +240,8 @@ def _parse_sweep(block: dict, model: ModelSpec) -> SweepSpec:
         raise ConfigError("sweep values must be a non-empty list")
     values = tuple(_real(f"values[{i}]", v) for i, v in enumerate(values))
     name, _ = _resolve_sweep_slot(model.params, path)
-    if _SCHEMAS[model.kind][name][1] is _positive_int:
-        raise ConfigError(f"sweep path {path!r} names an integer parameter")
+    if _KINDS[model.kind].schema[name][1] not in (_real, _real_list):
+        raise ConfigError(f"sweep path {path!r} names a matrix or integer parameter")
     return SweepSpec(path, values)
 
 
@@ -349,18 +296,20 @@ def parse_config(text: str) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("config needs a 'model' block")
     model = _normalize_model(raw["model"])
-    built = _validate_model(model)
+    built = _build_model(model)
 
     checks: tuple[str, ...] | None = None
     if "checks" in raw:
         block = raw["checks"]
         if not isinstance(block, list) or not block:
             raise ConfigError("'checks' must be a non-empty list of names")
-        for name in block:
+        for i, name in enumerate(block):
             if name not in _CHECK_NAMES:
                 raise ConfigError(
                     f"unknown check {name!r}; expected one of {sorted(_CHECK_NAMES)}"
                 )
+            if name in block[:i]:
+                raise ConfigError(f"duplicate check {name!r}")
         if "bogoliubov" in block and model.kind != "bosonQuadratic":
             raise ConfigError("check 'bogoliubov' applies only to bosonQuadratic")
         checks = tuple(block)
@@ -465,22 +414,67 @@ def _build_graded(p: dict) -> _Built:
     return _Built(w=gm.metric_weights, h=_Triplets.of(gm.realized))
 
 
-_BUILDERS = {
-    "oscillator2d": _build_oscillator,
-    "bosonQuadratic": _build_boson_quadratic,
-    "lmg": _build_lmg_model,
-    "fermionQuadratic": _build_fermion,
-    "xxzAsymmetric": lambda p: _build_chain(p, _metric_spec(p, p["n_sites"])),
-    "xxzSymmetric": lambda p: _build_chain(
+class _Kind(NamedTuple):
+    schema: dict
+    build: Callable[[dict], _Built]
+
+
+_KINDS: dict[str, _Kind] = {
+    "oscillator2d": _Kind({
+        "k1": (True, _real, None),
+        "k2": (True, _real, None),
+        "k3": (True, _real, None),
+        "m": (False, _real, 1.0),
+        "gamma": (False, _real, 0.0),
+        "xi": (False, _real, 0.0),
+        "cutoff": (False, _positive_int, 16),
+    }, _build_oscillator),
+    "bosonQuadratic": _Kind({
+        "alpha": (True, _matrix, None),
+        "beta": (True, _matrix, None),
+        **_deformation(required=True),
+        "cutoff": (False, _positive_int, 12),
+    }, _build_boson_quadratic),
+    "lmg": _Kind({
+        "omega0": (True, _real, None),
+        "omega": (True, _real, None),
+        **_deformation(required=True),
+        "cutoff": (False, _positive_int, 12),
+    }, _build_lmg_model),
+    "fermionQuadratic": _Kind({
+        "hopping": (True, _matrix, None),
+        "pairing": (True, _matrix, None),
+        **_deformation(required=True),
+    }, _build_fermion),
+    "xxzAsymmetric": _Kind({**_CHAIN, **_deformation(required=False)},
+                           lambda p: _build_chain(p, _metric_spec(p, p["n_sites"]))),
+    "xxzSymmetric": _Kind({
+        **_CHAIN,
+        "gamma": (False, _real, 0.0),
+        "xi": (False, _real, 0.0),
+    }, lambda p: _build_chain(
         p, MetricSpec([p["gamma"]] * p["n_sites"], [p["xi"]] * p["n_sites"])
-    ),
-    "haldaneShastry": _build_haldane_shastry,
-    "gradedMatrix": _build_graded,
+    )),
+    "haldaneShastry": _Kind({
+        "n_sites": (True, _positive_int, None),
+        **_deformation(required=False),
+        "sign": (False, _sign, 1),
+    }, _build_haldane_shastry),
+    "gradedMatrix": _Kind({
+        "core": (True, _matrix, None),
+        "grades": (True, _real_list, None),
+    }, _build_graded),
 }
 
 
 def _build_model(spec: ModelSpec) -> _Built:
-    return _BUILDERS[spec.kind](spec.params)
+    """Build ``spec``'s model; a builder's ``ValueError`` or ``TypeError`` is a ``ConfigError``."""
+    try:
+        return _KINDS[spec.kind].build(spec.params)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +503,25 @@ def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
 
 
 def _run_point(
-    spec: ModelSpec,
+    built: _Built,
     checks: tuple[str, ...] | None,
     tolerances: dict,
     seed: int,
     *,
     run_checks: bool,
     run_spectrum: bool,
-    built: _Built | None = None,
     solved: list,
 ) -> tuple[list[CheckResult], list[list[float]]]:
-    built = _build_model(spec) if built is None else built
     results: list[CheckResult] = []
-    if run_checks:
-        selected = list(checks) if checks is not None else list(DEFAULT_TOLERANCES)
-        suite = [c for c in selected if c != "bogoliubov"]
-        extra = []
-        if "bogoliubov" in selected:
+    if run_checks:  # the suite's entries, then bogoliubov's
+        suite = None if checks is None else [c for c in checks if c != "bogoliubov"]
+        if suite != []:
+            tols = {k: v for k, v in tolerances.items() if k != "bogoliubov"}
+            results += run_suite(built.h, built.w, built.u, checks=suite, tolerances=tols,
+                                 seed=seed, _solved=solved).checks
+        if checks is not None and "bogoliubov" in checks:
             tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
-            extra.append(_bogoliubov_check(built.form, tol))
-        suite_tols = {k: v for k, v in tolerances.items() if k in DEFAULT_TOLERANCES}
-        report = run_suite(built.h, built.w, built.u, checks=suite, tolerances=suite_tols,
-                           seed=seed, extra_checks=extra, _solved=solved)
-        results = list(report.checks)
+            results.append(_bogoliubov_check(built.form, tol))
     spectra: list[list[float]] = []
     if run_spectrum:  # at gap 0 this takes the sectors the checks just solved
         lam = hermitian_form_eigenvalues(built.h, built.w, built.u, _solved=solved)
@@ -565,14 +555,14 @@ def _execute(
         label = "" if value is None else f"[{config.sweep.path}={value:g}] "
         solved[0] = label.strip()
         try:
+            built = config._built or _build_model(ModelSpec(config.model.kind, params))
             results, eigenvalues = _run_point(
-                ModelSpec(config.model.kind, params),
+                built,
                 config.checks,
                 tolerances,
                 seed,
                 run_checks=run_checks,
                 run_spectrum=run_spectrum,
-                built=config._built if value is None else None,
                 solved=solved,
             )
         except _NUMERICAL_ERRORS as exc:
@@ -690,6 +680,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text)
         tolerances = _parse_tol_flags(args.tol)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

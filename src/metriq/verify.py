@@ -320,7 +320,6 @@ def run_suite(
     checks: Sequence[str] | None = None,
     tolerances: Mapping[str, float] | None = None,
     seed: int = DEFAULT_SEED,
-    extra_checks: Sequence[CheckResult] = (),
     _solved: list | None = None,
 ) -> VerificationReport:
     """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
@@ -339,18 +338,18 @@ def run_suite(
     tolerances : mapping, optional
         Per-check tolerance overrides.
     seed : int
-        Seed for the random probe state of the eta-norm check, which samples
-        32 times on [0, 10].
-    extra_checks : sequence of CheckResult
-        Pre-computed results to append (e.g. model-specific checks).
+        Non-negative seed for the random probe state of the eta-norm check,
+        which samples 32 times on [0, 10].
     _solved : list, optional
         A sweep's ``[this point's label, last solved form]``, as ``_hermitian_form`` reads it.
 
-    Returns a :class:`VerificationReport`; failing checks are entries, not
-    exceptions.  Pseudo-hermiticity and isospectrality fail on the hermiticity
-    defect of the mapped form, or where it has no finite form (a weight that is
-    not positive).  Reality, isospectrality and the eta-norm pass on a bound
-    from that defect where it is within their tolerance, else on ``spectrum`` of
+    Returns a :class:`VerificationReport` of the selected checks in their
+    given order; failing checks are entries, not exceptions, and an unknown
+    check or tolerance name or a negative seed raises ``ValueError``.
+    Pseudo-hermiticity and isospectrality fail on the hermiticity defect of
+    the mapped form, or where it has no finite form (a weight that is not
+    positive).  Reality, isospectrality and the eta-norm pass on a bound from
+    that defect where it is within their tolerance, else on ``spectrum`` of
     ``F``: isospectrality compares its ``eig`` with ``eigvalsh``'s read, and the
     eta-norm evolves a seeded probe in ``F``'s frame.  Where ``F`` has no finite
     form the eta-norm fails too, and reality alone reads ``spectrum(H)``.
@@ -368,6 +367,8 @@ def run_suite(
     unknown = set(selected) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # each on first use, then shared; a decomposition only where a bound does not certify:
     # of F, or of H where F has no finite form, which only reality then reaches
     form = functools.cache(lambda: _hermitian_form(h, w, u, _solved))
@@ -392,7 +393,6 @@ def run_suite(
             results.append(run[name](tols[name]))
         except (ValueError, np.linalg.LinAlgError) as exc:
             results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
-    results.extend(extra_checks)
     return VerificationReport(tuple(results), time.perf_counter() - started, seed)
 
 

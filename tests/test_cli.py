@@ -38,6 +38,9 @@ OSC_CONFIG = {
     }
 }
 
+BOSON = {"kind": "bosonQuadratic", "alpha": [[2.0, 0.3], [0.3, 1.5]],
+         "beta": [[0.4, 0.1], [0.1, -0.2]], "gammas": [0.3, -0.2], "cutoff": 5}
+
 UNSTABLE_BOSON = {
     "model": {
         "kind": "bosonQuadratic",
@@ -123,6 +126,10 @@ def test_parse_sweep_rejections():
         # integer fields would be swept as floats
         (base["model"], {"path": "n_sites", "values": [4, 5]}, "integer parameter"),
         (osc, {"path": "cutoff", "values": [4, 5]}, "integer parameter"),
+        ({"kind": "haldaneShastry", "n_sites": 3}, {"path": "sign", "values": [1, 0.5]},
+         "integer parameter"),
+        # only real-valued fields sweep: a matrix row would be swept as one number
+        (BOSON, {"path": "alpha[0]", "values": [1.0]}, "matrix or integer parameter"),
     ):
         with pytest.raises(ConfigError, match=msg):
             parse_config(json.dumps({"model": model, "sweep": sweep}))
@@ -209,6 +216,7 @@ def test_parse_rejections():
         ({"model": dict(hs, sign=True)}, "must be 1 or -1"),
         ({"model": dict(hs, sign=2)}, "must be 1 or -1"),
         ({"model": hs, "checks": []}, "non-empty list of names"),
+        ({"model": hs, "checks": ["reality", "reality"]}, "duplicate check 'reality'"),
         ({"model": hs, "output": "out"}, "'output' must be an object"),
         ({"model": hs, "output": {"path": "x", "mode": "w"}}, "unknown field"),
         ({"model": hs, "output": {"format": "csv"}}, "string 'path'"),
@@ -241,6 +249,24 @@ def test_verify_exit_check_failed(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert "FAIL bogoliubov" in out
     assert "dMinEigenvalue=-5.000000e-01" in out
+
+
+@pytest.mark.parametrize("checks", [["bogoliubov", "reality", "metric_pd"], ["bogoliubov"]],
+                         ids=["with-suite", "alone"])
+def test_bogoliubov_follows_the_suite_entries(tmp_path, capsys, monkeypatch, checks):
+    # the CLI runs bogoliubov itself after run_suite's entries; alone, it calls no run_suite
+    import metriq.cli as cli
+
+    calls, run_suite = [], cli.run_suite
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda *args, **kw: calls.append(kw["checks"]) or run_suite(*args, **kw))
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {"model": BOSON, "checks": checks})
+    assert main(["verify", config, "--out", str(out)]) == EXIT_OK
+    suite = checks[1:]
+    names = [c["name"] for c in json.loads((out / "report.json").read_text())["checks"]]
+    assert names == [*suite, "bogoliubov"]
+    assert calls == ([suite] if suite else [])
 
 
 def verify_lines(config, capsys, monkeypatch):
@@ -341,6 +367,11 @@ def test_exit_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith("error:")
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG_ERROR
+    capsys.readouterr()
+    # a negative seed, though every check certifies here and no probe is drawn
+    code = main(["verify", write_config(tmp_path, OSC_CONFIG), "--seed", "-1"])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
 
 
 def test_run_emits_report(tmp_path, capsys):

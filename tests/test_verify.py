@@ -16,7 +16,6 @@ from metriq.oscillator2d import (
 from metriq.verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
-    CheckResult,
     GradedMatrix,
     VerificationReport,
     graded_conjugation_check,
@@ -100,12 +99,9 @@ def test_unknown_names_are_rejected():
         run_suite(E12, np.ones(2), tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="dimension mismatch"):
         run_suite(E12, np.ones(3))
-
-
-def test_extra_checks_are_appended():
-    extra = CheckResult("custom", True, 0.0, 1.0, "hand-made")
-    report = run_suite(E12, np.ones(2), checks=["metric_pd"], extra_checks=[extra])
-    assert report.checks[-1] is extra
+    # the probe's seed, though a bound certifies eta_norm here and no probe is drawn
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_suite(np.diag([1.0, 2.0]), np.ones(2), checks=["eta_norm"], seed=-1)
 
 
 def test_report_shape():
