@@ -150,6 +150,17 @@ _CHAIN = {  # the fields of a SpinChainSpec
 _CHECK_NAMES = tuple(DEFAULT_TOLERANCES) + ("bogoliubov",)
 
 
+def _check_names(names: list, kind: str, what: str) -> None:
+    """Refuse an unknown or repeated name, or bogoliubov off bosonQuadratic: checks and --tol."""
+    for i, name in enumerate(names):
+        if name not in _CHECK_NAMES:
+            raise ConfigError(f"unknown {what} {name!r}; expected one of {sorted(_CHECK_NAMES)}")
+        if name in names[:i]:
+            raise ConfigError(f"duplicate {what} {name!r}")
+    if "bogoliubov" in names and kind != "bosonQuadratic":
+        raise ConfigError(f"{what} 'bogoliubov' applies only to bosonQuadratic")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Validated model kind plus its normalized parameter block."""
@@ -303,15 +314,7 @@ def parse_config(text: str) -> RunConfig:
         block = raw["checks"]
         if not isinstance(block, list) or not block:
             raise ConfigError("'checks' must be a non-empty list of names")
-        for i, name in enumerate(block):
-            if name not in _CHECK_NAMES:
-                raise ConfigError(
-                    f"unknown check {name!r}; expected one of {sorted(_CHECK_NAMES)}"
-                )
-            if name in block[:i]:
-                raise ConfigError(f"duplicate check {name!r}")
-        if "bogoliubov" in block and model.kind != "bosonQuadratic":
-            raise ConfigError("check 'bogoliubov' applies only to bosonQuadratic")
+        _check_names(block, model.kind, "check")
         checks = tuple(block)
 
     sweep = _parse_sweep(raw["sweep"], model) if "sweep" in raw else None
@@ -623,16 +626,13 @@ def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
         (directory / "spectra.csv").write_text(csv_text + "\n")
 
 
-def _parse_tol_flags(pairs: list[str]) -> dict:
+def _parse_tol_flags(pairs: list[str], kind: str) -> dict:
     tols: dict = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"--tol expects NAME=VALUE, got {pair!r}")
-        if name not in _CHECK_NAMES:
-            raise ConfigError(
-                f"unknown tolerance {name!r}; expected one of {sorted(_CHECK_NAMES)}"
-            )
+        _check_names([*tols, name], kind, "tolerance")  # the names before this one, and it
         try:
             tols[name] = float(value)
         except ValueError:
@@ -679,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         config = parse_config(text)
-        tolerances = _parse_tol_flags(args.tol)
+        tolerances = _parse_tol_flags(args.tol, config.model.kind)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:

@@ -17,10 +17,7 @@ Conventions
 -----------
 * Operators are square 2-D ``numpy`` arrays, states are 1-D arrays, both
   ``complex128``; a sector that a phase gauge makes real is solved as real.
-  A model's ``H`` reaches the spectra and the checks as its nonzeros instead,
-  and a real read of its hermitian form that the index reversal (a chain's
-  global spin flip) keeps is solved from them as two halves, with no block of
-  the sector's full size.
+  A model's ``H`` reaches the spectra and the checks as its nonzeros instead.
 * Functions are pure: inputs are never mutated.
 * Eigenvalues are always reported sorted by (real part, imaginary part).
 """
@@ -35,7 +32,6 @@ __all__ = [
     "EPS_PD",
     "COND_LIMIT",
     "REALITY_TOL",
-    "REAL_FORM_TOL",
     "BLOCK",
     "DEFAULT_TOL",
     "NotHermitianError",
@@ -68,10 +64,6 @@ EPS_PD = 1e-12
 COND_LIMIT = 1e14
 # An eigenvalue counts as real when |Im(lam)| <= REALITY_TOL * (1 + |lam|).
 REALITY_TOL = 1e-9
-# eigvalsh reads a hermitian F's lower triangle, S + iA with A antisymmetric; by
-# Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
-# is read as real when that is within _weyl_floor, whose scale this is.
-REAL_FORM_TOL = 1e-13
 # G = D A D^* of a non-normal A goes to real eig only if ||Im G||_F <= eps ||G||_F:
 # the dropped part is then within the rounding already in A, so the real solve is
 # backward stable for A as the complex one is; Bauer-Fike amplifies both by cond(V).
@@ -439,33 +431,6 @@ class _Triplets(NamedTuple):
         local = np.searchsorted(idx, self.rows[held]), np.searchsorted(idx, self.cols[held])
         return _Triplets(len(idx), *local, self.vals[held])
 
-    def mirrored(self) -> _Triplets:
-        """The hermitian matrix ``eigvalsh`` reads off this one: its lower triangle, mirrored."""
-        low = self.rows >= self.cols
-        r, c, v = self.rows[low], self.cols[low], self.vals[low]
-        off = r > c
-        rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
-        vals, order = np.concatenate([v, v[off].conj()]), np.argsort(rows * self.dim + cols)
-        return _Triplets(self.dim, rows[order], cols[order], vals[order])
-
-    def flip(self) -> _Triplets:
-        """``J a J`` for the index reversal ``J: i -> dim - 1 - i``, still sorted."""
-        top = self.dim - 1
-        return _Triplets(self.dim, top - self.rows[::-1], top - self.cols[::-1], self.vals[::-1])
-
-    def gap(self, other: _Triplets) -> float:
-        """``||self - other||_F`` of two matrices of one size, over both patterns."""
-        at = self.find(other.rows, other.cols)
-        vals, alone = np.append(self.vals, 0), np.ones(len(self.vals) + 1, dtype=bool)
-        alone[at] = False  # the entries of self that other lacks; -1 marks the appended 0
-        return float(np.hypot(np.linalg.norm(other.vals - vals[at]), np.linalg.norm(vals[alone])))
-
-
-def _weyl_floor(norm: float, m: int) -> float:
-    """The most a read of a hermitian block of size ``m`` and Frobenius norm ``norm`` may move
-    its eigenvalues by what it drops: ``REAL_FORM_TOL (1 + norm / sqrt m)``."""
-    return REAL_FORM_TOL * (1.0 + norm / np.sqrt(m))
-
 
 def _real_form(b: _Triplets, d, bound: float) -> tuple[_Triplets, float] | None:
     """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None) and the ``||Im||_F`` it drops, if
@@ -473,34 +438,6 @@ def _real_form(b: _Triplets, d, bound: float) -> tuple[_Triplets, float] | None:
     x = b.vals if d is None else d[b.rows] * b.vals * d.conj()[b.cols]
     im = float(np.linalg.norm(x.imag))
     return (b._replace(vals=x.real), im) if im <= bound else None
-
-
-def _real_read(b: _Triplets, d: np.ndarray) -> tuple[_Triplets, float | None]:
-    """What ``eigvalsh`` reads of the hermitian block ``b``: its real part, else its real form
-    under ``d``, if the ``sqrt 2 ||Im||_F`` it drops is within the Weyl floor, with that drop;
-    else ``b`` itself, and None."""
-    bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
-    g, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
-    return g, None if im is None else np.sqrt(2.0) * im
-
-
-def _fold_eigvalsh(g: _Triplets) -> np.ndarray:
-    """``eigvalsh`` of ``(g + J g J) / 2`` for a real symmetric ``g`` of even size, ``J`` the
-    index reversal.  On ``e_i +- e_{i'}`` (``i' = m - 1 - i``) it is two blocks ``A +- B R`` of
-    ``m / 2``: each entry ``(r, c, x)`` of ``g`` adds ``x / 2`` at ``(min(r, r'), min(c, c'))``,
-    times ``sigma(r) sigma(c)`` in the minus block (``sigma = -1`` on the upper half).  Each
-    block is built from the nonzeros and solved alone; ``eigvalsh`` reads its lower triangle."""
-    half, top = g.dim // 2, g.dim - 1
-    r, c = np.minimum(g.rows, top - g.rows), np.minimum(g.cols, top - g.cols)
-    low = r >= c
-    x, cross = g.vals[low] / 2.0, (g.rows[low] < half) != (g.cols[low] < half)
-    lam = []
-    for vals in (x, np.where(cross, -x, x)):
-        block = np.zeros((half, half))
-        np.add.at(block, (r[low], c[low]), vals)
-        lam.append(np.linalg.eigvalsh(block))
-        del block  # one block at a time
-    return np.concatenate(lam)
 
 
 def _pattern_components(t: _Triplets) -> tuple[list[np.ndarray], np.ndarray]:

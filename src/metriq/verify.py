@@ -12,12 +12,12 @@ Where the index reversal ``J``, a chain's global spin flip, keeps a sector's rea
 ``g`` within the Weyl floor of that read, the sector is solved as the two halves of
 ``(g + J g J) / 2``, or takes the eigenvalues of the sector ``J`` maps it onto, and the
 part dropped joins the bound; ``H`` itself is not ``J``-symmetric under a non-uniform metric.
-A check whose bound exceeds its tolerance is read off ``spectrum`` of ``F``'s nonzeros instead,
-whose eigenvectors, unlike ``H``'s, do not carry the metric's condition; ``H`` is decomposed
-only for reality, and only where ``F`` has no finite form.
-A failed check becomes a report entry rather than an exception; only structural
-misuse (wrong dimensions, invalid arguments) raises.  The spectrum without checks,
-:func:`hermitian_form_eigenvalues`, reads the same sectors of ``F``.
+A bound that misses its tolerance decomposes ``F``'s nonzeros instead, whose eigenvectors,
+unlike ``H``'s, do not carry the metric's condition, and ``H``'s only where ``F`` has no finite
+form: one rule for the checks and for :func:`hermitian_form_eigenvalues`, the spectrum
+without checks, which reads the same sectors of ``F``.  A failed check becomes a report entry
+rather than an exception; only structural misuse (wrong dimensions, a malformed ``w`` or
+``u``, invalid arguments) raises.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -35,13 +35,13 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import _guard_overflow, similarity
-from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, as_state
-from .linops import _EPS, _fold_eigvalsh, _pattern_components, _real_read, _Triplets, _weyl_floor
-from .linops import eigenvalues, spectrum
+from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, eigenvalues, spectrum
+from .linops import _EPS, _pattern_components, _real_form, _Triplets
 
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_TOLERANCES",
+    "REAL_FORM_TOL",
     "CheckResult",
     "VerificationReport",
     "run_suite",
@@ -113,10 +113,24 @@ def _weights(w, dim: int) -> np.ndarray:
     return w.astype(float)
 
 
+def _phases(u, dim: int) -> np.ndarray:
+    """``u`` as the diagonal of a unitary, all ones if None; raises unless it is one."""
+    u = np.ones(dim) if u is None else np.asarray(u, dtype=complex)
+    if u.shape != (dim,) or not np.all(np.isfinite(u)):
+        raise ValueError(f"u must be a finite 1-D vector of length {dim}, got shape {u.shape}")
+    if (defect := np.linalg.norm((u.conj() * u).real - 1.0)) > 1e-10 * dim:
+        raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
+    return u
+
+
 # Each entry of F, formed as left_i H_ij right_j, is within c eps of the exact similarity:
 # 10u (u = eps / 2) from its factors' root, product and quotient and its two complex
 # products, 10u more where a sector is read in its real gauge form; c = 16 covers both.
-_F_ROUNDING = 16 * np.finfo(float).eps
+_F_ROUNDING = 16 * _EPS
+# eigvalsh reads a hermitian F's lower triangle, S + iA with A antisymmetric; by
+# Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
+# is read as real when that is within _weyl_floor, whose scale this is.
+REAL_FORM_TOL = 1e-13
 _GRID = np.linspace(0.0, 10.0, 32)  # the eta-norm check's times, on [0, T]
 
 
@@ -137,11 +151,6 @@ class _HermitianForm(NamedTuple):
     at: str = ""  # the sweep point whose sectors were solved
     gap: float | None = None  # ||F - F_at||_F, where this point took the sectors solved at `at`
 
-    def spectrum(self) -> np.ndarray | None:
-        """``H``'s eigenvalues, if ``F``'s defect is within the isospectrality tolerance."""
-        ok = self.defect / (1.0 + self.norm) <= DEFAULT_TOLERANCES["isospectrality"]
-        return self.eigenvalues.astype(complex) if ok else None
-
 
 def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     vmin, vmax = float(np.min(w)), float(np.max(w))
@@ -156,8 +165,61 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
 _FOLD_ROUNDING = 3 * _EPS
 
 
+def _weyl_floor(norm: float, m: int) -> float:
+    """The most a read of a hermitian block of size ``m`` and Frobenius norm ``norm`` may move
+    its eigenvalues by what it drops: ``REAL_FORM_TOL (1 + norm / sqrt m)``."""
+    return REAL_FORM_TOL * (1.0 + norm / np.sqrt(m))
+
+
+def _real_read(b: _Triplets, d: np.ndarray) -> tuple[_Triplets, float | None]:
+    """What ``eigvalsh`` reads of the hermitian block ``b``: its real part, else its real form
+    under ``d``, if the ``sqrt 2 ||Im||_F`` it drops is within the Weyl floor, with that drop;
+    else ``b`` itself, and None."""
+    bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
+    g, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
+    return g, None if im is None else np.sqrt(2.0) * im
+
+
+def _fold_eigvalsh(g: _Triplets) -> np.ndarray:
+    """``eigvalsh`` of ``(g + J g J) / 2`` for a real symmetric ``g`` of even size, ``J`` the
+    index reversal.  On ``e_i +- e_{i'}`` (``i' = m - 1 - i``) it is two blocks ``A +- B R`` of
+    ``m / 2``: each entry ``(r, c, x)`` of ``g`` adds ``x / 2`` at ``(min(r, r'), min(c, c'))``,
+    times ``sigma(r) sigma(c)`` in the minus block (``sigma = -1`` on the upper half).  Each
+    block is built from the nonzeros and solved alone; ``eigvalsh`` reads its lower triangle."""
+    half, top = g.dim // 2, g.dim - 1
+    r, c = np.minimum(g.rows, top - g.rows), np.minimum(g.cols, top - g.cols)
+    low = r >= c
+    x, cross = g.vals[low] / 2.0, (g.rows[low] < half) != (g.cols[low] < half)
+    lam = []
+    for vals in (x, np.where(cross, -x, x)):
+        block = np.zeros((half, half))
+        np.add.at(block, (r[low], c[low]), vals)
+        lam.append(np.linalg.eigvalsh(block))
+        del block  # one block at a time
+    return np.concatenate(lam)
+
+
+def _mirrored(b: _Triplets) -> _Triplets:
+    """The hermitian matrix ``eigvalsh`` reads off ``b``: its lower triangle, mirrored."""
+    low = b.rows >= b.cols
+    r, c, v = b.rows[low], b.cols[low], b.vals[low]
+    off = r > c
+    rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+    vals, order = np.concatenate([v, v[off].conj()]), np.argsort(rows * b.dim + cols)
+    return _Triplets(b.dim, rows[order], cols[order], vals[order])
+
+
+def _flip_gap(a: _Triplets, b: _Triplets) -> float:
+    """``||a - J b J||_F`` over both patterns, ``J`` the index reversal ``i -> dim - 1 - i``."""
+    top = b.dim - 1  # J b J holds b's entries in reverse, still sorted
+    at = a.find(top - b.rows[::-1], top - b.cols[::-1])
+    own, alone = np.append(a.vals, 0), np.ones(len(a.vals) + 1, dtype=bool)
+    alone[at] = False  # the entries of a that J b J lacks; -1 marks the appended 0
+    return float(np.hypot(np.linalg.norm(b.vals[::-1] - own[at]), np.linalg.norm(own[alone])))
+
+
 def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
-    """``eigvalsh`` of each sector of ``F``, as :func:`~metriq.linops._real_read` reads it: per
+    """``eigvalsh`` of each sector of ``F``, as :func:`_real_read` reads it: per
     sector its eigenvalues, its route and the most they moved by what was dropped and by the
     solve's backward error.
 
@@ -181,12 +243,12 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
                  and (t > k or t in kept or (t == k and len(idx) % 2 == 0)))
         vals, how, moved = None, "real" if drop is not None else "complex", 0.0
         if flips:
-            g = g.mirrored()
+            g = _mirrored(g)
             norm = float(np.linalg.norm(g.vals))
             floor = _weyl_floor(norm, len(idx))  # as for the real read
-            if t == k and (gap := g.gap(g.flip()) / 2.0) <= floor:
+            if t == k and (gap := _flip_gap(g, g) / 2.0) <= floor:
                 vals, how, moved = _fold_eigvalsh(g), "folded", gap + _FOLD_ROUNDING * norm
-            elif t < k and (gap := g.gap(kept[t][0].flip())) <= floor:
+            elif t < k and (gap := _flip_gap(g, kept[t][0])) <= floor:
                 vals, how, moved = kept[t][1], "mirrored", gap
         if vals is None:
             vals = np.linalg.eigvalsh(g.dense())
@@ -202,7 +264,7 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
     return lam, route, weyl
 
 
-def _hermitian_form(h: _Triplets, w, u, solved: list | None = None) -> _HermitianForm:
+def _hermitian_form(h: _Triplets, w, u: np.ndarray, solved: list | None = None) -> _HermitianForm:
     """One pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector of
     ``H``'s pattern, each made dense alone, then the norms of ``F`` as sums over its nonzeros.
     ``F`` has a finite form only if every weight is positive; else this raises.
@@ -214,10 +276,6 @@ def _hermitian_form(h: _Triplets, w, u, solved: list | None = None) -> _Hermitia
     if w[k := int(np.argmin(w))] <= 0:
         raise NotPositiveDefiniteError(
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
-    u = np.ones(len(w)) if u is None else as_state(u, len(w))
-    defect = np.linalg.norm((u.conj() * u).real - 1.0)
-    if defect > 1e-10 * len(u):
-        raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
     left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
     f = h._replace(vals=h.vals * left[h.rows] * right[h.cols])  # F has H's pattern
     # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
@@ -345,7 +403,8 @@ def run_suite(
 
     Returns a :class:`VerificationReport` of the selected checks in their
     given order; failing checks are entries, not exceptions, and an unknown
-    check or tolerance name or a negative seed raises ``ValueError``.
+    check or tolerance name, a negative seed, or a malformed ``w`` or ``u``
+    raises ``ValueError``.
     Pseudo-hermiticity and isospectrality fail on the hermiticity defect of
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
@@ -356,7 +415,7 @@ def run_suite(
     A dense metric goes through the ``linops`` functions instead.
     """
     h = _Triplets.of(h)
-    w = _weights(w, h.dim)
+    w, u = _weights(w, h.dim), _phases(u, h.dim)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -402,16 +461,18 @@ def hermitian_form_eigenvalues(h, w, u=None, *, _solved: list | None = None) -> 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
     Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form where
     Weyl's bound allows), read if ``F``'s hermiticity defect is within the isospectrality
-    tolerance, else, or where ``F`` has no finite form, ``H`` goes to ``eigenvalues``.
-    Weights are checked as in :func:`run_suite`, and ``_solved`` is as there: after a
-    :func:`run_suite` whose checks read ``F``, the same list gives their sectors at gap 0.
+    tolerance; else ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no
+    finite form, by :func:`run_suite`'s rule.  Weights, phases and ``_solved`` are as there:
+    after a :func:`run_suite` whose checks read ``F``, the same list gives their sectors at gap 0.
     """
     h = _Triplets.of(h)
-    w = _weights(w, h.dim)
-    lam = None
+    w, u = _weights(w, h.dim), _phases(u, h.dim)
+    form = None
     with contextlib.suppress(NotPositiveDefiniteError):  # F has no finite form
-        lam = _hermitian_form(h, w, u, _solved).spectrum()
-    return eigenvalues(h) if lam is None else lam
+        form = _hermitian_form(h, w, u, _solved)
+    if form is not None and form.defect / (1.0 + form.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
+        return form.eigenvalues.astype(complex)
+    return eigenvalues(h if form is None else form.f)  # as run_suite's checks decompose
 
 
 # ---------------------------------------------------------------------------

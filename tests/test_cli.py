@@ -452,6 +452,19 @@ def test_tol_flags(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", path, "--tol", "reality=0"]) == EXIT_CONFIG_ERROR
     assert "positive and finite" in capsys.readouterr().err
+    # a name given twice, and bogoliubov on a kind that cannot run it, as in a checks block
+    hs = write_config(tmp_path, {"model": {"kind": "haldaneShastry", "n_sites": 3}}, "hs.json")
+    for flags, err in (
+        (["reality=1e-3", "eta_norm=1e-6", "reality=1e-20"], "duplicate tolerance 'reality'"),
+        (["bogoliubov=1e-3"], "tolerance 'bogoliubov' applies only to bosonQuadratic"),
+        (["bogoliubov=1e-3", "reality=1e-3", "reality=1e-20"], "'bogoliubov' applies only"),
+    ):
+        assert main(["verify", hs, *(x for f in flags for x in ("--tol", f))]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert err in captured.err and captured.out == ""
+    boson = write_config(tmp_path, {"model": BOSON}, "boson.json")
+    assert main(["verify", boson, "--tol", "bogoliubov=1e-3"]) == EXIT_OK
+    capsys.readouterr()
     # loosening a tolerance flips a failing check
     unstable = write_config(tmp_path, UNSTABLE_BOSON, name="unstable.json")
     assert main(["verify", unstable]) == EXIT_CHECK_FAILED

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metriq.bosonic import FockSpace
-from metriq.linops import BLOCK, REAL_FORM_TOL, MetricSpec, _Triplets, eigenvalues, spectrum
+from metriq.linops import BLOCK, MetricSpec, _Triplets, eigenvalues, spectrum
 from metriq.oscillator2d import (
     OscillatorParams,
     angular_momentum_diag,
@@ -16,6 +16,7 @@ from metriq.oscillator2d import (
 from metriq.verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
+    REAL_FORM_TOL,
     GradedMatrix,
     VerificationReport,
     graded_conjugation_check,
@@ -398,6 +399,24 @@ def test_hermitian_form_eigenvalues_take_eigvals_past_the_tolerance(monkeypatch,
     assert np.all(hermitian_form_eigenvalues(h.copy(), w, u).imag == 0.0)
 
 
+def test_hermitian_form_eigenvalues_decompose_f_past_the_tolerance(monkeypatch):
+    # run_suite's rule: a missed bound decomposes F's nonzeros, not H's, where F has a form
+    import metriq.verify
+
+    decomposed = []
+    real_eigenvalues = metriq.verify.eigenvalues
+    monkeypatch.setattr(metriq.verify, "eigenvalues",
+                        lambda a: decomposed.append(a) or real_eigenvalues(a))
+    h, w, u = pseudo_hermitian_pair(BLOCK + 1, 5, seed=5)
+    h[-1, -6] += 1e-6  # F's defect now exceeds the isospectrality tolerance
+    lam = hermitian_form_eigenvalues(h, w, u)
+    (f,) = decomposed
+    root = np.sqrt(w)
+    np.testing.assert_allclose(f.dense(), (u * root)[:, None] * h * (u.conj() / root),
+                               rtol=1e-15, atol=0)
+    assert np.max(np.abs(lam - eigenvalues(h))) <= 1e-12
+
+
 def chain(n, **fields):
     built = build_model({**CHAIN_N10, "n_sites": n, "gammas": CHAIN_N10["gammas"][:n],
                          "xis": CHAIN_N10["xis"][:n], **fields})
@@ -517,7 +536,7 @@ def sector_reads(model):
 
 def full_blocks(f, sectors, d):
     """``eigvalsh`` of each sector's read made dense whole: the route before the spin flip."""
-    from metriq.linops import _real_read
+    from metriq.verify import _real_read
 
     return [np.linalg.eigvalsh(_real_read(f.sector(idx), d[idx])[0].dense()) for idx in sectors]
 
@@ -645,7 +664,7 @@ def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(pai
 
     h, dropped = flip_symmetric(scale, pair=pair)
     w = np.ones(len(h))
-    form = _hermitian_form(_Triplets.of(h), w, None)
+    form = _hermitian_form(_Triplets.of(h), w, np.ones_like(w))
     admitted = (0, 0) if scale > 1 else ((0, 1) if pair else (1, 0))
     assert (form.n_folded, form.n_mirrored) == admitted
     ref = np.sort(np.linalg.eigvalsh(h))
@@ -683,13 +702,13 @@ def test_a_sweep_point_takes_the_solved_eigenvalues_only_within_the_weyl_floor(m
     s, (moved,) = moved_along_the_top_eigenvector([scale])
     w = np.ones(len(s))
     state = ["[x=0]", None]
-    solved = _hermitian_form(_Triplets.of(s), w, None, state)
+    solved = _hermitian_form(_Triplets.of(s), w, np.ones_like(w), state)
     assert state[1] is solved and solved.gap is None and solved.at == "[x=0]"
     calls = []
     numpy_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or numpy_eigvalsh(a))
     state[0] = "[x=1]"
-    form = _hermitian_form(_Triplets.of(moved), w, None, state)
+    form = _hermitian_form(_Triplets.of(moved), w, np.ones_like(w), state)
     ref = numpy_eigvalsh(moved)
     if scale > 1:  # refused: solved anew, and it takes the solved point's place
         assert calls == [len(s)] and state[1] is form
@@ -718,7 +737,7 @@ def test_a_sweep_point_is_held_to_the_last_point_solved_not_to_the_one_before():
     forms = []
     for k, h in enumerate([s, *moved]):
         state[0] = f"[x={k}]"
-        forms.append(_hermitian_form(_Triplets.of(h), w, None, state))
+        forms.append(_hermitian_form(_Triplets.of(h), w, np.ones_like(w), state))
     assert [form.at for form in forms] == ["[x=0]", "[x=0]", "[x=2]", "[x=2]"]
     assert [form.gap is None for form in forms] == [True, False, True, False]
     assert state[1] is forms[2]
@@ -734,9 +753,9 @@ def test_a_sweep_point_of_another_pattern_is_solved_anew_though_its_values_match
     first = np.array([[1.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     second = np.array([[1.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 3.0]])
     state = ["[x=0]", None]
-    _hermitian_form(_Triplets.of(first), np.ones(3), None, state)
+    _hermitian_form(_Triplets.of(first), np.ones(3), np.ones(3), state)
     state[0] = "[x=1]"
-    form = _hermitian_form(_Triplets.of(second), np.ones(3), None, state)
+    form = _hermitian_form(_Triplets.of(second), np.ones(3), np.ones(3), state)
     assert form.gap is None and state[1] is form
     np.testing.assert_allclose(form.eigenvalues, np.linalg.eigvalsh(second), rtol=0, atol=1e-14)
 
@@ -843,6 +862,25 @@ def test_malformed_weights_are_rejected_by_both_entry_points(w, message):
         with pytest.raises(ValueError, match=message):
             entry(form, w)
         assert np.array_equal(form, h)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.0], ids=["positive", "zero-weight"])
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (np.ones(3), "length 4, got shape"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "finite 1-D"),
+        (np.array([1.0, 2.0, 1.0, 1.0]), "not unitary"),
+    ],
+    ids=["length-3", "nan", "modulus-2"],
+)
+def test_malformed_phases_are_rejected_by_both_entry_points(u, message, weight):
+    # u is checked up front as w is, also where F has no finite form and u is never read
+    h, w, _ = pseudo_hermitian_pair(4, 1, seed=7)
+    w = w * [weight, 1.0, 1.0, 1.0]
+    for entry in (run_suite, hermitian_form_eigenvalues):
+        with pytest.raises(ValueError, match=message):
+            entry(h, w, u)
 
 
 # ---------------------------------------------------------------------------
