@@ -6,9 +6,9 @@ Subcommands
     Build the model, run the requested checks and compute spectra (per
     sweep point when a sweep is configured), emit a JSON report and
     optionally a CSV spectra table.  The checks pass on bounds from one pass
-    over the hermitian-equivalent form, whose eigenvalues are the spectrum,
-    read as for ``metriq spectrum``; a general ``eig`` runs only where a bound
-    does not certify a check.
+    over the hermitian-equivalent form and solve no eigenproblem; a general
+    ``eig`` runs only where a bound does not certify a check.  The spectrum is
+    read as for ``metriq spectrum``.
 ``metriq spectrum <config.json>``
     Spectra only: ``eigvalsh`` per sector of the hermitian-equivalent form
     ``F``, once ``F``'s hermiticity defect is within tolerance.
@@ -348,11 +348,10 @@ def serialize_config(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class _Built:
-    """Hamiltonian as its nonzeros, metric weights ``w`` (``eta = diag(w)``) and phases ``u``."""
+    """Hamiltonian as its nonzeros and metric weights ``w`` (``eta = diag(w)``)."""
 
     h: _Triplets
     w: np.ndarray
-    u: np.ndarray | None = None
     form: BosonQuadraticForm | None = None
 
 
@@ -360,8 +359,8 @@ class _Built:
 def _build_oscillator(p: dict) -> _Built:
     params = OscillatorParams(p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"])
     space = FockSpace(2, p["cutoff"])
-    w, u = similarity(angular_momentum_diag(space)[:, None], [params.w])
-    return _Built(build_xy_hamiltonian._triplets(params, space), w, u)
+    w = similarity(angular_momentum_diag(space)[:, None], [params.w])[0]
+    return _Built(build_xy_hamiltonian._triplets(params, space), w)
 
 
 def _metric_spec(p: dict, n: int) -> MetricSpec:
@@ -379,8 +378,8 @@ def _build_boson_quadratic(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
-    w, u = similarity(space.occupation_table(), ms.ws)
-    return _Built(build_quadratic_hamiltonian._triplets(space, form), w, u, form=form)
+    w = similarity(space.occupation_table(), ms.ws)[0]
+    return _Built(build_quadratic_hamiltonian._triplets(space, form), w, form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -388,28 +387,28 @@ def _build_lmg_model(p: dict) -> _Built:
     if ms.n != 2:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
-    w, u = similarity(space.occupation_table(), ms.ws)
-    return _Built(build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w, u)
+    w = similarity(space.occupation_table(), ms.ws)[0]
+    return _Built(build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    w, u = similarity(site_occupations(spec.n_sites), ms.ws)
-    return _Built(build_fermion_quadratic._triplets(spec), w, u)
+    w = similarity(site_occupations(spec.n_sites), ms.ws)[0]
+    return _Built(build_fermion_quadratic._triplets(spec), w)
 
 
 def _build_chain(p: dict, ms: MetricSpec) -> _Built:
     """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
     spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
-    w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
-    return _Built(build_xxz_asymmetric._triplets(spec), w, u)
+    w = similarity(0.5 - site_occupations(ms.n), ms.ws)[0]
+    return _Built(build_xxz_asymmetric._triplets(spec), w)
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
     ms = _metric_spec(p, p["n_sites"])
-    w, u = similarity(0.5 - site_occupations(ms.n), ms.ws)
-    return _Built(build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w, u)
+    w = similarity(0.5 - site_occupations(ms.n), ms.ws)[0]
+    return _Built(build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w)
 
 
 def _build_graded(p: dict) -> _Built:
@@ -520,14 +519,14 @@ def _run_point(
         suite = None if checks is None else [c for c in checks if c != "bogoliubov"]
         if suite != []:
             tols = {k: v for k, v in tolerances.items() if k != "bogoliubov"}
-            results += run_suite(built.h, built.w, built.u, checks=suite, tolerances=tols,
-                                 seed=seed, _solved=solved).checks
+            results += run_suite(built.h, built.w, checks=suite, tolerances=tols,
+                                 seed=seed).checks
         if checks is not None and "bogoliubov" in checks:
             tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
             results.append(_bogoliubov_check(built.form, tol))
     spectra: list[list[float]] = []
-    if run_spectrum:  # at gap 0 this takes the sectors the checks just solved
-        lam = hermitian_form_eigenvalues(built.h, built.w, built.u, _solved=solved)
+    if run_spectrum:
+        lam = hermitian_form_eigenvalues(built.h, built.w, _solved=solved)
         spectra = [[float(z.real), float(z.imag)] for z in lam]
     return results, spectra
 
@@ -553,10 +552,9 @@ def _execute(
     spectra_out: list[dict] = []
     errors: list[str] = []
     exit_code = EXIT_OK
-    solved: list = ["", None]  # this point's label, and the last point whose sectors were solved
+    solved: list = [None]  # the last point whose sectors were solved
     for value, params in points:
         label = "" if value is None else f"[{config.sweep.path}={value:g}] "
-        solved[0] = label.strip()
         try:
             built = config._built or _build_model(ModelSpec(config.model.kind, params))
             results, eigenvalues = _run_point(
@@ -626,7 +624,8 @@ def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
         (directory / "spectra.csv").write_text(csv_text + "\n")
 
 
-def _parse_tol_flags(pairs: list[str], kind: str) -> dict:
+def _parse_tol_flags(pairs: list[str], kind: str, runs: tuple[str, ...]) -> dict:
+    """``--tol NAME=VALUE`` pairs as a dict; refuses a name not in ``runs``, the checks that run."""
     tols: dict = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
@@ -639,6 +638,8 @@ def _parse_tol_flags(pairs: list[str], kind: str) -> dict:
             raise ConfigError(f"tolerance {name!r} needs a numeric value") from None
         if not (np.isfinite(tols[name]) and tols[name] > 0):
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
+        if name not in runs:
+            raise ConfigError(f"--tol {pair}: check {name!r} does not run")
     return tols
 
 
@@ -679,7 +680,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         config = parse_config(text)
-        tolerances = _parse_tol_flags(args.tol, config.model.kind)
+        # the config's checks block, else the suite's five; spectrum runs none
+        runs = () if args.command == "spectrum" else config.checks or tuple(DEFAULT_TOLERANCES)
+        tolerances = _parse_tol_flags(args.tol, config.model.kind, runs)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:

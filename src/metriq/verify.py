@@ -4,20 +4,24 @@
 metric and runs the standard battery (metric positivity, pseudo-hermiticity,
 spectral reality, isospectrality with the hermitian-equivalent form, eta-norm
 conservation under evolution).  With a diagonal metric every identity reads
-off one pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``, which has ``H``'s
-pattern, with only each sector of ``F`` made dense, for ``eigvalsh``: ``H^dag eta =
-eta H`` iff ``F`` is hermitian, and ``||F - F^dag||`` bounds how far ``H``'s spectrum can
-be from real and from ``eigvalsh`` of ``F``'s sectors, and the eta-norm from conserved.
-Where the index reversal ``J``, a chain's global spin flip, keeps a sector's real read
-``g`` within the Weyl floor of that read, the sector is solved as the two halves of
-``(g + J g J) / 2``, or takes the eigenvalues of the sector ``J`` maps it onto, and the
-part dropped joins the bound; ``H`` itself is not ``J``-symmetric under a non-uniform metric.
-A bound that misses its tolerance decomposes ``F``'s nonzeros instead, whose eigenvectors,
-unlike ``H``'s, do not carry the metric's condition, and ``H``'s only where ``F`` has no finite
-form: one rule for the checks and for :func:`hermitian_form_eigenvalues`, the spectrum
-without checks, which reads the same sectors of ``F``.  A failed check becomes a report entry
-rather than an exception; only structural misuse (wrong dimensions, a malformed ``w`` or
-``u``, invalid arguments) raises.
+off one pass over the nonzeros of ``F = rho H rho^{-1}``, which has ``H``'s
+pattern: ``H^dag eta = eta H`` iff ``F`` is hermitian, and ``||F - F^dag||``
+bounds how far ``H``'s spectrum can be from real and from that of ``F``'s
+hermitian read, and the eta-norm from conserved.  A diagonal unitary would
+change neither hermiticity nor spectrum, so none is taken, and no check that
+its bound certifies solves an eigenproblem.  A bound that misses its
+tolerance decomposes ``F``'s nonzeros instead, whose eigenvectors, unlike
+``H``'s, do not carry the metric's condition, and ``H``'s only where ``F`` has
+no finite form: one rule for the checks and for
+:func:`hermitian_form_eigenvalues`, the spectrum without checks.
+That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone.
+Where the index reversal ``J``, a chain's global spin flip, keeps a sector's
+real read ``g`` within the Weyl floor of that read, the sector is solved as
+the two halves of ``(g + J g J) / 2``, or takes the eigenvalues of the sector
+``J`` maps it onto, and the part dropped joins the spectrum's Weyl term;
+``H`` itself is not ``J``-symmetric under a non-uniform metric.  A failed
+check becomes a report entry rather than an exception; only structural
+misuse (wrong dimensions, a malformed ``w``, invalid arguments) raises.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -113,19 +117,9 @@ def _weights(w, dim: int) -> np.ndarray:
     return w.astype(float)
 
 
-def _phases(u, dim: int) -> np.ndarray:
-    """``u`` as the diagonal of a unitary, all ones if None; raises unless it is one."""
-    u = np.ones(dim) if u is None else np.asarray(u, dtype=complex)
-    if u.shape != (dim,) or not np.all(np.isfinite(u)):
-        raise ValueError(f"u must be a finite 1-D vector of length {dim}, got shape {u.shape}")
-    if (defect := np.linalg.norm((u.conj() * u).real - 1.0)) > 1e-10 * dim:
-        raise ValueError(f"u is not unitary: ||u^dag u - I|| = {defect:.3e}")
-    return u
-
-
-# Each entry of F, formed as left_i H_ij right_j, is within c eps of the exact similarity:
-# 10u (u = eps / 2) from its factors' root, product and quotient and its two complex
-# products, 10u more where a sector is read in its real gauge form; c = 16 covers both.
+# Each entry of F, formed as (H_ij sqrt(w_i)) (1 / sqrt(w_j)), is within 5u (u = eps / 2) of
+# the exact similarity, from its two roots, the reciprocal and the two products; c = 16 also
+# covers the 10u more of the real gauge read that a spectrum may make of a sector.
 _F_ROUNDING = 16 * _EPS
 # eigvalsh reads a hermitian F's lower triangle, S + iA with A antisymmetric; by
 # Weyl, reading S moves each eigenvalue by <= ||A||_2 <= sqrt(2) ||Im F||_F, so F
@@ -135,21 +129,21 @@ _GRID = np.linspace(0.0, 10.0, 32)  # the eta-norm check's times, on [0, T]
 
 
 class _HermitianForm(NamedTuple):
-    """Sorted ``eigvalsh`` of ``F = (U rho) H (U rho)^{-1}``'s sectors, and norms of ``F``."""
+    """``F = rho H rho^{-1}`` as its nonzeros, and the norms every check reads off it."""
 
-    eigenvalues: np.ndarray
-    sizes: tuple[int, ...]
-    n_real: int  # sectors read in real arithmetic
-    n_folded: int  # of those, sectors the spin flip maps to themselves, solved as two halves
-    n_mirrored: int  # and sectors that took the eigenvalues of the sector they mirror
+    f: _Triplets
     defect: float  # ||F - F^dag||_F
     norm: float  # ||F||_F
     anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
-    slack: float  # relative error of each entry of F: rounding plus u's unitarity defect
+
+
+class _Solved(NamedTuple):
+    """Sorted ``eigvalsh`` of ``F``'s sectors, and ``F`` as a later sweep point compares it."""
+
+    eigenvalues: np.ndarray
     weyl: float  # the most any sector's eigenvalues moved by its reads' drops and its solves
-    f: _Triplets  # F itself, which a later sweep point compares with
-    at: str = ""  # the sweep point whose sectors were solved
-    gap: float | None = None  # ||F - F_at||_F, where this point took the sectors solved at `at`
+    f: _Triplets
+    d: np.ndarray  # the phases of F's pattern, which put F in its gauge D F D^*
 
 
 def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
@@ -264,48 +258,50 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
     return lam, route, weyl
 
 
-def _hermitian_form(h: _Triplets, w, u: np.ndarray, solved: list | None = None) -> _HermitianForm:
-    """One pass over the nonzeros of ``F = (U rho) H (U rho)^{-1}``: ``eigvalsh`` per sector of
-    ``H``'s pattern, each made dense alone, then the norms of ``F`` as sums over its nonzeros.
-    ``F`` has a finite form only if every weight is positive; else this raises.
-
-    ``solved``, ``[label, form]``, names this sweep point and holds the form of the last point
-    whose sectors were solved.  Where ``F`` has that form's pattern and lies within the Weyl
-    floor of its ``F``, this point takes its sectors, eigenvalues and routes and solves none;
-    else it solves its own and takes that form's place.  Defect and norms are always its own."""
+def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
+    """One pass over the nonzeros of ``F = rho H rho^{-1}``: ``F`` itself, which has ``H``'s
+    pattern, and its norms as sums over its nonzeros.  ``F`` has a finite form only if every
+    weight is positive; else this raises."""
     if w[k := int(np.argmin(w))] <= 0:
         raise NotPositiveDefiniteError(
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
-    left, right = u * np.sqrt(w), u.conj() / np.sqrt(w)
-    f = h._replace(vals=h.vals * left[h.rows] * right[h.cols])  # F has H's pattern
+    root = np.sqrt(w)
+    f = h._replace(vals=h.vals * root[h.rows] * (1.0 / root)[h.cols])
     # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
     at, a = f.find(f.cols, f.rows), np.abs(f.vals)
     diff = np.hypot(np.linalg.norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()),
                     np.linalg.norm(a[at < 0]))
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
-    slack = float(_F_ROUNDING + np.max(np.abs((u.conj() * u).real - 1.0)))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
-    anti, norm = float(diff / 2.0 + slack * np.sqrt(row * col)), float(np.linalg.norm(a))
-    del at, a  # not held through the sector solves
-    own = {"defect": float(diff), "norm": norm, "anti": anti, "slack": slack, "f": f}
-    last = solved[1] if solved else None
-    if (last is not None and all(map(np.array_equal, last.f[:3], f[:3]))  # dim, rows, cols
-            and (gap := float(np.linalg.norm(f.vals - last.f.vals))) <= _weyl_floor(norm, f.dim)):
-        # eigvalsh read M, F's lower triangle mirrored: M - M_last holds each strict lower entry
-        # of F - F_last twice and its diagonal once, so ||M - M_last||_F <= sqrt 2 gap, which
-        # moves each eigenvalue by at most that (Weyl) beyond what last's own reads moved them;
-        # the gap is always to a solved point, so no gap adds to another
-        return last._replace(**own, weyl=last.weyl + 2.0**0.5 * gap, gap=gap)
-    sectors, d = _pattern_components(h)
-    d *= u.conj()  # F's pattern phases, from H's phases d: rho is positive
-    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
-    form = _HermitianForm(np.sort(np.concatenate(lam)), tuple(map(len, sectors)),
-                          len(route) - route.count("complex"), route.count("folded"),
-                          route.count("mirrored"), weyl=float(max(weyl)),
-                          at=solved[0] if solved else "", **own)
+    anti = float(diff / 2.0 + _F_ROUNDING * np.sqrt(row * col))
+    return _HermitianForm(f, float(diff), float(np.linalg.norm(a)), anti)
+
+
+def _eigvalsh_read(form: _HermitianForm, h: _Triplets, solved: list | None = None) -> _Solved:
+    """``eigvalsh`` of each sector of ``F``, by :func:`_sector_eigenvalues`, on ``H``'s sectors.
+
+    ``solved``, a one-item list that a sweep keeps across its points, holds the last point
+    whose sectors were solved.  Where ``F`` has that point's pattern and lies within the Weyl
+    floor of its ``F``, as it is or in the pattern's gauge, this point takes its eigenvalues
+    and solves none; else it solves its own and takes that point's place."""
+    f, last, floor = form.f, solved[0] if solved else None, _weyl_floor(form.norm, form.f.dim)
+    # eigvalsh read M, F's lower triangle mirrored: M - M_last holds each strict lower entry of
+    # F - F_last twice and its diagonal once, so ||M - M_last||_F <= sqrt 2 gap, which moves
+    # each eigenvalue by at most that (Weyl) beyond what last's own reads moved them; so does
+    # D M D^* for a diagonal unitary D; the gap is always to a solved point, so no gap adds up
+    same = last is not None and all(map(np.array_equal, last.f[:3], f[:3]))  # dim, rows, cols
+    if same and (gap := float(np.linalg.norm(f.vals - last.f.vals))) <= floor:
+        return last._replace(weyl=last.weyl + 2.0**0.5 * gap)
+    sectors, d = _pattern_components(h)  # F's pattern phases are H's: rho is positive
+    if same:  # D F D^*: the phases absorb a diagonal unitary that conjugates F, as xi does
+        g, g_last = (p[t.rows] * t.vals * p.conj()[t.cols] for t, p in ((f, d), (last.f, last.d)))
+        if (gap := float(np.linalg.norm(g - g_last))) <= floor:
+            return last._replace(weyl=last.weyl + 2.0**0.5 * gap)
+    lam, _, weyl = _sector_eigenvalues(f, sectors, d)
+    read = _Solved(np.sort(np.concatenate(lam)), float(max(weyl)), f, d)
     if solved is not None:
-        solved[1] = form
-    return form
+        solved[0] = read
+    return read
 
 
 def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
@@ -317,34 +313,29 @@ def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
 def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckResult:
     # lam = x^dag F x for a unit eigenvector x, so |Im lam| <= ||F_a||_2
     worst = np.inf if form is None else form.anti
-    if worst <= tol:
-        detail, sizes = f"certified: max |Im| <= {worst:.3e}", form.sizes
-        routes = (form.n_real, form.n_folded, form.n_mirrored,
-                  "" if form.gap is None else f", reused from {form.at} (gap {form.gap:.1e})")
-    else:
+    detail = f"certified: max |Im| <= {worst:.3e}"
+    if worst > tol:
         eigs = decompose()
-        lam = eigs.eigenvalues
+        lam, sizes = eigs.eigenvalues, [len(s.indices) for s in eigs.sectors]
         worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
-        detail = f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}"
-        sizes, routes = [len(s.indices) for s in eigs.sectors], (sum(eigs._real), 0, 0, "")
-    sectors = f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}"
-    routes = "{} real, {} folded, {} mirrored{}".format(*routes)
-    return CheckResult("reality", worst <= tol, worst, tol, f"{detail}, {sectors}, {routes}")
+        detail = (f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}, "
+                  f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}")
+    return CheckResult("reality", worst <= tol, worst, tol, detail)
 
 
-def _isospectrality_check(form: _HermitianForm, decompose, tol: float) -> CheckResult:
-    # eigvalsh reads the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
-    # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan);
-    # reading a sector's real form moves them by <= the sqrt 2 ||Im||_F it dropped, its fold
-    # or mirror by <= the part of it the spin flip does not keep, and its eigvalsh by <= that
-    # solve's backward error (Weyl), all in form.weyl
+def _isospectrality_check(form: _HermitianForm, h: _Triplets, decompose, tol: float) -> CheckResult:
+    # eigvalsh would read the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
+    # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan), plus
+    # sqrt 2 c eps ||F||_F for F's rounding; M's largest |lam| is at least ||M||_F / sqrt dim,
+    # and ||M||_F >= ||F||_F - ||F - M||_F
     defect = form.defect / (1.0 + form.norm)
-    dev = form.defect + 2.0**0.5 * form.slack * form.norm + form.weyl
-    top = max(float(np.max(np.abs(form.eigenvalues))) - dev, 0.0)  # <= max |lam_H|
-    residual, route = max(dev / (1.0 + top), defect), "certified: eigenvalue deviation <="
+    dev = float(form.defect + 2.0**0.5 * _F_ROUNDING * form.norm)
+    top = (form.norm - form.defect / 2.0**0.5) / form.f.dim**0.5  # <= max |lam_M|
+    residual = max(dev / (1.0 + max(top - dev, 0.0)), defect)  # top - dev <= max |lam_H|
+    route = "certified: eigenvalue deviation <="
     if residual > tol:  # else eig of F itself, whose eigenvalues are H's, against eigvalsh's
         lam_h = decompose().eigenvalues
-        dev = float(np.max(np.abs(lam_h - form.eigenvalues)))
+        dev = float(np.max(np.abs(lam_h - _eigvalsh_read(form, h).eigenvalues)))
         residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
         route = "eig: max eigenvalue deviation"
     detail = f"{route} {dev:.3e}, hermiticity defect {defect:.3e}"
@@ -352,33 +343,30 @@ def _isospectrality_check(form: _HermitianForm, decompose, tol: float) -> CheckR
 
 
 def _eta_norm_check(form: _HermitianForm, decompose, tol, seed) -> CheckResult:
-    # phi = U rho psi has d||phi||^2/dt = -i <phi, (F - F^dag) phi>, so on [0, T] every
-    # state's ||phi||^2 stays within exp(+-2 T ||F_a||_2) of its start (Gronwall), and its
-    # eta-norm within (1 + e) / (1 - e) of ||phi||^2, e <= slack being u's unitarity defect
-    drift, frame = 2.0 * _GRID[-1] * form.anti, 2.0 * np.arctanh(form.slack)
+    # phi = rho psi has ||phi||^2 = <psi, eta psi> and d||phi||^2/dt = -i <phi, (F - F^dag) phi>,
+    # so on [0, T] every state's eta-norm stays within exp(+-2 T ||F_a||_2) of its start (Gronwall)
+    drift = 2.0 * _GRID[-1] * form.anti
     detail = f"certified for every state on [0, {_GRID[-1]:g}]"
-    if np.expm1(drift + frame) > tol:
+    if np.expm1(drift) > tol:
         # else the drift of a seeded probe phi, drawn in F's frame and evolved in F's
-        # eigenvectors, in place of the bound's; u's defect still separates it from eta's
+        # eigenvectors, in place of the bound's
         rng = np.random.default_rng(seed)
         phi0 = rng.normal(size=form.f.dim) + 1j * rng.normal(size=form.f.dim)
         traj = decompose().evolve(phi0 / np.linalg.norm(phi0), _GRID)
         norms = np.sum(np.abs(traj) ** 2, axis=1)
         drift = float(np.log1p(np.max(np.abs(norms - norms[0])) / norms[0]))
         detail = f"eig: {len(_GRID)} time points on [0, {_GRID[-1]:g}]"
-    residual = float(np.expm1(drift + frame))
+    residual = float(np.expm1(drift))
     return CheckResult("eta_norm", residual <= tol, residual, tol, detail)
 
 
 def run_suite(
     h,
     w,
-    u=None,
     *,
     checks: Sequence[str] | None = None,
     tolerances: Mapping[str, float] | None = None,
     seed: int = DEFAULT_SEED,
-    _solved: list | None = None,
 ) -> VerificationReport:
     """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
 
@@ -388,9 +376,6 @@ def run_suite(
         Hamiltonian, a square matrix; the checks read its nonzeros.
     w : array_like
         Real weights, the diagonal of the metric: ``eta = diag(w)``.
-    u : array_like, optional
-        Phases of the diagonal unitary in the hermitian-equivalence map
-        ``(U rho) H (U rho)^{-1}``; default all ones.
     checks : sequence of str, optional
         Subset (in any order) of ``DEFAULT_TOLERANCES`` keys; default all.
     tolerances : mapping, optional
@@ -398,24 +383,23 @@ def run_suite(
     seed : int
         Non-negative seed for the random probe state of the eta-norm check,
         which samples 32 times on [0, 10].
-    _solved : list, optional
-        A sweep's ``[this point's label, last solved form]``, as ``_hermitian_form`` reads it.
 
     Returns a :class:`VerificationReport` of the selected checks in their
     given order; failing checks are entries, not exceptions, and an unknown
-    check or tolerance name, a negative seed, or a malformed ``w`` or ``u``
-    raises ``ValueError``.
+    check or tolerance name, a negative seed, or a malformed ``w`` raises
+    ``ValueError``.
     Pseudo-hermiticity and isospectrality fail on the hermiticity defect of
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
-    that defect where it is within their tolerance, else on ``spectrum`` of
-    ``F``: isospectrality compares its ``eig`` with ``eigvalsh``'s read, and the
-    eta-norm evolves a seeded probe in ``F``'s frame.  Where ``F`` has no finite
-    form the eta-norm fails too, and reality alone reads ``spectrum(H)``.
+    that defect where it is within their tolerance, and solve no eigenproblem;
+    else they read ``spectrum`` of ``F``: isospectrality compares its ``eig``
+    with ``eigvalsh`` of ``F``'s sectors, and the eta-norm evolves a seeded
+    probe in ``F``'s frame.  Where ``F`` has no finite form the eta-norm fails
+    too, and reality alone reads ``spectrum(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """
     h = _Triplets.of(h)
-    w, u = _weights(w, h.dim), _phases(u, h.dim)
+    w = _weights(w, h.dim)
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -430,7 +414,7 @@ def run_suite(
         raise ValueError(f"seed must be non-negative, got {seed}")
     # each on first use, then shared; a decomposition only where a bound does not certify:
     # of F, or of H where F has no finite form, which only reality then reaches
-    form = functools.cache(lambda: _hermitian_form(h, w, u, _solved))
+    form = functools.cache(lambda: _hermitian_form(h, w))
     decompose = functools.cache(lambda: spectrum(h if (f := bounds()) is None else f.f))
 
     def bounds() -> _HermitianForm | None:  # None where F has no finite form
@@ -441,7 +425,7 @@ def run_suite(
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
         "reality": lambda tol: _reality_check(bounds(), decompose, tol),
-        "isospectrality": lambda tol: _isospectrality_check(form(), decompose, tol),
+        "isospectrality": lambda tol: _isospectrality_check(form(), h, decompose, tol),
         "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
     }
 
@@ -455,23 +439,23 @@ def run_suite(
     return VerificationReport(tuple(results), time.perf_counter() - started, seed)
 
 
-def hermitian_form_eigenvalues(h, w, u=None, *, _solved: list | None = None) -> np.ndarray:
-    """Eigenvalues of ``H`` from the nonzeros of ``F = (U rho) H (U rho)^{-1}``.
+def hermitian_form_eigenvalues(h, w, *, _solved: list | None = None) -> np.ndarray:
+    """Eigenvalues of ``H`` from the nonzeros of ``F = rho H rho^{-1}``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
-    Each sector of ``F`` goes to ``eigvalsh`` (as its real part or real gauge form where
-    Weyl's bound allows), read if ``F``'s hermiticity defect is within the isospectrality
-    tolerance; else ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no
-    finite form, by :func:`run_suite`'s rule.  Weights, phases and ``_solved`` are as there:
-    after a :func:`run_suite` whose checks read ``F``, the same list gives their sectors at gap 0.
+    If ``F``'s hermiticity defect is within the isospectrality tolerance, each sector of ``F``
+    goes to ``eigvalsh`` (as its real part or real gauge form where Weyl's bound allows); else
+    ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no finite form, by
+    :func:`run_suite`'s rule.  Weights are as there.  ``_solved`` is a sweep's one-item list of
+    the last point whose sectors were solved, as :func:`_eigvalsh_read` reads it.
     """
     h = _Triplets.of(h)
-    w, u = _weights(w, h.dim), _phases(u, h.dim)
+    w = _weights(w, h.dim)
     form = None
     with contextlib.suppress(NotPositiveDefiniteError):  # F has no finite form
-        form = _hermitian_form(h, w, u, _solved)
+        form = _hermitian_form(h, w)
     if form is not None and form.defect / (1.0 + form.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
-        return form.eigenvalues.astype(complex)
+        return _eigvalsh_read(form, h, _solved).eigenvalues.astype(complex)
     return eigenvalues(h if form is None else form.f)  # as run_suite's checks decompose
 
 

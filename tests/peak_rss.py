@@ -19,15 +19,19 @@ import time
 # (command, config, bound in MiB, print the command's output).  H is read as its
 # nonzeros; a dense H would be 256 MiB, and no gate leaves room for one.
 GATES = (
-    # every check must pass; 13 Sz sectors, the largest 924 (6.5 MiB as a real block);
-    # measured at 47-48 MiB
+    # every check must pass; 13 Sz sectors, the largest 924, none made dense, since the checks
+    # solve nothing; measured at 38 MiB (47-48 MiB while they solved each sector)
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 120, True),
+    # one sector of 4096: every check must pass, certified from one pass over the nonzeros of
+    # the hermitian form with no eigensolve; measured at 49 MiB, so the bound leaves 11 MiB,
+    # less than one folded half of the sector made dense (32 MiB)
+    ("verify", "tests/configs/xxz_transverse_n12.json", 60, True),
     # one sector of 4096, which the spin flip folds into two halves of 2048, built and
     # solved one at a time: one half (32 MiB) plus eigvalsh's own copy (32 MiB), over
     # ~47 MiB for the interpreter, numpy and the nonzeros; measured at 109-110 MiB, so the
     # bound leaves 25 MiB, less than a second half held alive (32 MiB)
     ("spectrum", "tests/configs/xxz_transverse_n12.json", 135, False),
-    # the same sector, every check certified from the same pass over the hermitian form
+    # the same sector: the checks solve nothing, so the peak is the spectrum's, as above
     ("run", "tests/configs/xxz_transverse_n12.json", 135, False),
     # the same chain over 4 values of gammas[0]: the deformation leaves F as it is, so the
     # later points take the first point's eigenvalues and solve nothing; holding the solved
@@ -36,7 +40,7 @@ GATES = (
     ("run", "tests/configs/xxz_transverse_n12_sweep.json", 135, False),
     # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
-    # measured at 44 MiB, so the bound leaves 16 MiB, less than a dense complex H (43 MiB)
+    # measured at 34 MiB, so the bound leaves 26 MiB, less than a dense complex H (43 MiB)
     ("verify", "tests/configs/boson_quadratic_cutoff40.json", 60, True),
     # lmg at cutoff 40 with gammas +-1.45 (dim 1681, 160 sectors, the largest 21): kappa ~ 6e100,
     # and eta_norm's bound misses its tolerance, so a probe is evolved in the eigenvectors of

@@ -9,9 +9,9 @@ verdicts, but its spectrum is held to the hermitian build by
 ``test_ill_conditioned_spectrum_matches_the_hermitian_build`` instead: its
 pin records dense-``eig`` rounding, which moves by ~1e-12 with the BLAS
 thread count and with any rounding-level change of the matrix.
-``metriq spectrum``, and a ``run`` whose checks read no decomposition, take
-their eigenvalues from another LAPACK path than ``run``: ``eigvalsh`` of the
-hermitian-equivalent form.  They must match the same pins by the same rules.
+``metriq spectrum`` takes its eigenvalues by the same route as ``run``,
+``eigvalsh`` of the hermitian-equivalent form, and must match the same pins
+by the same rules.
 
 Re-record configs (only when a change of verdict or spectrum is intended) by name with
 ``PYTHONPATH=src python tests/test_golden.py NAME...``: only the named entries are
@@ -132,7 +132,7 @@ def test_spectrum_command_matches_the_golden_spectra(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_with_no_spectral_check_matches_the_golden_spectra(tmp_path, name):
-    # no check reads a decomposition, so the spectrum takes the spectrum command's path
+    # the spectrum takes one route whichever checks run, so it matches with metric_pd alone
     got = record(tmp_path, CONFIGS[name], checks=["metric_pd"])
     assert got["exit_code"] == 0
     assert got["checks"] == [["metric_pd", True]]
