@@ -17,7 +17,8 @@ Subcommands
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
 error, 3 numerical failure.  Reports are deterministic for a fixed
-``(config, seed)`` pair; the seed is echoed in every report.
+``(config, seed)`` pair at a fixed BLAS build and thread count; the seed is
+echoed in every report.
 """
 from __future__ import annotations
 
@@ -37,22 +38,19 @@ from .bosonic import (
     StabilityError,
     bogoliubov_frequencies,
     build_lmg,
+    build_metric,
     build_quadratic_hamiltonian,
-    similarity,
 )
 from .linops import MetricSpec, _Triplets
-from .oscillator2d import (
-    OscillatorParams,
-    angular_momentum_diag,
-    build_xy_hamiltonian,
-)
+from .oscillator2d import OscillatorParams, build_xy_hamiltonian, oscillator_metric
 from .spinchain import (
     FermionQuadraticSpec,
     SpinChainSpec,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
-    site_occupations,
+    build_zeta_metric,
+    fermion_metric,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -355,11 +353,12 @@ class _Built:
     form: BosonQuadraticForm | None = None
 
 
-# Each builder computes w before h, so the metric reports a deformation past the overflow guard.
+# Each builder takes w from its model's module before h, so the metric refuses a deformation past
+# the overflow guard.
 def _build_oscillator(p: dict) -> _Built:
     params = OscillatorParams(p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"])
     space = FockSpace(2, p["cutoff"])
-    w = similarity(angular_momentum_diag(space)[:, None], [params.w])[0]
+    w = oscillator_metric(params, space)
     return _Built(build_xy_hamiltonian._triplets(params, space), w)
 
 
@@ -378,7 +377,7 @@ def _build_boson_quadratic(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
-    w = similarity(space.occupation_table(), ms.ws)[0]
+    w = build_metric(space, ms)
     return _Built(build_quadratic_hamiltonian._triplets(space, form), w, form=form)
 
 
@@ -387,27 +386,27 @@ def _build_lmg_model(p: dict) -> _Built:
     if ms.n != 2:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
-    w = similarity(space.occupation_table(), ms.ws)[0]
+    w = build_metric(space, ms)
     return _Built(build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
-    w = similarity(site_occupations(spec.n_sites), ms.ws)[0]
+    w = fermion_metric(spec)
     return _Built(build_fermion_quadratic._triplets(spec), w)
 
 
 def _build_chain(p: dict, ms: MetricSpec) -> _Built:
     """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
     spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
-    w = similarity(0.5 - site_occupations(ms.n), ms.ws)[0]
+    w = build_zeta_metric(spec)
     return _Built(build_xxz_asymmetric._triplets(spec), w)
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
     ms = _metric_spec(p, p["n_sites"])
-    w = similarity(0.5 - site_occupations(ms.n), ms.ws)[0]
+    w = build_zeta_metric(SpinChainSpec(ms.n, ws=tuple(ms.ws)))  # the ring's metric is the chain's
     return _Built(build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w)
 
 
@@ -504,33 +503,6 @@ def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
     )
 
 
-def _run_point(
-    built: _Built,
-    checks: tuple[str, ...] | None,
-    tolerances: dict,
-    seed: int,
-    *,
-    run_checks: bool,
-    run_spectrum: bool,
-    solved: list,
-) -> tuple[list[CheckResult], list[list[float]]]:
-    results: list[CheckResult] = []
-    if run_checks:  # the suite's entries, then bogoliubov's
-        suite = None if checks is None else [c for c in checks if c != "bogoliubov"]
-        if suite != []:
-            tols = {k: v for k, v in tolerances.items() if k != "bogoliubov"}
-            results += run_suite(built.h, built.w, checks=suite, tolerances=tols,
-                                 seed=seed).checks
-        if checks is not None and "bogoliubov" in checks:
-            tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
-            results.append(_bogoliubov_check(built.form, tol))
-    spectra: list[list[float]] = []
-    if run_spectrum:
-        lam = hermitian_form_eigenvalues(built.h, built.w, _solved=solved)
-        spectra = [[float(z.real), float(z.imag)] for z in lam]
-    return results, spectra
-
-
 def _execute(
     config: RunConfig,
     seed: int,
@@ -548,6 +520,11 @@ def _execute(
             for v in config.sweep.values
         ]
     )
+    # the suite's checks and tolerances, and bogoliubov's tolerance if it runs (the CLI's own)
+    suite = None if config.checks is None else [c for c in config.checks if c != "bogoliubov"]
+    suite_tols = {k: v for k, v in tolerances.items() if k != "bogoliubov"}
+    bogoliubov = run_checks and "bogoliubov" in (config.checks or ())
+    bogoliubov_tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
     checks_out: list[dict] = []
     spectra_out: list[dict] = []
     errors: list[str] = []
@@ -557,15 +534,14 @@ def _execute(
         label = "" if value is None else f"[{config.sweep.path}={value:g}] "
         try:
             built = config._built or _build_model(ModelSpec(config.model.kind, params))
-            results, eigenvalues = _run_point(
-                built,
-                config.checks,
-                tolerances,
-                seed,
-                run_checks=run_checks,
-                run_spectrum=run_spectrum,
-                solved=solved,
-            )
+            results = []
+            if run_checks and suite != []:
+                results += run_suite(built.h, built.w, checks=suite, tolerances=suite_tols,
+                                     seed=seed).checks
+            if bogoliubov:
+                results.append(_bogoliubov_check(built.form, bogoliubov_tol))
+            if run_spectrum:
+                lam = hermitian_form_eigenvalues(built.h, built.w, _solved=solved)
         except _NUMERICAL_ERRORS as exc:
             errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
@@ -580,6 +556,7 @@ def _execute(
                 entry["detail"] = (label + entry["detail"]).strip()
             checks_out.append(entry)
         if run_spectrum:
+            eigenvalues = [[float(z.real), float(z.imag)] for z in lam]
             spectra_out.append({"sweepValue": value, "eigenvalues": eigenvalues})
     if exit_code == EXIT_OK and any(not c["passed"] for c in checks_out):
         exit_code = EXIT_CHECK_FAILED

@@ -258,6 +258,12 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
     return lam, route, weyl
 
 
+def _norm(x: np.ndarray) -> float:
+    """``||x||_2`` as numpy's pairwise sum of the squared moduli: unlike ``np.linalg.norm``,
+    which reduces through BLAS, the same at every BLAS thread count."""
+    return float(np.sqrt(np.add.reduce(np.abs(x) ** 2)))
+
+
 def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
     """One pass over the nonzeros of ``F = rho H rho^{-1}``: ``F`` itself, which has ``H``'s
     pattern, and its norms as sums over its nonzeros.  ``F`` has a finite form only if every
@@ -269,12 +275,11 @@ def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
     f = h._replace(vals=h.vals * root[h.rows] * (1.0 / root)[h.cols])
     # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
     at, a = f.find(f.cols, f.rows), np.abs(f.vals)
-    diff = np.hypot(np.linalg.norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()),
-                    np.linalg.norm(a[at < 0]))
+    diff = np.hypot(_norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()), _norm(a[at < 0]))
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
     anti = float(diff / 2.0 + _F_ROUNDING * np.sqrt(row * col))
-    return _HermitianForm(f, float(diff), float(np.linalg.norm(a)), anti)
+    return _HermitianForm(f, float(diff), _norm(a), anti)
 
 
 def _eigvalsh_read(form: _HermitianForm, h: _Triplets, solved: list | None = None) -> _Solved:
@@ -381,13 +386,13 @@ def run_suite(
     tolerances : mapping, optional
         Per-check tolerance overrides.
     seed : int
-        Non-negative seed for the random probe state of the eta-norm check,
+        Non-negative integer seed for the random probe state of the eta-norm check,
         which samples 32 times on [0, 10].
 
     Returns a :class:`VerificationReport` of the selected checks in their
     given order; failing checks are entries, not exceptions, and an unknown
-    check or tolerance name, a negative seed, or a malformed ``w`` raises
-    ``ValueError``.
+    check or tolerance name, a seed that is negative or not an integer, or a
+    malformed ``w`` raises ``ValueError``.
     Pseudo-hermiticity and isospectrality fail on the hermiticity defect of
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
@@ -410,6 +415,8 @@ def run_suite(
     unknown = set(selected) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     # each on first use, then shared; a decomposition only where a bound does not certify:

@@ -1,7 +1,10 @@
 """Config parsing, report emission, and exit codes of the batch front end."""
 import collections
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -200,6 +203,9 @@ def test_parse_rejections():
     osc = {"kind": "oscillator2d", "k1": 1.0, "k2": 1.0, "k3": 0.0}
     boson = {"kind": "bosonQuadratic", "alpha": [[1.0]], "beta": [[0.0]], "gammas": [0.1]}
     lmg = {"kind": "lmg", "omega0": 1.0, "omega": 0.1, "gammas": [0.1, 0.2, 0.3]}
+    chain = {"kind": "xxzAsymmetric", "n_sites": 3}
+    fermion = {"kind": "fermionQuadratic", "hopping": [[1.0, 0.5], [0.5, 1.0]],
+               "pairing": [[0.0, 0.2], [-0.2, 0.0]], "gammas": [0.1, 0.2]}
     for config, msg in (
         ([hs], "must be a JSON object"),
         ({"checks": ["reality"]}, "needs a 'model' block"),
@@ -223,6 +229,13 @@ def test_parse_rejections():
         ({"model": dict(boson, xis=[0.1, 0.2])}, "xis must have 1 entries"),
         ({"model": lmg}, "exactly 2 gammas"),
         ({"model": dict(hs, gammas=[0.1])}, "gammas/xis must have 2 entries"),
+        ({"model": dict(chain, fields_a=[0.1])}, "fields_a must have 3 entries, got 1"),
+        ({"model": dict(fermion, hopping=[[1.0]])}, r"hopping must be 2x2, got \(1, 1\)"),
+        ({"model": dict(fermion, pairing=[[0.0]])}, r"pairing must be 2x2, got \(1, 1\)"),
+        ({"model": dict(fermion, hopping=[[1.0, 0.5], [0.4, 1.0]])},
+         r"hopping must be symmetric: entry \[0\]\[1\]"),
+        ({"model": dict(hs, n_sites=1)}, "the exchange ring needs at least two sites"),
+        ({"model": dict(hs, n_sites=13)}, r"n_sites must be in \[1, 12\]"),
     ):
         with pytest.raises(ConfigError, match=msg):
             parse_config(json.dumps(config))
@@ -320,6 +333,24 @@ def test_verify_runs_no_eigensolver_where_every_bound_certifies(capsys, monkeypa
         fell = falls_back and line.startswith("PASS eta_norm:")
         assert ("  eig: " if fell else "  certified") in line
     assert set(calls) == ({"eig"} if falls_back else set())
+
+
+@pytest.mark.parametrize("name", ["xxz_transverse_n12", "boson_quadratic_cutoff40"])
+def test_verify_writes_the_same_report_at_every_blas_thread_count(tmp_path, name):
+    # every entry here is certified, and a certified entry reads norms summed in numpy's fixed
+    # order; np.linalg.norm reduces through BLAS, whose order follows the thread count
+    import metriq
+
+    config = str(Path(__file__).with_name("configs") / f"{name}.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(metriq.__file__).parents[1]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "metriq.cli", "verify", config, "--out", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def eta_norm_fallback(lines):

@@ -99,8 +99,12 @@ def test_unknown_names_are_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         run_suite(E12, np.ones(3))
     # the probe's seed, though a bound certifies eta_norm here and no probe is drawn
-    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        run_suite(np.diag([1.0, 2.0]), np.ones(2), checks=["eta_norm"], seed=-1)
+    for seed, msg in ((-1, "seed must be non-negative, got -1"),
+                      (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(ValueError, match=msg):
+            run_suite(np.diag([1.0, 2.0]), np.ones(2), checks=["eta_norm"], seed=seed)
+    # a numpy integer is a seed
+    assert run_suite(E12, np.ones(2), checks=["eta_norm"], seed=np.int64(3)).seed == 3
 
 
 def test_report_shape():
