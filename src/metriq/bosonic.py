@@ -14,7 +14,7 @@ fastest, i.e. basis index ``i`` encodes occupation ``n_k = (i // d**k) % d``
 with ``d = cutoff + 1``.
 
 One assembler sums every Hamiltonian of the package on these basis indices into its
-nonzeros, with no kron-embedded operator and no dense product; a public builder returns
+nonzeros, one column per offset, no sort, no kron embedding; a public builder returns
 their dense matrix, and the checks read the nonzeros.
 """
 from __future__ import annotations
@@ -144,13 +144,18 @@ def _assemble(space: FockSpace, terms, ws=None) -> _Triplets:
     With ``ws``, a move of mode ``k`` also carries ``exp(dQ w_k)``: the sum is
     then ``s H_0 s^{-1}``, ``s = exp(Q w)``, for ``H_0`` the sum without ``ws``.
     Each term that keeps an entry has its exponent held to the overflow guard.
-    Entries at one position are summed in term order, as a dense scatter sums them.
+    A term shifts each index it keeps by one offset: one column per offset, no sort, and
+    offsets descend, so row by row the nonzeros come sorted.  Entries at one position are
+    summed in term order, as a dense scatter sums them.
     """
-    occ = space.occupation_table()
+    occ, d = space.occupation_table(), space.cutoff + 1
     ws = np.zeros(space.modes) if ws is None else np.asarray(ws)
-    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]  # rows, columns, values
-    for coef, factors in terms:
-        src = cur = np.arange(space.dim)
+    terms = [(c, f, sum(_MOVES[k][0] * d**m for k, m in f if k in _MOVES)) for c, f in terms]
+    offsets = np.array(sorted({t[2] for t in terms}, reverse=True), dtype=np.int64)
+    column = {off: k for k, off in enumerate(offsets.tolist())}
+    out = np.zeros((space.dim, len(offsets)), dtype=complex)
+    for coef, factors, off in terms:
+        cur = np.arange(space.dim)
         amp = np.ones(space.dim)
         dw = 0.0
         for kind, mode in reversed(factors):
@@ -160,20 +165,17 @@ def _assemble(space: FockSpace, terms, ws=None) -> _Triplets:
                 continue
             step, dq = _MOVES[kind]
             keep = n > 0 if step < 0 else n < space.cutoff
-            src, cur, n = src[keep], cur[keep], n[keep]
+            cur, n = cur[keep], n[keep]
             amp = amp[keep] * np.sqrt(n if step < 0 else n + 1)
             if kind in ("c", "cd"):
                 amp = amp * (1 - 2 * (occ[cur, mode + 1 :].sum(axis=1) & 1))
-            cur = cur + step * (space.cutoff + 1) ** mode
+            cur = cur + step * d**mode
             dw = dw + dq * ws[mode]
         if len(cur):  # a term truncation leaves empty has no factor to guard
-            parts.append((cur, src, coef * np.exp(_guard_overflow(dw)) * amp))
-    rows, cols, vals = map(np.concatenate, zip(*parts))
-    keys, at = np.unique(rows * space.dim + cols, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=complex)
-    np.add.at(sums, at, vals)
-    keys, sums = keys[sums != 0], sums[sums != 0]
-    return _Triplets(space.dim, keys // space.dim, keys % space.dim, sums)
+            out[cur, column[off]] += coef * np.exp(_guard_overflow(dw)) * amp
+    at = np.flatnonzero(out)
+    rows, k = np.divmod(at, out.shape[1])
+    return _Triplets(space.dim, rows, np.subtract(rows, offsets[k], out=k), out.ravel()[at])
 
 
 def _dense(build):

@@ -411,7 +411,7 @@ class _Triplets(NamedTuple):
         """``a`` if it is triplets, else the nonzeros of ``as_operator(a)``."""
         if isinstance(a, cls):
             return a
-        rows, cols = np.nonzero(a := as_operator(a))
+        rows, cols = np.divmod(np.flatnonzero(a := as_operator(a)), len(a))
         return cls(len(a), rows, cols, a[rows, cols])
 
     def dense(self) -> np.ndarray:

@@ -10,6 +10,10 @@ prints its point count times the wall time of the same command on its first
 point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
+
+The nine gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
+``fermionQuadratic`` on 12 sites; ``spectrum``, ``run`` and a 4-point ``run`` sweep of the
+transverse chain; ``verify`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40.
 """
 import json
 import os
@@ -20,12 +24,21 @@ import time
 # nonzeros; a dense H would be 256 MiB, and no gate leaves room for one.
 GATES = (
     # every check must pass; 13 Sz sectors, the largest 924, none made dense, since the checks
-    # solve nothing; measured at 38 MiB (47-48 MiB while they solved each sector)
+    # solve nothing; measured at 34 MiB (47-48 MiB while they solved each sector)
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 120, True),
     # one sector of 4096: every check must pass, certified from one pass over the nonzeros of
-    # the hermitian form with no eigensolve; measured at 49 MiB, so the bound leaves 11 MiB,
-    # less than one folded half of the sector made dense (32 MiB)
-    ("verify", "tests/configs/xxz_transverse_n12.json", 60, True),
+    # the hermitian form with no eigensolve; measured at 39 MiB (49 MiB while the assembler
+    # sorted its raw entries), so the bound leaves 11 MiB, less than one folded half of the
+    # sector made dense (32 MiB)
+    ("verify", "tests/configs/xxz_transverse_n12.json", 50, True),
+    # the Haldane-Shastry ring couples every pair of its 12 sites (139,264 nonzeros, 133
+    # assembler offsets): every check must pass; measured at 45-46 MiB, and at 74 MiB while the
+    # assembler sorted its raw entries
+    ("verify", "tests/configs/haldane_shastry_n12.json", 60, True),
+    # fermionQuadratic on 12 sites with all-pairs hopping and pairing (274,431 nonzeros, 245
+    # assembler offsets), the kind with the most offsets: every check must pass; measured at
+    # 58-60 MiB, and at 81 MiB while the assembler sorted its raw entries
+    ("verify", "tests/configs/fermion_quadratic_n12.json", 75, True),
     # one sector of 4096, which the spin flip folds into two halves of 2048, built and
     # solved one at a time: one half (32 MiB) plus eigvalsh's own copy (32 MiB), over
     # ~47 MiB for the interpreter, numpy and the nonzeros; measured at 109-110 MiB, so the
@@ -40,7 +53,7 @@ GATES = (
     ("run", "tests/configs/xxz_transverse_n12_sweep.json", 135, False),
     # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
-    # measured at 34 MiB, so the bound leaves 26 MiB, less than a dense complex H (43 MiB)
+    # measured at 32 MiB, so the bound leaves 28 MiB, less than a dense complex H (43 MiB)
     ("verify", "tests/configs/boson_quadratic_cutoff40.json", 60, True),
     # lmg at cutoff 40 with gammas +-1.45 (dim 1681, 160 sectors, the largest 21): kappa ~ 6e100,
     # and eta_norm's bound misses its tolerance, so a probe is evolved in the eigenvectors of

@@ -27,6 +27,7 @@ from metriq.cli import (
     serialize_config,
 )
 from metriq.verify import hermitian_form_eigenvalues, run_suite
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_verify import CHAIN_N10, OSC_SWEEP_SEED_1, build_model
 
 OSC_CONFIG = {
@@ -869,9 +870,8 @@ BUILDER_PINS = json.loads((Path(__file__).parent / "builder_pins.json").read_tex
 
 
 def _builder_configs():
-    from test_golden import CONFIGS
-
-    return {**{name: {"model": m} for name, m in CONFIGS.items()}, **BUILDER_PINS["workloads"]}
+    return {**{name: {"model": m} for name, m in GOLDEN_CONFIGS.items()},
+            **BUILDER_PINS["workloads"]}
 
 
 @pytest.mark.parametrize("name", sorted(_builder_configs()))
@@ -903,6 +903,61 @@ def test_public_builders_return_the_dense_matrix_bit_for_bit(monkeypatch, name):
     if f"{name}:oracle" in BUILDER_PINS["sha256"]:
         digest = hashlib.sha256(_oracle_build(config["model"]).tobytes())
         assert digest.hexdigest()[:16] == BUILDER_PINS["sha256"][f"{name}:oracle"]
+
+
+def _cli_build(name):
+    """The CLI's build of ``tests/configs/NAME.json``: ``H``'s nonzeros and ``w``."""
+    from metriq.cli import _build_model, _normalize_model
+
+    model = json.loads((Path(__file__).with_name("configs") / f"{name}.json").read_text())["model"]
+    return _build_model(_normalize_model(model))
+
+
+# sha256 of the int64 rows, int64 cols and complex vals of each CLI build, recorded when the
+# assembler still summed its raw entries through np.unique and np.add.at; a dense pin at dim
+# 4096 would hash 256 MiB per matrix
+@pytest.mark.parametrize("name", sorted(BUILDER_PINS["nonzeros"]))
+def test_cli_builds_keep_their_nonzeros_bit_for_bit(name):
+    import hashlib
+
+    h = _cli_build(name).h
+    for field, dtype in (("rows", np.int64), ("cols", np.int64), ("vals", complex)):
+        array = getattr(h, field)
+        assert array.dtype == dtype
+        assert hashlib.sha256(array.tobytes()).hexdigest() == BUILDER_PINS["nonzeros"][name][field]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_cli_builds_hold_contiguous_int64_indices(name):
+    from metriq.cli import _build_model, _normalize_model
+
+    h = _build_model(_normalize_model(GOLDEN_CONFIGS[name])).h
+    for index in (h.rows, h.cols):
+        assert index.dtype == np.int64 and index.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "name, limit_mib",
+    [
+        # 25 offsets, so a 1.6 MiB (dim, offsets) buffer beside 75,776 nonzeros; measured at
+        # 5.0 MiB, and at 17.5 MiB while the raw entries were sorted and summed
+        ("xxz_transverse_n12", 8),
+        # every pair of the 12 sites, so 133 offsets: 8.3 MiB beside 139,264 nonzeros; measured
+        # at 14.2 MiB, and at 41.2 MiB while the raw entries were sorted and summed
+        ("haldane_shastry_n12", 20),
+    ],
+)
+def test_assembler_peak_is_its_offset_buffer_and_the_nonzeros(name, limit_mib):
+    import tracemalloc
+
+    _cli_build(name)  # a first build, so the traced one allocates no import or cache
+    tracemalloc.start()
+    try:
+        _cli_build(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def _oracle_build(model):
