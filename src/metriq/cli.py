@@ -57,8 +57,7 @@ from .verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
     GradedMatrix,
-    hermitian_form_eigenvalues,
-    run_suite,
+    _point,
 )
 
 __all__ = [
@@ -512,36 +511,27 @@ def _execute(
     run_spectrum: bool,
 ) -> tuple[dict, int]:
     """Run all sweep points; return (report dict, exit code)."""
-    points: list[tuple[float | None, dict]] = (
-        [(None, config.model.params)]
-        if config.sweep is None
-        else [
-            (v, _apply_sweep(config.model.params, config.sweep.path, v))
-            for v in config.sweep.values
-        ]
-    )
-    # the suite's checks and tolerances, and bogoliubov's tolerance if it runs (the CLI's own)
-    suite = None if config.checks is None else [c for c in config.checks if c != "bogoliubov"]
-    suite_tols = {k: v for k, v in tolerances.items() if k != "bogoliubov"}
-    bogoliubov = run_checks and "bogoliubov" in (config.checks or ())
-    bogoliubov_tol = tolerances.get("bogoliubov", BOGOLIUBOV_TOL)
+    sweep = config.sweep
+    points = [(None, config.model.params)] if sweep is None else [
+        (v, _apply_sweep(config.model.params, sweep.path, v)) for v in sweep.values]
+    # the checks that run: verify's reader takes the suite's, and the CLI runs bogoliubov itself
+    checks = (config.checks or tuple(DEFAULT_TOLERANCES)) if run_checks else ()
+    suite, bogoliubov = [c for c in checks if c != "bogoliubov"], "bogoliubov" in checks
+    tols = {**DEFAULT_TOLERANCES, "bogoliubov": BOGOLIUBOV_TOL, **tolerances}
     checks_out: list[dict] = []
     spectra_out: list[dict] = []
     errors: list[str] = []
     exit_code = EXIT_OK
     solved: list = [None]  # the last point whose sectors were solved
     for value, params in points:
-        label = "" if value is None else f"[{config.sweep.path}={value:g}] "
+        label = "" if value is None else f"[{sweep.path}={value:g}] "
         try:
             built = config._built or _build_model(ModelSpec(config.model.kind, params))
-            results = []
-            if run_checks and suite != []:
-                results += run_suite(built.h, built.w, checks=suite, tolerances=suite_tols,
-                                     seed=seed).checks
+            results, eigenvalues_of = _point(built.h, built.w, suite, tols, seed, solved)
             if bogoliubov:
-                results.append(_bogoliubov_check(built.form, bogoliubov_tol))
+                results.append(_bogoliubov_check(built.form, tols["bogoliubov"]))
             if run_spectrum:
-                lam = hermitian_form_eigenvalues(built.h, built.w, _solved=solved)
+                lam = eigenvalues_of()
         except _NUMERICAL_ERRORS as exc:
             errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
@@ -568,8 +558,8 @@ def _execute(
         "seed": seed,
         "version": __version__,
     }
-    if config.sweep is not None:
-        report["sweep"] = config.sweep.to_dict()
+    if sweep is not None:
+        report["sweep"] = sweep.to_dict()
     if errors:
         report["error"] = "; ".join(errors)
     return report, exit_code

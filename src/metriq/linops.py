@@ -225,9 +225,8 @@ class SpectrumResult:
     sectors: tuple[Sector, ...]
     max_imag_abs: float
     residual: float
-    # the phases of _pattern_components, and which sectors went to real eig
-    _phases: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _real: tuple[bool, ...] = field(default=(), repr=False, compare=False)
+    # per sector, _pattern_components' phases if it went to real eig, else None (set by spectrum)
+    _gauge: tuple[np.ndarray | None, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def is_real(self, tol: float = REALITY_TOL) -> bool:
         """True when every eigenvalue satisfies |Im| <= tol * (1 + |lam|)."""
@@ -251,8 +250,8 @@ class SpectrumResult:
             raise ValueError("times contains non-finite entries")
         # a sector solved as real G holds conj(d) * v_G: D is unitary, so take the real v_G
         sigma = np.concatenate([
-            np.linalg.svd((self._phases[idx, None] * vecs).real if real else vecs, compute_uv=False)
-            for (idx, _, vecs), real in zip(self.sectors, self._real or [False] * len(self.sectors))
+            np.linalg.svd(vecs if d is None else (d[:, None] * vecs).real, compute_uv=False)
+            for (_, _, vecs), d in zip(self.sectors, self._gauge or [None] * len(self.sectors))
         ])
         cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -481,13 +480,13 @@ def spectrum(a) -> SpectrumResult:
     """
     t = _Triplets.of(a)
     sectors, d = _pattern_components(t)
-    out, residual, real = [], 0.0, []
+    out, residual, gauge = [], 0.0, []
     for idx in sectors:
         b = t.sector(idx)
         g = _real_form(b, d[idx], _EPS * np.linalg.norm(b.vals))
         block = b.dense()
         vals, vecs = np.linalg.eig(block if g is None else g[0].dense())
-        real.append(g is not None)
+        gauge.append(None if g is None else d[idx])
         if g is not None:
             vals, vecs = vals.astype(complex), d[idx, None].conj() * vecs
         for c in range(0, len(idx), BLOCK):
@@ -497,8 +496,9 @@ def spectrum(a) -> SpectrumResult:
             residual = max(residual, float(np.max(res / np.where(norms > 0, norms, 1.0))))
         out.append(Sector(idx, vals, vecs))
     lam = _sorted(np.concatenate([s.eigenvalues for s in out]))
-    return SpectrumResult(lam, tuple(out), float(np.max(np.abs(lam.imag))), residual,
-                          _phases=d, _real=tuple(real))
+    result = SpectrumResult(lam, tuple(out), float(np.max(np.abs(lam.imag))), residual)
+    object.__setattr__(result, "_gauge", tuple(gauge))
+    return result
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -12,8 +12,10 @@ change neither hermiticity nor spectrum, so none is taken, and no check that
 its bound certifies solves an eigenproblem.  A bound that misses its
 tolerance decomposes ``F``'s nonzeros instead, whose eigenvectors, unlike
 ``H``'s, do not carry the metric's condition, and ``H``'s only where ``F`` has
-no finite form: one rule for the checks and for
-:func:`hermitian_form_eigenvalues`, the spectrum without checks.
+no finite form.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`, the
+spectrum without checks, wrap one reader of a point, which states that rule
+once and forms ``F``, its decomposition and its sectors' ``eigvalsh`` read
+each on first use; the CLI calls it once per sweep point.
 That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone.
 Where the index reversal ``J``, a chain's global spin flip, keeps a sector's
 real read ``g`` within the Weyl floor of that read, the sector is solved as
@@ -34,7 +36,7 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -328,7 +330,7 @@ def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckR
     return CheckResult("reality", worst <= tol, worst, tol, detail)
 
 
-def _isospectrality_check(form: _HermitianForm, h: _Triplets, decompose, tol: float) -> CheckResult:
+def _isospectrality_check(form: _HermitianForm, read, decompose, tol: float) -> CheckResult:
     # eigvalsh would read the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
     # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan), plus
     # sqrt 2 c eps ||F||_F for F's rounding; M's largest |lam| is at least ||M||_F / sqrt dim,
@@ -340,7 +342,7 @@ def _isospectrality_check(form: _HermitianForm, h: _Triplets, decompose, tol: fl
     route = "certified: eigenvalue deviation <="
     if residual > tol:  # else eig of F itself, whose eigenvalues are H's, against eigvalsh's
         lam_h = decompose().eigenvalues
-        dev = float(np.max(np.abs(lam_h - _eigvalsh_read(form, h).eigenvalues)))
+        dev = float(np.max(np.abs(lam_h - read().eigenvalues)))
         residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
         route = "eig: max eigenvalue deviation"
     detail = f"{route} {dev:.3e}, hermiticity defect {defect:.3e}"
@@ -363,6 +365,47 @@ def _eta_norm_check(form: _HermitianForm, decompose, tol, seed) -> CheckResult:
         detail = f"eig: {len(_GRID)} time points on [0, {_GRID[-1]:g}]"
     residual = float(np.expm1(drift))
     return CheckResult("eta_norm", residual <= tol, residual, tol, detail)
+
+
+def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
+           solved: list | None = None) -> tuple[list[CheckResult], Callable[[], np.ndarray]]:
+    """One point's reader: the entries of ``checks`` on ``H`` and ``diag(w)`` at ``tols``, and
+    a callable for ``H``'s eigenvalues, sorted and complex.  ``F``, its decomposition and the
+    ``eigvalsh`` read of its sectors (with a sweep's ``solved``, as :func:`_eigvalsh_read`
+    reads it) are each formed on first use, then shared by the checks and the spectrum."""
+    h = _Triplets.of(h)
+    w = _weights(w, h.dim)
+    form = functools.cache(lambda: _hermitian_form(h, w))
+    read = functools.cache(lambda: _eigvalsh_read(form(), h, solved))
+    decompose = functools.cache(lambda: spectrum(missed()))  # where a bound does not certify
+
+    def bounds() -> _HermitianForm | None:  # None where F has no finite form
+        with contextlib.suppress(NotPositiveDefiniteError):
+            return form()
+
+    def missed() -> _Triplets:  # what a missed bound decomposes: F, or H where F has no form
+        return h if (f := bounds()) is None else f.f
+
+    def eigenvalues_of_h() -> np.ndarray:  # the read, where F is hermitian to the tolerance
+        f = bounds()
+        if f is not None and f.defect / (1.0 + f.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
+            return read().eigenvalues.astype(complex)
+        return eigenvalues(missed())
+
+    run = {
+        "metric_pd": lambda tol: _metric_pd_check(w, tol),
+        "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
+        "reality": lambda tol: _reality_check(bounds(), decompose, tol),
+        "isospectrality": lambda tol: _isospectrality_check(form(), read, decompose, tol),
+        "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
+    }
+    results: list[CheckResult] = []
+    for name in checks:
+        try:
+            results.append(run[name](tols[name]))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
+    return results, eigenvalues_of_h
 
 
 def run_suite(
@@ -403,67 +446,30 @@ def run_suite(
     too, and reality alone reads ``spectrum(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """
-    h = _Triplets.of(h)
-    w = _weights(w, h.dim)
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        tols.update({k: float(v) for k, v in tolerances.items()})
-    selected = list(checks) if checks is not None else list(DEFAULT_TOLERANCES)
-    unknown = set(selected) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ValueError(f"unknown check names: {sorted(unknown)}")
+    selected = list(DEFAULT_TOLERANCES if checks is None else checks)
+    for what, names in (("tolerance", tolerances or ()), ("check", selected)):
+        if unknown := set(names) - set(DEFAULT_TOLERANCES):
+            raise ValueError(f"unknown {what} names: {sorted(unknown)}")
+    tols = {**DEFAULT_TOLERANCES, **{k: float(v) for k, v in (tolerances or {}).items()}}
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    # each on first use, then shared; a decomposition only where a bound does not certify:
-    # of F, or of H where F has no finite form, which only reality then reaches
-    form = functools.cache(lambda: _hermitian_form(h, w))
-    decompose = functools.cache(lambda: spectrum(h if (f := bounds()) is None else f.f))
-
-    def bounds() -> _HermitianForm | None:  # None where F has no finite form
-        with contextlib.suppress(NotPositiveDefiniteError):
-            return form()
-
-    run = {
-        "metric_pd": lambda tol: _metric_pd_check(w, tol),
-        "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
-        "reality": lambda tol: _reality_check(bounds(), decompose, tol),
-        "isospectrality": lambda tol: _isospectrality_check(form(), h, decompose, tol),
-        "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
-    }
-
     started = time.perf_counter()
-    results: list[CheckResult] = []
-    for name in selected:
-        try:
-            results.append(run[name](tols[name]))
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
+    results, _ = _point(h, w, selected, tols, seed)
     return VerificationReport(tuple(results), time.perf_counter() - started, seed)
 
 
-def hermitian_form_eigenvalues(h, w, *, _solved: list | None = None) -> np.ndarray:
+def hermitian_form_eigenvalues(h, w) -> np.ndarray:
     """Eigenvalues of ``H`` from the nonzeros of ``F = rho H rho^{-1}``.
 
     A diagonal similarity keeps the eigenvalues, returned sorted and complex.
     If ``F``'s hermiticity defect is within the isospectrality tolerance, each sector of ``F``
     goes to ``eigvalsh`` (as its real part or real gauge form where Weyl's bound allows); else
-    ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no finite form, by
-    :func:`run_suite`'s rule.  Weights are as there.  ``_solved`` is a sweep's one-item list of
-    the last point whose sectors were solved, as :func:`_eigvalsh_read` reads it.
+    ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no finite form: the
+    matrix :func:`run_suite`'s checks decompose, by the reader they share.  Weights are as there.
     """
-    h = _Triplets.of(h)
-    w = _weights(w, h.dim)
-    form = None
-    with contextlib.suppress(NotPositiveDefiniteError):  # F has no finite form
-        form = _hermitian_form(h, w)
-    if form is not None and form.defect / (1.0 + form.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
-        return _eigvalsh_read(form, h, _solved).eigenvalues.astype(complex)
-    return eigenvalues(h if form is None else form.f)  # as run_suite's checks decompose
+    return _point(h, w, (), DEFAULT_TOLERANCES, DEFAULT_SEED)[1]()
 
 
 # ---------------------------------------------------------------------------

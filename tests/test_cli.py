@@ -1,5 +1,6 @@
 """Config parsing, report emission, and exit codes of the batch front end."""
 import collections
+import contextlib
 import json
 import os
 import re
@@ -61,6 +62,17 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@contextlib.contextmanager
+def verify_calls(monkeypatch, name):
+    """The arguments of each call of ``metriq.verify.<name>`` made inside the block."""
+    import metriq.verify
+
+    calls, real = [], getattr(metriq.verify, name)
+    with monkeypatch.context() as m:
+        m.setattr(metriq.verify, name, lambda *args: calls.append(args) or real(*args))
+        yield calls
 
 
 def test_parse_minimal_oscillator():
@@ -268,19 +280,15 @@ def test_verify_exit_check_failed(tmp_path, capsys):
 @pytest.mark.parametrize("checks", [["bogoliubov", "reality", "metric_pd"], ["bogoliubov"]],
                          ids=["with-suite", "alone"])
 def test_bogoliubov_follows_the_suite_entries(tmp_path, capsys, monkeypatch, checks):
-    # the CLI runs bogoliubov itself after run_suite's entries; alone, it calls no run_suite
-    import metriq.cli as cli
-
-    calls, run_suite = [], cli.run_suite
-    monkeypatch.setattr(cli, "run_suite",
-                        lambda *args, **kw: calls.append(kw["checks"]) or run_suite(*args, **kw))
+    # the CLI runs bogoliubov itself after the suite's entries; alone, it forms no F
     out = tmp_path / "out"
     config = write_config(tmp_path, {"model": BOSON, "checks": checks})
-    assert main(["verify", config, "--out", str(out)]) == EXIT_OK
+    with verify_calls(monkeypatch, "_hermitian_form") as forms:
+        assert main(["verify", config, "--out", str(out)]) == EXIT_OK
     suite = checks[1:]
     names = [c["name"] for c in json.loads((out / "report.json").read_text())["checks"]]
     assert names == [*suite, "bogoliubov"]
-    assert calls == ([suite] if suite else [])
+    assert len(forms) == (1 if suite else 0)
 
 
 def verify_lines(config, capsys, monkeypatch):
@@ -576,18 +584,19 @@ def solves_alone(model, monkeypatch) -> list:
 
 
 def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkeypatch):
-    import metriq.cli
+    # the LinAlgError is raised in each point's sector read, which its spectrum reads
+    import metriq.verify
 
-    real_eigenvalues = metriq.cli.hermitian_form_eigenvalues
+    real_read = metriq.verify._eigvalsh_read
     calls = []
 
-    def flaky_eigenvalues(h, w, fails=(2,), **kwargs):
-        calls.append(h)
+    def flaky_read(*args, fails=(2,)):
+        calls.append(args)
         if len(calls) in fails:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigenvalues(h, w, **kwargs)
+        return real_read(*args)
 
-    monkeypatch.setattr(metriq.cli, "hermitian_form_eigenvalues", flaky_eigenvalues)
+    monkeypatch.setattr(metriq.verify, "_eigvalsh_read", flaky_read)
     payload = {
         "model": {"kind": "xxzAsymmetric", "n_sites": 2, "delta": 0.0},
         "sweep": {"path": "delta", "values": [0.0, 0.5, 1.0]},
@@ -605,8 +614,8 @@ def test_numerical_failure_keeps_the_other_sweep_points(tmp_path, capsys, monkey
     once = solves_alone(_apply_sweep(CHAIN_N4, "gammas[1]", 0.1), monkeypatch)
     shapes = eigvalsh_shapes(monkeypatch)
     calls.clear()
-    monkeypatch.setattr(metriq.cli, "hermitian_form_eigenvalues",
-                        lambda *args, **kwargs: flaky_eigenvalues(*args, fails=(1, 3), **kwargs))
+    monkeypatch.setattr(metriq.verify, "_eigvalsh_read",
+                        lambda *args: flaky_read(*args, fails=(1, 3)))
     payload = {"model": CHAIN_N4,
                "sweep": {"path": "gammas[1]", "values": [0.0, 0.1, 0.2, 0.3, 0.4]}}
     code = main(["spectrum", write_config(tmp_path, payload)])
@@ -683,6 +692,53 @@ def test_a_sweep_of_the_deformation_solves_its_sectors_once(tmp_path, capsys, mo
         own = read(metriq.verify._hermitian_form(built.h, built.w), built.h)
         lam = np.asarray(block["eigenvalues"]) @ [1.0, 1j]
         assert np.max(np.abs(lam - own.eigenvalues)) <= reads[k].weyl + own.weyl
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "spectrum"])
+def test_a_sweep_forms_f_once_per_point(tmp_path, capsys, monkeypatch, command):
+    # the checks and the spectrum of a point read one F, through one reader
+    model, path, values = DEFORMATION_SWEEPS["xxzAsymmetric-gammas[1]"]
+    config = write_config(tmp_path, {"model": model, "sweep": {"path": path, "values": values}})
+    with verify_calls(monkeypatch, "_hermitian_form") as forms:
+        assert main([command, config]) == EXIT_OK
+    capsys.readouterr()
+    points = [build_model(_apply_sweep(model, path, v)) for v in values]
+    assert len(forms) == len(points)
+    for (h, w), built in zip(forms, points):
+        assert np.array_equal(h.vals, built.h.vals) and np.array_equal(w, built.w)
+
+
+def test_an_isospectrality_fallback_reads_the_sweeps_one_sector_read(
+        tmp_path, capsys, monkeypatch):
+    # at 1e-16 no bound certifies isospectrality, so each point compares F's eig with its sector
+    # read: the read its spectrum takes, solved at the first point and reused at the others
+    import metriq.verify
+
+    model, path, values = DEFORMATION_SWEEPS["xxzAsymmetric-gammas[1]"]
+    config = write_config(tmp_path, {"model": model, "sweep": {"path": path, "values": values}})
+    assert main(["run", config]) == EXIT_OK
+    default = json.loads(capsys.readouterr().out)
+    reads, read = [], metriq.verify._eigvalsh_read
+    with verify_calls(monkeypatch, "_sector_eigenvalues") as solves, monkeypatch.context() as m:
+        m.setattr(metriq.verify, "_eigvalsh_read", lambda *a: reads.append(read(*a)) or reads[-1])
+        code = main(["run", config, "--tol", "isospectrality=1e-16"])
+    report = json.loads(capsys.readouterr().out)
+    assert len(solves) == 1 and len(reads) == len(values)
+    assert all(r.eigenvalues is reads[0].eigenvalues for r in reads)
+    assert report["spectra"] == default["spectra"]
+    tight = [c for c in report["checks"] if c["name"] == "isospectrality"]
+    assert [c for c in report["checks"] if c["name"] != "isospectrality"] == [
+        c for c in default["checks"] if c["name"] != "isospectrality"]
+    assert code == (EXIT_OK if all(c["passed"] for c in tight) else EXIT_CHECK_FAILED)
+    for k, (value, entry) in enumerate(zip(values, tight)):
+        built = build_model(_apply_sweep(model, path, value))
+        (alone,) = run_suite(built.h, built.w, checks=["isospectrality"],
+                             tolerances={"isospectrality": 1e-16}).checks
+        assert entry["detail"].startswith(f"[{path}={value:g}] eig: ")
+        assert entry["passed"] == alone.passed
+        # the residual moves from the one it reads alone only within both reads' Weyl terms
+        own = read(metriq.verify._hermitian_form(built.h, built.w), built.h)
+        assert abs(entry["residual"] - alone.residual) <= reads[k].weyl + own.weyl
 
 
 def test_a_sweep_that_changes_the_pattern_solves_each_point(tmp_path, capsys, monkeypatch):

@@ -917,6 +917,25 @@ def test_malformed_weights_are_rejected_by_both_entry_points(w, message):
         assert np.array_equal(form, h)
 
 
+def test_no_public_callable_takes_a_private_parameter():
+    import inspect
+
+    import metriq
+    import metriq.verify
+
+    private = {}
+    for module in (metriq, metriq.verify):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                continue  # their signatures are BaseException's, which inspect cannot read
+            if callable(obj):
+                params = inspect.signature(obj).parameters
+                private[name] = [p for p in params if p.startswith("_")]
+    assert "hermitian_form_eigenvalues" in private and "SpectrumResult" in private
+    assert {name: p for name, p in private.items() if p} == {}
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
