@@ -194,7 +194,7 @@ class RunConfig:
     sweep: SweepSpec | None = None
     output: OutputSpec | None = None
     # the model parse_config built to validate it, kept for a config with no sweep
-    _built: _Built | None = field(default=None, repr=False, compare=False)
+    _built: _Built | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out: dict = {"model": self.model.to_dict()}
@@ -331,7 +331,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
         output = OutputSpec(block["path"], fmt)
 
-    return RunConfig(model, checks, sweep, output, built if sweep is None else None)
+    config = RunConfig(model, checks, sweep, output)
+    object.__setattr__(config, "_built", built if sweep is None else None)
+    return config
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -576,16 +578,15 @@ def _spectra_csv_lines(spectra: list[dict]) -> list[str]:
 
 
 def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
-    text = json.dumps(report, indent=2)
     if out_dir is None:
         if fmt == "csv":
             print("\n".join(_spectra_csv_lines(report["spectra"])))
         else:
-            print(text)
+            print(json.dumps(report, indent=2))
         return
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "report.json").write_text(text + "\n")
+    (directory / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if fmt == "csv":
         csv_text = "\n".join(_spectra_csv_lines(report["spectra"]))
         (directory / "spectra.csv").write_text(csv_text + "\n")

@@ -10,12 +10,15 @@ bounds how far ``H``'s spectrum can be from real and from that of ``F``'s
 hermitian read, and the eta-norm from conserved.  A diagonal unitary would
 change neither hermiticity nor spectrum, so none is taken, and no check that
 its bound certifies solves an eigenproblem.  A bound that misses its
-tolerance decomposes ``F``'s nonzeros instead, whose eigenvectors, unlike
-``H``'s, do not carry the metric's condition, and ``H``'s only where ``F`` has
-no finite form.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`, the
+tolerance reads ``F``'s nonzeros instead, whose eigenvectors, unlike ``H``'s,
+do not carry the metric's condition, and ``H``'s only where ``F`` has no
+finite form: reality and the eta-norm decompose it, and isospectrality, like a
+spectrum past that tolerance, reads only its eigenvalues, the decomposition's
+where one of those formed it and else ``eigenvalues``, which forms no
+eigenvectors.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`, the
 spectrum without checks, wrap one reader of a point, which states that rule
-once and forms ``F``, its decomposition and its sectors' ``eigvalsh`` read
-each on first use; the CLI calls it once per sweep point.
+once and forms ``F``, its decomposition, its eigenvalues and its sectors'
+``eigvalsh`` read each on first use; the CLI calls it once per sweep point.
 That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone.
 Where the index reversal ``J``, a chain's global spin flip, keeps a sector's
 real read ``g`` within the Weyl floor of that read, the sector is solved as
@@ -330,7 +333,7 @@ def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckR
     return CheckResult("reality", worst <= tol, worst, tol, detail)
 
 
-def _isospectrality_check(form: _HermitianForm, read, decompose, tol: float) -> CheckResult:
+def _isospectrality_check(form: _HermitianForm, read, lam, tol: float) -> CheckResult:
     # eigvalsh would read the hermitian M of F's lower triangle, ||F - M||_F <= ||F - F^dag||_F
     # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan), plus
     # sqrt 2 c eps ||F||_F for F's rounding; M's largest |lam| is at least ||M||_F / sqrt dim,
@@ -340,8 +343,8 @@ def _isospectrality_check(form: _HermitianForm, read, decompose, tol: float) -> 
     top = (form.norm - form.defect / 2.0**0.5) / form.f.dim**0.5  # <= max |lam_M|
     residual = max(dev / (1.0 + max(top - dev, 0.0)), defect)  # top - dev <= max |lam_H|
     route = "certified: eigenvalue deviation <="
-    if residual > tol:  # else eig of F itself, whose eigenvalues are H's, against eigvalsh's
-        lam_h = decompose().eigenvalues
+    if residual > tol:  # else the eigenvalues of F itself, which are H's, against eigvalsh's
+        lam_h = lam()
         dev = float(np.max(np.abs(lam_h - read().eigenvalues)))
         residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
         route = "eig: max eigenvalue deviation"
@@ -370,14 +373,17 @@ def _eta_norm_check(form: _HermitianForm, decompose, tol, seed) -> CheckResult:
 def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
            solved: list | None = None) -> tuple[list[CheckResult], Callable[[], np.ndarray]]:
     """One point's reader: the entries of ``checks`` on ``H`` and ``diag(w)`` at ``tols``, and
-    a callable for ``H``'s eigenvalues, sorted and complex.  ``F``, its decomposition and the
-    ``eigvalsh`` read of its sectors (with a sweep's ``solved``, as :func:`_eigvalsh_read`
-    reads it) are each formed on first use, then shared by the checks and the spectrum."""
+    a callable for ``H``'s eigenvalues, sorted and complex.  ``F``, its decomposition, its
+    eigenvalues and the ``eigvalsh`` read of its sectors (with a sweep's ``solved``, as
+    :func:`_eigvalsh_read` reads it) are each formed on first use, then shared by the checks
+    and the spectrum; isospectrality runs last, to read a decomposition's eigenvalues."""
     h = _Triplets.of(h)
     w = _weights(w, h.dim)
     form = functools.cache(lambda: _hermitian_form(h, w))
     read = functools.cache(lambda: _eigvalsh_read(form(), h, solved))
     decompose = functools.cache(lambda: spectrum(missed()))  # where a bound does not certify
+    lam = functools.cache(lambda: decompose().eigenvalues if decompose.cache_info().currsize
+                          else eigenvalues(missed()))
 
     def bounds() -> _HermitianForm | None:  # None where F has no finite form
         with contextlib.suppress(NotPositiveDefiniteError):
@@ -390,21 +396,22 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
         f = bounds()
         if f is not None and f.defect / (1.0 + f.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
             return read().eigenvalues.astype(complex)
-        return eigenvalues(missed())
+        return lam()
 
     run = {
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
         "reality": lambda tol: _reality_check(bounds(), decompose, tol),
-        "isospectrality": lambda tol: _isospectrality_check(form(), read, decompose, tol),
+        "isospectrality": lambda tol: _isospectrality_check(form(), read, lam, tol),
         "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
     }
-    results: list[CheckResult] = []
-    for name in checks:
+    results: list[CheckResult] = [None] * len(checks)
+    for i in sorted(range(len(checks)), key=lambda i: checks[i] == "isospectrality"):
+        name = checks[i]
         try:
-            results.append(run[name](tols[name]))
+            results[i] = run[name](tols[name])
         except (ValueError, np.linalg.LinAlgError) as exc:
-            results.append(CheckResult(name, False, np.inf, tols[name], f"failed: {exc}"))
+            results[i] = CheckResult(name, False, np.inf, tols[name], f"failed: {exc}")
     return results, eigenvalues_of_h
 
 
@@ -440,9 +447,10 @@ def run_suite(
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
     that defect where it is within their tolerance, and solve no eigenproblem;
-    else they read ``spectrum`` of ``F``: isospectrality compares its ``eig``
-    with ``eigvalsh`` of ``F``'s sectors, and the eta-norm evolves a seeded
-    probe in ``F``'s frame.  Where ``F`` has no finite form the eta-norm fails
+    else they read ``F``: isospectrality compares its eigenvalues (``eig``'s
+    where reality or the eta-norm ran ``spectrum``, else ``eigvals``') with
+    ``eigvalsh`` of ``F``'s sectors, and the eta-norm evolves a seeded probe in
+    ``F``'s frame.  Where ``F`` has no finite form the eta-norm fails
     too, and reality alone reads ``spectrum(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """

@@ -4,24 +4,25 @@
 
 Run from the repository root.  Each gate runs one CLI command as a child
 process, with every RuntimeWarning raised as an error as in tier-1, and
-passes if the child exits 0 within its bound on ``ru_maxrss``; its wall
-time is printed beside its peak, and bounds nothing.  A sweep's gate also
-prints its point count times the wall time of the same command on its first
-point alone, the gate before it.
+passes if the child exits with its code (0 unless the gate states one) within
+its bound on ``ru_maxrss``; its wall time is printed beside its peak, and
+bounds nothing.  A sweep's gate also prints its point count times the wall
+time of the same command on its first point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 
-The nine gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
+The ten gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
 ``fermionQuadratic`` on 12 sites; ``spectrum``, ``run`` and a 4-point ``run`` sweep of the
-transverse chain; ``verify`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40.
+transverse chain; ``verify`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of
+the transverse chain at an isospectrality tolerance no bound meets.
 """
 import json
 import os
 import sys
 import time
 
-# (command, config, bound in MiB, print the command's output).  H is read as its
-# nonzeros; a dense H would be 256 MiB, and no gate leaves room for one.
+# (command and flags, config, bound in MiB, print the command's output[, exit code]).  H is
+# read as its nonzeros; a dense H would be 256 MiB, and no other gate leaves room for one.
 GATES = (
     # every check must pass; 13 Sz sectors, the largest 924, none made dense, since the checks
     # solve nothing; measured at 34 MiB (47-48 MiB while they solved each sector)
@@ -59,13 +60,20 @@ GATES = (
     # and eta_norm's bound misses its tolerance, so a probe is evolved in the eigenvectors of
     # the hermitian form's sectors; every check must pass; measured at 42 MiB
     ("verify", "tests/configs/lmg_cutoff40.json", 60, True),
+    # the transverse chain at isospectrality 1e-16: its bound misses, so F's one sector of 4096
+    # goes to eigvals, which forms no eigenvectors (256 MiB dense, and LAPACK's copy), and the
+    # check fails; measured at 305 MiB in 31 s on one BLAS thread, against 1202 MiB in 60 s while
+    # the fallback formed F's eigenvectors and their residuals
+    ("verify --tol isospectrality=1e-16", "tests/configs/xxz_transverse_n12.json", 450, True, 1),
 )
 
 
 def main() -> int:
     failed, last_wall = False, 0.0
-    for command, config, limit, show in GATES:
-        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config]
+    for command, config, limit, show, *expected in GATES:
+        command, *flags = command.split()
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config,
+                *flags]
         quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
         started = time.perf_counter()
         pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
@@ -77,10 +85,10 @@ def main() -> int:
             sweep = json.load(f).get("sweep")
         against = "" if sweep is None else (
             f" against {len(sweep['values'])} x {last_wall:.1f} s for one point")
-        print(f"metriq {command} {config}: exit {code}, wall {wall:.1f} s{against}, "
-              f"peak RSS {peak_mib:.0f} MiB (limit {limit})", flush=True)
+        print(f"metriq {' '.join([command, config, *flags])}: exit {code}, wall {wall:.1f} s"
+              f"{against}, peak RSS {peak_mib:.0f} MiB (limit {limit})", flush=True)
         last_wall = wall
-        failed |= code != 0 or peak_mib > limit
+        failed |= code != (expected or [0])[0] or peak_mib > limit
     return 1 if failed else 0
 
 

@@ -485,6 +485,21 @@ def test_out_directory(tmp_path, capsys):
     assert len(csv_lines) == 1 + (payload["model"]["cutoff"] + 1) ** 2
 
 
+def test_csv_on_stdout_forms_no_json_text(tmp_path, capsys, monkeypatch):
+    import metriq.cli
+
+    path, out_dir = write_config(tmp_path, OSC_CONFIG), tmp_path / "out"
+    dumps, real = [], json.dumps
+    monkeypatch.setattr(metriq.cli.json, "dumps", lambda *a, **k: dumps.append(a) or real(*a, **k))
+    assert main(["run", path, "--format", "csv"]) == EXIT_OK
+    csv = capsys.readouterr().out
+    assert not dumps
+    # report.json is the one JSON text written, and the CSV bytes are the same either way
+    assert main(["run", path, "--format", "csv", "--out", str(out_dir)]) == EXIT_OK
+    assert len(dumps) == 1 and capsys.readouterr().out == ""
+    assert (out_dir / "spectra.csv").read_text() == csv
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, OSC_CONFIG)
     main(["run", path])
@@ -710,8 +725,9 @@ def test_a_sweep_forms_f_once_per_point(tmp_path, capsys, monkeypatch, command):
 
 def test_an_isospectrality_fallback_reads_the_sweeps_one_sector_read(
         tmp_path, capsys, monkeypatch):
-    # at 1e-16 no bound certifies isospectrality, so each point compares F's eig with its sector
-    # read: the read its spectrum takes, solved at the first point and reused at the others
+    # at 1e-16 no bound certifies isospectrality, so each point compares F's eigenvalues with
+    # its sector read: the read its spectrum takes, solved at the first point and reused at the
+    # others
     import metriq.verify
 
     model, path, values = DEFORMATION_SWEEPS["xxzAsymmetric-gammas[1]"]
@@ -739,6 +755,25 @@ def test_an_isospectrality_fallback_reads_the_sweeps_one_sector_read(
         # the residual moves from the one it reads alone only within both reads' Weyl terms
         own = read(metriq.verify._hermitian_form(built.h, built.w), built.h)
         assert abs(entry["residual"] - alone.residual) <= reads[k].weyl + own.weyl
+
+
+def test_an_isospectrality_fallback_forms_no_eigenvectors_unless_a_check_does(
+        tmp_path, capsys, monkeypatch):
+    # isospectrality reads only eigenvalues: eigvals of F, unless reality or the eta-norm
+    # decomposes F at the point, whose eigenvalues it then reads; no point solves twice
+    chain_n6 = {**CHAIN_N10, "n_sites": 6, "gammas": CHAIN_N10["gammas"][:6],
+                "xis": CHAIN_N10["xis"][:6]}
+    config = write_config(tmp_path, {"model": chain_n6})
+    counts = []
+    for flags in (["isospectrality=1e-16"], ["isospectrality=1e-16", "reality=1e-30"]):
+        with verify_calls(monkeypatch, "spectrum") as decomposed, \
+                verify_calls(monkeypatch, "eigenvalues") as read:
+            code = main(["verify", config, *(a for f in flags for a in ("--tol", f))])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_CHECK_FAILED and lines[3].startswith("FAIL isospectrality:")
+        assert "  eig: max eigenvalue deviation" in lines[3]
+        counts.append((len(decomposed), len(read)))
+    assert counts == [(0, 1), (1, 0)]
 
 
 def test_a_sweep_that_changes_the_pattern_solves_each_point(tmp_path, capsys, monkeypatch):

@@ -917,14 +917,38 @@ def test_malformed_weights_are_rejected_by_both_entry_points(w, message):
         assert np.array_equal(form, h)
 
 
+def test_the_package_re_exports_each_modules_public_names():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import metriq
+    from metriq import bosonic, linops, oscillator2d, spinchain, verify
+
+    modules = (linops, bosonic, oscillator2d, spinchain, verify)
+    assert metriq.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    assert len(set(metriq.__all__)) == len(metriq.__all__)
+    for m in modules:
+        for name in m.__all__:
+            obj = getattr(m, name)
+            assert getattr(metriq, name) is obj
+            assert getattr(obj, "__module__", m.__name__) == m.__name__
+    # the CLI, and argparse with it, stays out of the package import
+    env = dict(os.environ, PYTHONPATH=str(Path(metriq.__file__).parents[1]))
+    code = "import sys, metriq; assert not {'metriq.cli', 'argparse'} & set(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_no_public_callable_takes_a_private_parameter():
     import inspect
 
     import metriq
+    import metriq.cli
     import metriq.verify
 
     private = {}
-    for module in (metriq, metriq.verify):
+    for module in (metriq, metriq.verify, metriq.cli):
         for name in module.__all__:
             obj = getattr(module, name)
             if isinstance(obj, type) and issubclass(obj, Exception):
@@ -932,7 +956,7 @@ def test_no_public_callable_takes_a_private_parameter():
             if callable(obj):
                 params = inspect.signature(obj).parameters
                 private[name] = [p for p in params if p.startswith("_")]
-    assert "hermitian_form_eigenvalues" in private and "SpectrumResult" in private
+    assert {"hermitian_form_eigenvalues", "SpectrumResult", "RunConfig"} <= set(private)
     assert {name: p for name, p in private.items() if p} == {}
 
 
