@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -331,8 +331,7 @@ def build_quadratic_hamiltonian(
     return _assemble(space, terms, form.metric.ws)
 
 
-@dataclass(frozen=True)
-class BogoliubovResult:
+class BogoliubovResult(NamedTuple):
     """Normal-mode data of a stable quadratic form.
 
     ``omegas`` holds the N positive frequencies in ascending order;

@@ -158,8 +158,7 @@ def _check_names(names: list, kind: str, what: str) -> None:
         raise ConfigError(f"{what} 'bogoliubov' applies only to bosonQuadratic")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Validated model kind plus its normalized parameter block."""
 
     kind: str
@@ -169,8 +168,7 @@ class ModelSpec:
         return {"kind": self.kind, **self.params}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     path: str
     values: tuple[float, ...]
 
@@ -178,8 +176,7 @@ class SweepSpec:
         return {"path": self.path, "values": list(self.values)}
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     path: str
     format: str = "json"
 
@@ -296,6 +293,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # nested past the interpreter's recursion limit
+        raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {"model", "checks", "sweep", "output"}
@@ -345,8 +344,7 @@ def serialize_config(config: RunConfig) -> str:
 # Builders
 
 
-@dataclass(frozen=True)
-class _Built:
+class _Built(NamedTuple):
     """Hamiltonian as its nonzeros and metric weights ``w`` (``eta = diag(w)``)."""
 
     h: _Triplets
@@ -643,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:

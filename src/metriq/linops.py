@@ -267,8 +267,7 @@ class SpectrumResult:
         return out
 
 
-@dataclass(frozen=True)
-class InnerProductSpace:
+class InnerProductSpace(NamedTuple):
     """A validated metric together with its positive square root.
 
     ``rho = sqrt(metric)`` is the hermitian positive root and

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class OscillatorParams:
         return self.k1 > 0 and self.k2 > 0 and 4.0 * self.k1 * self.k2 > self.k3**2
 
 
-@dataclass(frozen=True)
-class ComplexFrequencies:
+class ComplexFrequencies(NamedTuple):
     """The three complex combinations ``m w1^2, m w2^2, m w3^2``."""
 
     m_w1_sq: complex
@@ -85,8 +84,7 @@ class ComplexFrequencies:
     m_w3_sq: complex
 
 
-@dataclass(frozen=True)
-class RotatedFrame:
+class RotatedFrame(NamedTuple):
     """Principal-axis angle and the rotated (diagonal) stiffnesses."""
 
     theta: float

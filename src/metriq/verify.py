@@ -73,8 +73,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check: residual against its tolerance."""
 
     name: str

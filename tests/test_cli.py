@@ -422,6 +422,12 @@ def test_exit_config_error(tmp_path, capsys):
     assert err.startswith("error:")
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG_ERROR
     capsys.readouterr()
+    # bytes that are not UTF-8, and arrays nested past the recursion limit
+    (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"model": 1}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for name in ("bad.json", "deep.json"):
+        assert main(["run", str(tmp_path / name)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error:")
     # a negative seed, though every check certifies here and no probe is drawn
     code = main(["verify", write_config(tmp_path, OSC_CONFIG), "--seed", "-1"])
     assert code == EXIT_CONFIG_ERROR

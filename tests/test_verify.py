@@ -960,6 +960,62 @@ def test_no_public_callable_takes_a_private_parameter():
     assert {name: p for name, p in private.items() if p} == {}
 
 
+def _plain_records():
+    """Each plain record of the package, with one value per field in field order."""
+    from metriq import cli
+    from metriq.bosonic import BogoliubovResult
+    from metriq.linops import InnerProductSpace
+    from metriq.oscillator2d import ComplexFrequencies, RotatedFrame
+    from metriq.verify import CheckResult
+
+    eye = np.eye(2)
+    return [
+        (CheckResult, dict(name="reality", passed=True, residual=1e-15, tolerance=1e-10,
+                           detail="")),
+        (BogoliubovResult, dict(omegas=np.array([1.0, 2.0]), pairing_residual=0.0,
+                                d_min_eigenvalue=0.5)),
+        (InnerProductSpace, dict(metric=eye, rho=eye, rho_inverse=eye)),
+        (ComplexFrequencies, dict(m_w1_sq=1 + 0.5j, m_w2_sq=2 - 0.5j, m_w3_sq=0.25j)),
+        (RotatedFrame, dict(theta=0.1, kappa_plus=2.0, kappa_minus=1.0)),
+        (cli.ModelSpec, dict(kind="oscillator2d", params={"cutoff": 4})),
+        (cli.SweepSpec, dict(path="gamma", values=(0.0, 0.1))),
+        (cli.OutputSpec, dict(path="out", format="csv")),
+        (cli._Built, dict(h=_Triplets.of(eye), w=np.ones(2), form=None)),
+    ]
+
+
+@pytest.mark.parametrize("cls, fields", [pytest.param(cls, fields, id=cls.__name__)
+                                         for cls, fields in _plain_records()])
+def test_a_plain_record_is_immutable_compares_by_field_and_reprs_its_fields(cls, fields):
+    record = cls(**fields)
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(fields)), None)
+    assert record == cls(**fields)  # the same field objects: arrays compare by identity
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+
+def test_every_dataclass_validates_or_holds_private_state():
+    # a record that only holds its fields is a NamedTuple; a dataclass must earn its
+    # generated code with a __post_init__, its own __init__ or an init=False field
+    import dataclasses
+    import inspect
+
+    from metriq import bosonic, cli, linops, oscillator2d, spinchain, verify
+
+    plain, seen = [], set()
+    for module in (linops, bosonic, oscillator2d, spinchain, verify, cli):
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
+                continue
+            seen.add(name)
+            if not ("__post_init__" in vars(cls)
+                    or cls.__init__.__code__.co_filename != "<string>"
+                    or any(not f.init for f in dataclasses.fields(cls))):
+                plain.append(f"{module.__name__}.{name}")
+    assert {"MetricSpec", "SpectrumResult", "FockSpace", "RunConfig", "GradedMatrix"} <= seen
+    assert plain == []
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
