@@ -46,6 +46,7 @@ from .oscillator2d import OscillatorParams, build_xy_hamiltonian, oscillator_met
 from .spinchain import (
     FermionQuadraticSpec,
     SpinChainSpec,
+    _check_chain,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
@@ -78,8 +79,6 @@ EXIT_NUMERICAL_FAILURE = 3
 
 BOGOLIUBOV_TOL = 1e-10
 
-_NUMERICAL_ERRORS = (np.linalg.LinAlgError,)
-
 
 class ConfigError(ValueError):
     """Invalid configuration text, schema, or parameter values."""
@@ -104,6 +103,16 @@ def _positive_int(name, v):
     if v < 1:
         raise ConfigError(f"field '{name}' must be positive, got {v}")
     return v
+
+
+def _sites(name, v):
+    """A site count, held to the chains' one site cap before any per-site list is built."""
+    n = _positive_int(name, v)
+    try:
+        _check_chain(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return n
 
 
 def _real_list(name, v):
@@ -136,7 +145,7 @@ def _deformation(required: bool) -> dict:
 
 # field -> (required, coercer, default); None default means "derived later"
 _CHAIN = {  # the fields of a SpinChainSpec
-    "n_sites": (True, _positive_int, None),
+    "n_sites": (True, _sites, None),
     "gamma_exchange": (False, _real, 1.0),
     "delta": (False, _real, 0.0),
     "fields_a": (False, _real_list, None),
@@ -456,7 +465,7 @@ _KINDS: dict[str, _Kind] = {
         p, MetricSpec([p["gamma"]] * p["n_sites"], [p["xi"]] * p["n_sites"])
     )),
     "haldaneShastry": _Kind({
-        "n_sites": (True, _positive_int, None),
+        "n_sites": (True, _sites, None),
         **_deformation(required=False),
         "sign": (False, _sign, 1),
     }, _build_haldane_shastry),
@@ -532,7 +541,7 @@ def _execute(
                 results.append(_bogoliubov_check(built.form, tols["bogoliubov"]))
             if run_spectrum:
                 lam = eigenvalues_of()
-        except _NUMERICAL_ERRORS as exc:
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:  # a numerical failure
             errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
             continue

@@ -132,10 +132,10 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str) -> None:
+def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str, name: str = "operator") -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(
-            f"dimension mismatch: operator is {a.shape[0]}-dimensional, "
+            f"dimension mismatch: {name} is {a.shape[0]}-dimensional, "
             f"{what} is {b.shape[0]}-dimensional"
         )
 
@@ -359,11 +359,7 @@ def to_hermitian(h, space: InnerProductSpace, u=None) -> np.ndarray:
     is pseudo-hermitian with respect to ``space.metric``.
     """
     h = as_operator(h)
-    if h.shape[0] != space.dim:
-        raise ValueError(
-            f"dimension mismatch: operator is {h.shape[0]}-dimensional, "
-            f"inner-product space is {space.dim}-dimensional"
-        )
+    _check_same_dim(h, space.metric, "inner-product space")
     if u is None:
         left = space.rho
         right = space.rho_inverse
@@ -386,11 +382,7 @@ def map_observable(bhat, space: InnerProductSpace) -> np.ndarray:
     isomorphism.  ``bhat`` must be hermitian.
     """
     bhat = as_operator(bhat)
-    if bhat.shape[0] != space.dim:
-        raise ValueError(
-            f"dimension mismatch: observable is {bhat.shape[0]}-dimensional, "
-            f"inner-product space is {space.dim}-dimensional"
-        )
+    _check_same_dim(bhat, space.metric, "inner-product space", "observable")
     _require_hermitian(bhat, 1e-10, "observable")
     return space.rho_inverse @ bhat @ space.rho
 
@@ -424,10 +416,14 @@ class _Triplets(NamedTuple):
         return np.where(np.append(keys, -1)[at] == want, at, -1)
 
     def sector(self, idx: np.ndarray) -> _Triplets:
-        """The principal block on the sorted ``idx``, a set that no entry links outside."""
-        held = np.isin(self.rows, idx)
-        local = np.searchsorted(idx, self.rows[held]), np.searchsorted(idx, self.cols[held])
-        return _Triplets(len(idx), *local, self.vals[held])
+        """The principal block on ``idx``, numbered in its order, a set that no entry links
+        outside."""
+        at = np.full(self.dim, -1)
+        at[idx] = np.arange(len(idx))
+        held = at[self.rows] >= 0
+        rows, cols = at[self.rows[held]], at[self.cols[held]]
+        order = np.argsort(rows * len(idx) + cols, kind="stable")  # identity for a sorted idx
+        return _Triplets(len(idx), rows[order], cols[order], self.vals[held][order])
 
 
 def _real_form(b: _Triplets, d, bound: float) -> tuple[_Triplets, float] | None:

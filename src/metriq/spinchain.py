@@ -144,34 +144,18 @@ class SpinChainSpec:
     ws: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        _check_chain(self.n_sites)
-
-        def norm_fields(name: str, vals) -> tuple[float, ...]:
-            if vals is None or len(vals) == 0:
-                return (0.0,) * self.n_sites
-            out = tuple(float(v) for v in vals)
+        _check_chain(self.n_sites)  # before any per-site tuple is built
+        for name, cast in (("fields_a", float), ("fields_b", float), ("fields_c", float),
+                           ("ws", complex)):  # each per-site tuple; an empty one is all zeros
+            vals = getattr(self, name)
+            out = tuple(map(cast, () if vals is None else vals)) or (cast(0),) * self.n_sites
             if len(out) != self.n_sites:
-                raise ValueError(
-                    f"{name} must have {self.n_sites} entries, got {len(out)}"
-                )
+                raise ValueError(f"{name} must have {self.n_sites} entries, got {len(out)}")
             if not all(np.isfinite(v) for v in out):
                 raise ValueError(f"{name} contains non-finite entries")
-            return out
-
-        object.__setattr__(self, "fields_a", norm_fields("fields_a", self.fields_a))
-        object.__setattr__(self, "fields_b", norm_fields("fields_b", self.fields_b))
-        object.__setattr__(self, "fields_c", norm_fields("fields_c", self.fields_c))
-        if self.ws is None or len(self.ws) == 0:
-            ws = (0j,) * self.n_sites
-        else:
-            ws = tuple(complex(w) for w in self.ws)
-            if len(ws) != self.n_sites:
-                raise ValueError(f"ws must have {self.n_sites} entries, got {len(ws)}")
-        if not all(np.isfinite(w.real) and np.isfinite(w.imag) for w in ws):
-            raise ValueError("ws contains non-finite entries")
+            object.__setattr__(self, name, out)
         if not (np.isfinite(self.gamma_exchange) and np.isfinite(self.delta)):
             raise ValueError("couplings must be finite")
-        object.__setattr__(self, "ws", ws)
 
     @property
     def gammas(self) -> tuple[float, ...]:

@@ -19,14 +19,14 @@ eigenvectors.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`, the
 spectrum without checks, wrap one reader of a point, which states that rule
 once and forms ``F``, its decomposition, its eigenvalues and its sectors'
 ``eigvalsh`` read each on first use; the CLI calls it once per sweep point.
-That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone.
-Where the index reversal ``J``, a chain's global spin flip, keeps a sector's
-real read ``g`` within the Weyl floor of that read, the sector is solved as
-the two halves of ``(g + J g J) / 2``, or takes the eigenvalues of the sector
-``J`` maps it onto, and the part dropped joins the spectrum's Weyl term;
-``H`` itself is not ``J``-symmetric under a non-uniform metric.  A failed
-check becomes a report entry rather than an exception; only structural
-misuse (wrong dimensions, a malformed ``w``, invalid arguments) raises.
+That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone, or of
+the blocks that one fold by the index reversal ``J`` (a chain's spin flip), the
+bit reversal ``R`` (its site reflection) and ``JR`` splits it into, each where
+it keeps the sector's real read within the Weyl floor; what it drops joins the
+Weyl term.  ``H`` itself is not ``J``- or ``R``-symmetric under a non-uniform
+metric.  A failed check becomes a report entry rather than an exception; only
+structural misuse (wrong dimensions, a malformed ``w``, invalid arguments)
+raises.
 
 The module also carries the graded-matrix identities used by secular-matrix
 style perturbation setups, where the metric is diagonal with entries
@@ -158,9 +158,10 @@ def _metric_pd_check(w: np.ndarray, tol: float) -> CheckResult:
     return CheckResult("metric_pd", passed, residual, tol, detail)
 
 
-# Each entry of a fold block sums at most four halves of entries of g; by Weyl that moves its
-# eigenvalues by <= sqrt 2 gamma_3 ||g||_F, gamma_3 = 3u / (1 - 3u), which is below 3 eps ||g||_F.
-_FOLD_ROUNDING = 3 * _EPS
+# Each entry of a fold's block sums at most four terms x c_r c_c / sqrt(n_r n_c) of g's entries,
+# each within 2u of exact, so within gamma_5 of their moduli's sum; their squares sum to at most
+# ||g||_F^2 over both blocks, so by Weyl each fold moves eigenvalues by <= 2 gamma_5 ||g||_F.
+_FOLD_ROUNDING = 5 * _EPS
 
 
 def _weyl_floor(norm: float, m: int) -> float:
@@ -170,102 +171,111 @@ def _weyl_floor(norm: float, m: int) -> float:
 
 
 def _real_read(b: _Triplets, d: np.ndarray) -> tuple[_Triplets, float | None]:
-    """What ``eigvalsh`` reads of the hermitian block ``b``: its real part, else its real form
-    under ``d``, if the ``sqrt 2 ||Im||_F`` it drops is within the Weyl floor, with that drop;
-    else ``b`` itself, and None."""
+    """What ``eigvalsh`` reads of the hermitian block ``b``, its lower triangle mirrored, sorted:
+    of its real part, else its real form under ``d``, if the ``sqrt 2 ||Im||_F`` that drops is
+    within the Weyl floor, with that drop; else of ``b`` itself, and None."""
     bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
-    g, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
-    return g, None if im is None else np.sqrt(2.0) * im
-
-
-def _fold_eigvalsh(g: _Triplets) -> np.ndarray:
-    """``eigvalsh`` of ``(g + J g J) / 2`` for a real symmetric ``g`` of even size, ``J`` the
-    index reversal.  On ``e_i +- e_{i'}`` (``i' = m - 1 - i``) it is two blocks ``A +- B R`` of
-    ``m / 2``: each entry ``(r, c, x)`` of ``g`` adds ``x / 2`` at ``(min(r, r'), min(c, c'))``,
-    times ``sigma(r) sigma(c)`` in the minus block (``sigma = -1`` on the upper half).  Each
-    block is built from the nonzeros and solved alone; ``eigvalsh`` reads its lower triangle."""
-    half, top = g.dim // 2, g.dim - 1
-    r, c = np.minimum(g.rows, top - g.rows), np.minimum(g.cols, top - g.cols)
-    low = r >= c
-    x, cross = g.vals[low] / 2.0, (g.rows[low] < half) != (g.cols[low] < half)
-    lam = []
-    for vals in (x, np.where(cross, -x, x)):
-        block = np.zeros((half, half))
-        np.add.at(block, (r[low], c[low]), vals)
-        lam.append(np.linalg.eigvalsh(block))
-        del block  # one block at a time
-    return np.concatenate(lam)
-
-
-def _mirrored(b: _Triplets) -> _Triplets:
-    """The hermitian matrix ``eigvalsh`` reads off ``b``: its lower triangle, mirrored."""
+    b, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
     low = b.rows >= b.cols
     r, c, v = b.rows[low], b.cols[low], b.vals[low]
     off = r > c
     rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
     vals, order = np.concatenate([v, v[off].conj()]), np.argsort(rows * b.dim + cols)
-    return _Triplets(b.dim, rows[order], cols[order], vals[order])
-
-
-def _flip_gap(a: _Triplets, b: _Triplets) -> float:
-    """``||a - J b J||_F`` over both patterns, ``J`` the index reversal ``i -> dim - 1 - i``."""
-    top = b.dim - 1  # J b J holds b's entries in reverse, still sorted
-    at = a.find(top - b.rows[::-1], top - b.cols[::-1])
-    own, alone = np.append(a.vals, 0), np.ones(len(a.vals) + 1, dtype=bool)
-    alone[at] = False  # the entries of a that J b J lacks; -1 marks the appended 0
-    return float(np.hypot(np.linalg.norm(b.vals[::-1] - own[at]), np.linalg.norm(own[alone])))
-
-
-def _sector_eigenvalues(f: _Triplets, sectors, d) -> tuple[list, list, list]:
-    """``eigvalsh`` of each sector of ``F``, as :func:`_real_read` reads it: per
-    sector its eigenvalues, its route and the most they moved by what was dropped and by the
-    solve's backward error.
-
-    ``J``, the index reversal, is the chains' global spin flip.  A real read ``g`` of a sector
-    that ``J`` maps to itself is solved as the two halves of ``(g + J g J) / 2``, and one that
-    ``J`` maps onto an earlier sector ``S`` takes ``S``'s eigenvalues, each only where the part
-    dropped, ``||g - J g J||_F / 2`` or ``||g - J g_S J||_F``, is within the Weyl floor of the
-    real read; that part, and the fold's rounding, join the sector's term.  So does each
-    solve's backward error (LAPACK Users' Guide, 3rd ed., 4.7), per half of a fold.
-    """
-    label = np.empty(f.dim, dtype=int)
-    for k, idx in enumerate(sectors):
-        label[idx] = k
-    kept = {}  # a sector whose image comes later: its g and eigenvalues
-    lam, route, weyl = [], [], []
-    for k, idx in enumerate(sectors):
-        g, drop = _real_read(f.sector(idx), d[idx])
-        image = label[f.dim - 1 - idx[::-1]]  # J(S) is sector t if all of it lies in t
-        t = int(image[0])
-        flips = (drop is not None and len(sectors[t]) == len(idx) and bool(np.all(image == t))
-                 and (t > k or t in kept or (t == k and len(idx) % 2 == 0)))
-        vals, how, moved = None, "real" if drop is not None else "complex", 0.0
-        if flips:
-            g = _mirrored(g)
-            norm = float(np.linalg.norm(g.vals))
-            floor = _weyl_floor(norm, len(idx))  # as for the real read
-            if t == k and (gap := _flip_gap(g, g) / 2.0) <= floor:
-                vals, how, moved = _fold_eigvalsh(g), "folded", gap + _FOLD_ROUNDING * norm
-            elif t < k and (gap := _flip_gap(g, kept[t][0])) <= floor:
-                vals, how, moved = kept[t][1], "mirrored", gap
-        if vals is None:
-            vals = np.linalg.eigvalsh(g.dense())
-        if flips and t > k:
-            kept[k] = (g, vals)
-        # eigvalsh's values are exact for a block of size m within m eps ||b||_2 of it, and
-        # ||b||_2 <= max |lam| / (1 - m eps); a mirror's are its partner's, of its size
-        m = len(idx) // 2 if how == "folded" else len(idx)
-        solve = m * _EPS * float(np.max(np.abs(vals))) / (1.0 - m * _EPS)
-        lam.append(vals)
-        route.append(how)
-        weyl.append((drop or 0.0) + moved + solve)
-    return lam, route, weyl
+    read = _Triplets(b.dim, rows[order], cols[order], vals[order])
+    return read, None if im is None else np.sqrt(2.0) * im
 
 
 def _norm(x: np.ndarray) -> float:
     """``||x||_2`` as numpy's pairwise sum of the squared moduli: unlike ``np.linalg.norm``,
     which reduces through BLAS, the same at every BLAS thread count."""
     return float(np.sqrt(np.add.reduce(np.abs(x) ** 2)))
+
+
+def _image_gap(t: _Triplets, rows: np.ndarray, cols: np.ndarray) -> float:
+    """``||t - t'||_F`` over both patterns, ``t'`` holding the conjugate of each entry of ``t``
+    at its image ``(rows, cols)`` under an involution, such as the transpose or ``P t P`` for a
+    permutation ``P``: an entry whose image is zero counts for both positions."""
+    at = t.find(rows, cols)
+    return float(np.hypot(_norm(t.vals - np.where(at >= 0, t.vals[at], 0).conj()),
+                          _norm(t.vals[at < 0])))
+
+
+def _fold(g: _Triplets, gens: list) -> list[_Triplets]:
+    """The real symmetric ``g`` folded by each of the commuting signed involutions ``gens`` in
+    turn, ``(p, s)`` for ``P e_i = s_i e_{p_i}``, fixed points allowed: its blocks, none empty.
+
+    In block ``a = +-1`` of ``P``, an orbit ``i < p_i`` spans ``(e_i + a s_i e_{p_i}) / sqrt 2``
+    and a fixed point ``e_i`` lies in block ``s_i`` alone; each entry ``(r, c, x)`` of ``g``
+    adds ``x c_r c_c / sqrt(n_r n_c)`` at its orbits' places, summed in ``g``'s order, with
+    ``c`` the signs of the states and ``n`` the orbit sizes.  The next involution maps a
+    block's orbit ``i`` to that of ``p_i``, with the sign of ``P e_i`` on its state."""
+    if not gens:
+        return [g]
+    (p, s), *rest = gens
+    i, blocks = np.arange(g.dim), []
+    rep, n = np.minimum(i, p), np.where(p == i, 1.0, 2.0)
+    for a in (1.0, -1.0):
+        kept = (p != i) | (s == a)
+        reps = np.flatnonzero(kept & (rep == i))
+        at, c = np.where(kept, np.searchsorted(reps, rep), -1), np.where(rep == i, 1.0, a * s)
+        on = (at[g.rows] >= 0) & (at[g.cols] >= 0)
+        r, k = g.rows[on], g.cols[on]
+        keys, sums = np.unique(at[r] * len(reps) + at[k], return_inverse=True)
+        vals = np.bincount(sums, g.vals[on] * (c[r] * c[k]) / np.sqrt(n[r] * n[k]), len(keys))
+        block = _Triplets(len(reps), *np.divmod(keys, len(reps)), vals.astype(float))
+        if len(reps):
+            blocks += _fold(block, [(at[q[reps]], t[reps] * c[q[reps]]) for q, t in rest])
+    return blocks
+
+
+def _sector_eigenvalues(f: _Triplets, sectors, d) -> list[tuple[list, np.ndarray, str, float]]:
+    """``eigvalsh`` of each sector of ``F``, as :func:`_real_read` reads it, by :func:`_fold`:
+    per unit of sectors solved together, the sectors, eigenvalues, route and Weyl term.
+
+    Of the index reversal ``J`` (a chain's spin flip), the bit reversal ``R`` (its site
+    reflection, where ``dim`` is a power of two) and ``JR``, each that moves a unit onto itself
+    is admitted where the part of its real read ``g`` that it drops, ``||g - P g P||_F / 2``,
+    is within the Weyl floor; ``g`` is folded by ``J`` and ``R`` if all three are, into blocks
+    of size ``(m + a chi(J) + b chi(R) + ab chi(JR)) / 4`` (``chi`` counts the indices each
+    fixes), else by the first.  The parts dropped, each fold's rounding and the largest block's
+    solve error (LAPACK Users' Guide, 3rd ed., 4.7) join the term.  A sector that ``J`` ties to
+    a later one is one unit with it: an orbit of ``J`` with no fixed point and no entry between
+    its halves, whose two equal blocks are solved once."""
+    i, n = np.arange(f.dim), f.dim.bit_length() - 1
+    r = sum((((i >> b) & 1) << (n - 1 - b) for b in range(n)), 0 * i)
+    invs = {"J": i[::-1], **({"R": r, "JR": r[::-1]} if f.dim == 1 << n else {})}
+
+    def unit(u, pair):  # F on the indices u, in u's order; None for a pair J does not tie
+        g, drop = _real_read(f.sector(u), d[u])
+        norm, at = float(np.linalg.norm(g.vals)), np.full(f.dim, -1)
+        at[u] = np.arange(len(u))
+        maps = {} if drop is None else {k: q for k, p in invs.items()
+                                        if (q := at[p[u]]).min() >= 0 and np.any(q != at[u])}
+        gaps = {k: x / 2 for k, q in maps.items()  # ||g - P g P||_F / 2, g real
+                if (x := _image_gap(g, q[g.rows], q[g.cols])) / 2 <= _weyl_floor(norm, len(u))}
+        gens = list(gaps)[:2 if len(gaps) == 3 else 1]
+        if pair and gens[:1] != ["J"]:
+            return None
+        solved = []  # a block equal to one solved takes its eigenvalues
+        for b in _fold(g, [(maps[k], np.ones(len(u))) for k in gens]):
+            same = [v for o, v in solved if all(map(np.array_equal, o, b))]
+            solved.append((b, same[0] if same else np.linalg.eigvalsh(b.dense())))
+        # eigvalsh's values are exact for a block of size m within m eps ||b||_2 of it, and
+        # ||b||_2 <= max |lam| / (1 - m eps)
+        lam, m = np.concatenate([v for _, v in solved]), max(b.dim for b, _ in solved)
+        solve = m * _EPS * float(np.max(np.abs(lam))) / (1.0 - m * _EPS)
+        moved = sum(gaps[k] for k in gens) + len(gens) * _FOLD_ROUNDING * norm
+        route = "+".join(gens) or ("complex" if drop is None else "real")
+        return lam, route, (drop or 0.0) + moved + solve
+
+    units, first, paired = [], {int(idx[0]): k for k, idx in enumerate(sectors)}, set()
+    for k, idx in enumerate(sectors):
+        t = first.get(int(invs["J"][idx[-1]]), -1)  # J(S), if a sector, starts at J(max S)
+        if k not in paired:
+            pair = t > k and unit(np.concatenate([idx, sectors[t]]), True)
+            paired.update([t] if pair else [])
+            units.append(([k, t], *pair) if pair else ([k], *unit(idx, False)))
+    return units
 
 
 def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
@@ -277,9 +287,7 @@ def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
     root = np.sqrt(w)
     f = h._replace(vals=h.vals * root[h.rows] * (1.0 / root)[h.cols])
-    # F - F^dag on the nonzeros: an entry whose transpose is zero counts for both positions
-    at, a = f.find(f.cols, f.rows), np.abs(f.vals)
-    diff = np.hypot(_norm(f.vals - np.where(at >= 0, f.vals[at], 0).conj()), _norm(a[at < 0]))
+    diff, a = _image_gap(f, f.cols, f.rows), np.abs(f.vals)  # ||F - F^dag||_F
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
     anti = float(diff / 2.0 + _F_ROUNDING * np.sqrt(row * col))
@@ -306,8 +314,8 @@ def _eigvalsh_read(form: _HermitianForm, h: _Triplets, solved: list | None = Non
         g, g_last = (p[t.rows] * t.vals * p.conj()[t.cols] for t, p in ((f, d), (last.f, last.d)))
         if (gap := float(np.linalg.norm(g - g_last))) <= floor:
             return last._replace(weyl=last.weyl + 2.0**0.5 * gap)
-    lam, _, weyl = _sector_eigenvalues(f, sectors, d)
-    read = _Solved(np.sort(np.concatenate(lam)), float(max(weyl)), f, d)
+    units = _sector_eigenvalues(f, sectors, d)
+    read = _Solved(np.sort(np.concatenate([u[1] for u in units])), max(u[3] for u in units), f, d)
     if solved is not None:
         solved[0] = read
     return read
@@ -356,7 +364,7 @@ def _eta_norm_check(form: _HermitianForm, decompose, tol, seed) -> CheckResult:
     # so on [0, T] every state's eta-norm stays within exp(+-2 T ||F_a||_2) of its start (Gronwall)
     drift = 2.0 * _GRID[-1] * form.anti
     detail = f"certified for every state on [0, {_GRID[-1]:g}]"
-    if np.expm1(drift) > tol:
+    if drift > np.log1p(tol):  # not expm1(drift) > tol, which overflows past drift ~ 709
         # else the drift of a seeded probe phi, drawn in F's frame and evolved in F's
         # eigenvectors, in place of the bound's
         rng = np.random.default_rng(seed)
@@ -391,6 +399,7 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     def missed() -> _Triplets:  # what a missed bound decomposes: F, or H where F has no form
         return h if (f := bounds()) is None else f.f
 
+    @np.errstate(over="raise", invalid="raise")  # an overflow is a FloatingPointError
     def eigenvalues_of_h() -> np.ndarray:  # the read, where F is hermitian to the tolerance
         f = bounds()
         if f is not None and f.defect / (1.0 + f.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
@@ -408,8 +417,9 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     for i in sorted(range(len(checks)), key=lambda i: checks[i] == "isospectrality"):
         name = checks[i]
         try:
-            results[i] = run[name](tols[name])
-        except (ValueError, np.linalg.LinAlgError) as exc:
+            with np.errstate(over="raise", invalid="raise"):  # an overflow fails its check
+                results[i] = run[name](tols[name])
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             results[i] = CheckResult(name, False, np.inf, tols[name], f"failed: {exc}")
     return results, eigenvalues_of_h
 
@@ -470,9 +480,9 @@ def run_suite(
 def hermitian_form_eigenvalues(h, w) -> np.ndarray:
     """Eigenvalues of ``H`` from the nonzeros of ``F = rho H rho^{-1}``.
 
-    A diagonal similarity keeps the eigenvalues, returned sorted and complex.
-    If ``F``'s hermiticity defect is within the isospectrality tolerance, each sector of ``F``
-    goes to ``eigvalsh`` (as its real part or real gauge form where Weyl's bound allows); else
+    A diagonal similarity keeps the eigenvalues, returned sorted and complex.  If ``F``'s
+    hermiticity defect is within the isospectrality tolerance, each sector of ``F`` goes to
+    ``eigvalsh`` (real, and folded by ``J`` and ``R``, where Weyl's bound allows); else
     ``F``'s nonzeros go to ``eigenvalues``, or ``H``'s where ``F`` has no finite form: the
     matrix :func:`run_suite`'s checks decompose, by the reader they share.  Weights are as there.
     """

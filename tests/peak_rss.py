@@ -11,10 +11,11 @@ time of the same command on its first point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 
-The ten gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
+The twelve gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
 ``fermionQuadratic`` on 12 sites; ``spectrum``, ``run`` and a 4-point ``run`` sweep of the
-transverse chain; ``verify`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of
-the transverse chain at an isospectrality tolerance no bound meets.
+transverse chain; ``spectrum`` of the Sz-conserving chain and of the ring; ``verify`` of
+``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of the transverse chain at an
+isospectrality tolerance no bound meets.
 """
 import json
 import os
@@ -29,8 +30,8 @@ GATES = (
     ("verify", "tests/configs/xxz_asymmetric_n12.json", 120, True),
     # one sector of 4096: every check must pass, certified from one pass over the nonzeros of
     # the hermitian form with no eigensolve; measured at 39 MiB (49 MiB while the assembler
-    # sorted its raw entries), so the bound leaves 11 MiB, less than one folded half of the
-    # sector made dense (32 MiB)
+    # sorted its raw entries), so the bound leaves 11 MiB, less than one half of the sector
+    # folded by the spin flip alone made dense (32 MiB)
     ("verify", "tests/configs/xxz_transverse_n12.json", 50, True),
     # the Haldane-Shastry ring couples every pair of its 12 sites (139,264 nonzeros, 133
     # assembler offsets): every check must pass; measured at 45-46 MiB, and at 74 MiB while the
@@ -40,18 +41,26 @@ GATES = (
     # assembler offsets), the kind with the most offsets: every check must pass; measured at
     # 58-60 MiB, and at 81 MiB while the assembler sorted its raw entries
     ("verify", "tests/configs/fermion_quadratic_n12.json", 75, True),
-    # one sector of 4096, which the spin flip folds into two halves of 2048, built and
-    # solved one at a time: one half (32 MiB) plus eigvalsh's own copy (32 MiB), over
-    # ~47 MiB for the interpreter, numpy and the nonzeros; measured at 109-110 MiB, so the
-    # bound leaves 25 MiB, less than a second half held alive (32 MiB)
-    ("spectrum", "tests/configs/xxz_transverse_n12.json", 135, False),
+    # one sector of 4096, which the spin flip J and the site reflection R fold into blocks of
+    # 1056, 992, 1024 and 1024, built and solved one at a time: one block (8.5 MiB) plus
+    # eigvalsh's own copy, over ~50 MiB for the interpreter, numpy, the nonzeros and the
+    # fold's reads; measured at 64-65 MiB, so the bound leaves 10 MiB, less than one half of J
+    # alone made dense (32 MiB); 108-110 MiB while J alone folded it
+    ("spectrum", "tests/configs/xxz_transverse_n12.json", 75, False),
     # the same sector: the checks solve nothing, so the peak is the spectrum's, as above
-    ("run", "tests/configs/xxz_transverse_n12.json", 135, False),
+    ("run", "tests/configs/xxz_transverse_n12.json", 75, False),
     # the same chain over 4 values of gammas[0]: the deformation leaves F as it is, so the
     # later points take the first point's eigenvalues and solve nothing; holding the solved
-    # point's F costs O(nnz) and must not raise the peak; measured at 111 MiB in 2.2 s,
-    # against 2.1 s for the one point above
-    ("run", "tests/configs/xxz_transverse_n12_sweep.json", 135, False),
+    # point's F costs O(nnz) and must not raise the peak; measured at 65 MiB in 0.8 s,
+    # against 0.6 s for the one point above
+    ("run", "tests/configs/xxz_transverse_n12_sweep.json", 75, False),
+    # 13 Sz sectors: J ties each pair it swaps into one unit, and J and R fold each unit into
+    # blocks of at most 396; measured at 38 MiB, and at 45 MiB while the two sectors of 792
+    # were solved whole, so the bound leaves 4 MiB, less than one of those and its copy (10 MiB)
+    ("spectrum", "tests/configs/xxz_asymmetric_n12.json", 42, False),
+    # the ring's 139,264 nonzeros in the same 13 sectors, folded alike; measured at 49-50 MiB,
+    # and at 54 MiB while the sectors of 792 were solved whole
+    ("spectrum", "tests/configs/haldane_shastry_n12.json", 53, False),
     # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
     # measured at 32 MiB, so the bound leaves 28 MiB, less than a dense complex H (43 MiB)

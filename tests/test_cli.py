@@ -414,6 +414,45 @@ def test_a_numerical_failure_is_a_failed_entry(tmp_path, capsys, monkeypatch):
         assert line.endswith("failed: no convergence")
 
 
+@pytest.mark.parametrize("delta", [1e17, 1e300])
+def test_an_overflowing_norm_is_a_failed_entry_not_a_warning(tmp_path, capsys, delta):
+    # at delta 1e17 exp of the eta-norm bound's drift overflows, and the bound is read as
+    # missed; at 1e300 F's norms overflow too, and each check that reads F fails as an entry.
+    # Tier-1 raises each RuntimeWarning, so a warning fails this test, as a NaN residual does
+    path = write_config(tmp_path, {"model": {"kind": "xxzAsymmetric", "n_sites": 3,
+                                             "delta": delta}})
+    code = main(["verify", path])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5
+    assert all(re.match(r"(PASS|FAIL) \w+: residual=(?!nan)", line) for line in lines)
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert all("  failed: overflow encountered" in line for line in failed)
+    assert (code, len(failed)) == ((EXIT_OK, 0) if delta < 1e100 else (EXIT_CHECK_FAILED, 4))
+    # the spectrum reads F too: a numerical failure, not a traceback
+    assert main(["spectrum", path]) == (EXIT_OK if delta < 1e100 else EXIT_NUMERICAL_FAILURE)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["xxzAsymmetric", "xxzSymmetric", "haldaneShastry"])
+def test_an_oversized_chain_is_refused_before_any_per_site_list(tmp_path, kind):
+    # a small spawner reads the child's peak: Linux keeps a spawner's RSS high-water mark in
+    # its child's ru_maxrss across exec, and this test's own process may hold more than the bound
+    import metriq
+
+    config = write_config(tmp_path, {"model": {"kind": kind, "n_sites": 10**6}})
+    spawner = ("import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+               "_, status, usage = os.wait4(pid, 0); "
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    child = [sys.executable, "-m", "metriq.cli", "verify", config]
+    out = subprocess.run([sys.executable, "-c", spawner, *child], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(metriq.__file__).parents[1])))
+    code, peak_kib = map(int, out.stdout.split())
+    assert code == EXIT_CONFIG_ERROR
+    assert out.stderr == "error: n_sites must be in [1, 12]\n"
+    # measured at 30 MiB, and at 99 MiB while the per-site lists were built before the cap
+    assert peak_kib < 50 * 1024
+
+
 def test_exit_config_error(tmp_path, capsys):
     bad = {"model": {"kind": "oscillator2d", "k1": 1.0}}
     code = main(["run", write_config(tmp_path, bad)])
@@ -674,13 +713,14 @@ def test_one_eig_per_sz_sector_per_sweep_point(tmp_path, capsys, monkeypatch, co
     assert code == EXIT_OK
     assert len(report["spectra"]) == 3
     # the n=3 total-Sz sectors, by smallest index: {0}, {1,2,4}, {3,5,6}, {7}; the spin
-    # flip maps the last two onto the first two, which lend them their eigenvalues
-    sectors = [(1, 1), (3, 3)]
+    # flip ties the last two to the first two, each pair folding into two equal blocks solved
+    # once, and the site reflection folds the block of {1,2,4} into 2 and 1 (it fixes 2)
+    sectors = [(1, 1), (2, 2), (1, 1)]
     # both read the hermitian form's eigenvalues only: run's checks pass on the
     # bounds of that one pass, and its spectrum is the same eigvalsh
     per_point = ["eigvalsh"]
     assert eig_shapes == [(name, s) for name in per_point for s in sectors] * 3
-    assert calls == {name: 6 for name in per_point}
+    assert calls == {name: 9 for name in per_point}
     # the chain is real up to a diagonal phase gauge: every solve is real
     assert dtypes == {(name, np.dtype(float)) for name in per_point}
 
@@ -787,9 +827,11 @@ def test_a_sweep_that_changes_the_pattern_solves_each_point(tmp_path, capsys, mo
     model = CHAIN_N4 | {"fields_a": [0.0] * 4}
     points = [_apply_sweep(model, "fields_a[0]", v) for v in (0.0, 0.3)]
     each = [solves_alone(point, monkeypatch) for point in points]
-    # Sz sectors 1, 4, 6, 4, 1: the 6 folded in two, the last two mirrors; then one sector of
-    # 16, folded in two
-    assert each == [[(1, 1), (4, 4), (3, 3), (3, 3)], [(8, 8)] * 2]
+    # Sz sectors 1, 4, 6, 4, 1: each pair the spin flip J swaps is tied into two equal blocks
+    # solved once, the site reflection R folds the 4 into 2 and 2, and J and R fold the 6 into
+    # 3, 1 and 2 (one block is empty); then one sector of 16, which the field on one site
+    # leaves to J alone, folded in two
+    assert each == [[(1, 1), (2, 2), (2, 2), (3, 3), (1, 1), (2, 2)], [(8, 8)] * 2]
     shapes = eigvalsh_shapes(monkeypatch)
     payload = {"model": model, "sweep": {"path": "fields_a[0]", "values": [0.0, 0.3]}}
     code = main(["run", write_config(tmp_path, payload)])
@@ -1077,9 +1119,10 @@ def _oracle_build(model):
         # 11 Sz sectors, the largest 252: no array of dim**2 entries, not even real ones
         ("verify", CHAIN_N10, 1024**2 * 8),
         ("run", CHAIN_N10, 1024**2 * 8),
-        # one sector of 1024, folded by the spin flip into two halves of 512 solved one at a
-        # time: one half (2 MiB) and the nonzeros, measured at 3.8 MiB; both would be 5.8
-        ("spectrum", {**CHAIN_N10, "fields_a": [0.4] * 10}, 5 * 2**20),
+        # one sector of 1024, folded by the spin flip and the site reflection into blocks of
+        # 272, 240, 256 and 256 solved one at a time: measured at 3.0 MiB, and at 3.7 MiB while
+        # the spin flip alone folded it into halves of 512 (2 MiB each)
+        ("spectrum", {**CHAIN_N10, "fields_a": [0.4] * 10}, 7 * 2**19),  # 3.5 MiB
     ],
 )
 def test_cli_makes_no_dense_h(tmp_path, capsys, command, model, limit):

@@ -591,7 +591,7 @@ def sector_reads(model):
 
 
 def full_blocks(f, sectors, d):
-    """``eigvalsh`` of each sector's read made dense whole: the route before the spin flip."""
+    """``eigvalsh`` of each sector's read made dense whole: the route before any fold."""
     from metriq.verify import _real_read
 
     return [np.linalg.eigvalsh(_real_read(f.sector(idx), d[idx])[0].dense()) for idx in sectors]
@@ -600,47 +600,91 @@ def full_blocks(f, sectors, d):
 def within_weyl(vals, full, moved):
     """``vals`` match ``full`` within ``moved``, plus ``sqrt(m) eps max |lam|`` for each of
     the two ``eigvalsh`` solves (at m = 4096 a fold and a full solve differ by up to 38 eps
-    max |lam| beyond the part the flip dropped).  ``moved`` counts the backward error of
+    max |lam| beyond the part the fold dropped).  ``moved`` counts the backward error of
     the solve behind ``vals`` too; that of ``full`` it does not."""
     solves = 2.0 * np.sqrt(len(full)) * np.finfo(float).eps * np.max(np.abs(full), initial=1.0)
     return np.max(np.abs(np.sort(vals) - full)) <= moved + solves
 
 
+def unit_references(f, sectors, d, units):
+    """Per unit of :func:`_sector_eigenvalues`, its sectors' whole solves, sorted together."""
+    full = full_blocks(f, sectors, d)
+    return [np.sort(np.concatenate([full[k] for k in unit])) for unit, *_ in units]
+
+
+def bit_reversal(n):
+    return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(2**n)])
+
+
+def character_sizes(indices, dim, route):
+    """The blocks a fold by ``route`` makes of the basis states ``indices``: by characters,
+    ``(m + a chi(J) + b chi(R) + ab chi(JR)) / 4`` for ``J + R``, ``(m + a chi(P)) / 2`` for
+    one ``P``, where ``chi`` counts the states each element fixes; empty blocks are left out."""
+    n = dim.bit_length() - 1
+    maps = {"J": np.arange(dim)[::-1], "R": bit_reversal(n)}
+    maps["JR"] = maps["J"][maps["R"]]
+    chi = {k: int(np.sum(p[indices] == indices)) for k, p in maps.items()}
+    m, gens = len(indices), route.split("+")
+    if gens == ["J", "R"]:
+        sizes = [(m + a * chi["J"] + b * chi["R"] + a * b * chi["JR"]) // 4
+                 for a in (1, -1) for b in (1, -1)]
+    else:
+        sizes = [(m + a * chi[gens[0]]) // 2 for a in (1, -1)]
+    return [k for k in sizes if k], chi
+
+
 HS_N8 = {"kind": "haldaneShastry", "n_sites": 8,
          "gammas": [0.2, -0.1, 0.3, 0.05, 0.1, -0.2, 0.0, 0.15],
          "xis": [0.1, 0.0, -0.2, 0.3, 0.2, -0.1, 0.05, 0.0]}
+TRANSVERSE_N8 = {**CHAIN_N10, "n_sites": 8, "gammas": CHAIN_N10["gammas"][:8],
+                 "xis": CHAIN_N10["xis"][:8], "fields_a": [0.4] * 8}
 
 
 @pytest.mark.parametrize(
-    "model, folded, mirrored",
+    "model, routes",
     [
-        ({**CHAIN_N10, "n_sites": 8, "gammas": CHAIN_N10["gammas"][:8],
-          "xis": CHAIN_N10["xis"][:8], "fields_a": [0.4] * 8}, 1, 0),
-        ({**CHAIN_N10, "fields_a": [0.4] * 10}, 1, 0),
-        (HS_N8, 1, 4),  # Sz sectors 1, 8, 28, 56, 70, 56, 28, 8, 1
-        (CHAIN_N10, 1, 5),
+        (TRANSVERSE_N8, {"J+R": 1}),
+        ({**CHAIN_N10, "fields_a": [0.4] * 10}, {"J+R": 1}),
+        # Sz sectors 1, 8, 28, 56, 70, 56, 28, 8, 1: the 70 alone, each other pair together;
+        # R fixes both states of the pair of 1, so J alone folds it
+        (HS_N8, {"J+R": 4, "J": 1}),
+        (CHAIN_N10, {"J+R": 5, "J": 1}),
     ],
     ids=["transverse-n8", "transverse-n10", "haldane-shastry-n8", "sz-n10"],
 )
-def test_fold_and_mirror_match_the_full_blocks_within_the_weyl_term(model, folded, mirrored):
+def test_fold_and_mirror_match_the_full_blocks_within_the_weyl_term(model, routes):
     from metriq.verify import _sector_eigenvalues
 
     f, sectors, d = sector_reads(model)
-    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
-    assert (route.count("folded"), route.count("mirrored")) == (folded, mirrored)
-    assert route.count("real") == len(sectors) - folded - mirrored
-    for vals, full, how, moved in zip(lam, full_blocks(f, sectors, d), route, weyl):
-        if how == "real":
-            np.testing.assert_array_equal(vals, full)
-        else:
-            assert within_weyl(vals, full, moved)
+    units = _sector_eigenvalues(f, sectors, d)
+    assert collections.Counter(route for _, _, route, _ in units) == routes
+    assert sorted(k for unit, *_ in units for k in unit) == list(range(len(sectors)))
+    for (unit, vals, route, moved), full in zip(units, unit_references(f, sectors, d, units)):
+        assert within_weyl(vals, full, moved)
+
+
+@pytest.mark.parametrize("model", [TRANSVERSE_N8, {**CHAIN_N10, "fields_a": [0.4] * 10}, HS_N8],
+                         ids=["transverse-n8", "transverse-n10", "haldane-shastry-n8"])
+def test_the_fold_hands_eigvalsh_blocks_of_the_sizes_the_characters_give(monkeypatch, model):
+    from metriq.verify import _sector_eigenvalues
+
+    f, sectors, d = sector_reads(model)
+    shapes, numpy_eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(len(a)) or numpy_eigvalsh(a))
+    expected, fixed = [], 0
+    for unit, vals, route, _ in _sector_eigenvalues(f, sectors, d):
+        sizes, chi = character_sizes(np.concatenate([sectors[k] for k in unit]), f.dim, route)
+        # J swaps a pair's sectors: its blocks a = -1 equal those of a = +1 and are not solved
+        expected += sizes[:len(sizes) // len(unit)]
+        fixed += chi["R"] + chi["JR"]
+        assert len(vals) == sum(len(sectors[k]) for k in unit)
+    assert shapes == expected and fixed > 0  # fixed points are present
 
 
 @pytest.mark.parametrize(
     "model",
     [
-        {**CHAIN_N10, "n_sites": 8, "gammas": CHAIN_N10["gammas"][:8], "xis": CHAIN_N10["xis"][:8],
-         "fields_a": [0.4] * 8, "fields_c": [1e-9] + [0.0] * 7},
+        {**TRANSVERSE_N8, "fields_c": [1e-9] + [0.0] * 7},
         OSC_SWEEP_SEED_1 | {"gamma": 0.2, "cutoff": 10},
         SMALL_MODELS[1],  # bosonQuadratic
         SMALL_MODELS[2],  # lmg
@@ -656,15 +700,17 @@ def test_sectors_the_flip_does_not_keep_take_the_full_block(monkeypatch, model):
     numpy_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: calls.update([a.shape]) or numpy_eigvalsh(a))
-    lam, route, _ = _sector_eigenvalues(f, sectors, d)
-    assert "folded" not in route
-    # lmg's only mirrors are two 1 x 1 sectors of 0, whose gap is exactly 0
-    mirrored = [k for k, how in enumerate(route) if how == "mirrored"]
-    assert len(mirrored) == (2 if model["kind"] == "lmg" else 0)
-    assert calls == collections.Counter(
-        (len(idx),) * 2 for k, idx in enumerate(sectors) if k not in mirrored)
-    for vals, ref in zip(lam, full):
-        np.testing.assert_array_equal(vals, ref)
+    units = _sector_eigenvalues(f, sectors, d)
+    # lmg's only fold is J on two pairs of 1 x 1 sectors of 0, whose gap is exactly 0: each
+    # pair folds into two equal blocks of 1, solved once
+    pairs = [unit for unit, _, route, _ in units if route == "J"]
+    assert len(pairs) == (2 if model["kind"] == "lmg" else 0)
+    assert all(route == "real" or unit in pairs for unit, _, route, _ in units)
+    assert calls == collections.Counter((len(sectors[unit[0]]),) * 2 for unit, *_ in units)
+    for (unit, vals, *_), ref in zip(units, unit_references(f, sectors, d, units)):
+        np.testing.assert_array_equal(np.sort(vals), ref)
+        if unit not in pairs:
+            np.testing.assert_array_equal(vals, full[unit[0]])
 
 
 def test_an_odd_chain_has_no_self_mapped_sector_and_solves_each_mirrored_pair_once(monkeypatch):
@@ -673,37 +719,38 @@ def test_an_odd_chain_has_no_self_mapped_sector_and_solves_each_mirrored_pair_on
     model = {**CHAIN_N10, "n_sites": 7, "gammas": CHAIN_N10["gammas"][:7],
              "xis": CHAIN_N10["xis"][:7]}
     f, sectors, d = sector_reads(model)
-    full = full_blocks(f, sectors, d)
     calls = []
     numpy_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or numpy_eigvalsh(a))
-    lam, route, weyl = _sector_eigenvalues(f, sectors, d)
-    # Sz = +-1/2, ..., +-7/2: sectors 1, 7, 21, 35, 35, 21, 7, 1, the last four mirrors
-    assert route == ["real"] * 4 + ["mirrored"] * 4 and calls == [1, 7, 21, 35]
-    for k in range(4):
-        np.testing.assert_array_equal(lam[k], full[k])
-        assert lam[7 - k] is lam[k]
-        assert within_weyl(lam[7 - k], full[7 - k], weyl[7 - k])
+    units = _sector_eigenvalues(f, sectors, d)
+    # Sz = +-1/2, ..., +-7/2: sectors 1, 7, 21, 35, 35, 21, 7, 1, each tied to its mirror by J
+    # into one unit whose two J blocks are equal, so each is solved once; R then folds the 7,
+    # 21 and 35 of a J block, with 1, 3 and 3 palindromes fixed
+    assert [(unit, route) for unit, _, route, _ in units] == [
+        ([0, 7], "J"), ([1, 6], "J+R"), ([2, 5], "J+R"), ([3, 4], "J+R")]
+    assert calls == [1, 4, 3, 12, 9, 19, 16]
+    for (unit, vals, _, moved), full in zip(units, unit_references(f, sectors, d, units)):
+        assert within_weyl(vals, full, moved)
 
 
-def flip_symmetric(scale, m=64, pair=False, seed=11):
-    """A real symmetric ``S`` that the index reversal ``J`` keeps, plus ``eps P``, ``P``
-    a symmetric part that ``J`` negates, with ``eps`` at ``scale`` times the largest for
-    which the fold may read ``S``.  With ``pair``, the block diagonal ``(S', J S' J + eps P)``
-    of two sectors that ``J`` swaps, where ``S'`` is any real symmetric block."""
+def symmetric_under(case, scale, m=64, seed=11):
+    """A real symmetric ``S`` that an involution ``P`` keeps, plus ``eps Q``, ``Q`` a symmetric
+    part that ``P`` negates, with ``eps`` at ``scale`` times the largest for which the fold may
+    read ``S``.  ``P`` is the index reversal ``J`` for a ``fold``, the bit reversal ``R`` (with
+    8 fixed points) for a ``reflection``; for a ``pair``, the block diagonal
+    ``(S', J S' J + eps Q)`` of two sectors that ``J`` swaps, ``S'`` any real symmetric block."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(m, m))
-    flip = np.eye(m)[::-1]
-    base = g + g.T if pair else g + g.T + flip @ (g + g.T) @ flip
+    flip = np.eye(m)[bit_reversal(6) if case == "reflection" else np.arange(m)[::-1]]
+    base = g + g.T if case == "pair" else g + g.T + flip @ (g + g.T) @ flip
     odd = g + g.T - flip @ (g + g.T) @ flip
-    # the read drops ||eps P||_F: ||g - J g J||_F / 2 of the fold, ||g' - J g J||_F of the pair
-    eps = scale * REAL_FORM_TOL * (1.0 + np.linalg.norm(base) / np.sqrt(m)) / np.linalg.norm(odd)
-    if pair:
+    # the read drops ||g - P g P||_F / 2: ||eps Q||_F, and of the pair's 2m, ||eps Q||_F / sqrt 2
+    dropped = scale * REAL_FORM_TOL * (1.0 + np.linalg.norm(base) / np.sqrt(m))
+    eps = dropped * (np.sqrt(2.0) if case == "pair" else 1.0) / np.linalg.norm(odd)
+    if case == "pair":
         zero = np.zeros((m, m))
-        h = np.block([[base, zero], [zero, flip @ base @ flip + eps * odd]])
-    else:
-        h = base + eps * odd
-    return h, eps * np.linalg.norm(odd)
+        return np.block([[base, zero], [zero, flip @ base @ flip + eps * odd]]), dropped
+    return base + eps * odd, dropped
 
 
 def solve_error(vals, m):
@@ -713,26 +760,27 @@ def solve_error(vals, m):
     return m * eps * float(np.max(np.abs(vals))) / (1.0 - m * eps)
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["fold", "pair"])
+@pytest.mark.parametrize("case", ["fold", "pair", "reflection"])
 @pytest.mark.parametrize("scale", [0.9, 1.1])
-def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(pair, scale):
+def test_the_flip_is_read_only_within_the_weyl_floor_and_its_drop_is_bounded(case, scale):
     from metriq.verify import _sector_eigenvalues
 
-    h, dropped = flip_symmetric(scale, pair=pair)
-    lam, route, weyl = _sector_eigenvalues(*hermitian_read(h))
-    eigenvalues, weyl = np.sort(np.concatenate(lam)), max(weyl)
-    admitted = (0, 0) if scale > 1 else ((0, 1) if pair else (1, 0))
-    assert (route.count("folded"), route.count("mirrored")) == admitted
+    h, dropped = symmetric_under(case, scale)
+    units = _sector_eigenvalues(*hermitian_read(h))
+    eigenvalues, weyl = np.sort(np.concatenate([u[1] for u in units])), max(u[3] for u in units)
+    routes = [route for _, _, route, _ in units]
     ref = np.sort(np.linalg.eigvalsh(h))
     if scale > 1:  # refused: each sector solved whole, as before, and its term is that solve's
-        blocks = np.split(np.arange(len(h)), 2 if pair else 1)
+        assert routes == ["real"] * (2 if case == "pair" else 1)
+        blocks = np.split(np.arange(len(h)), len(routes))
         lam = [np.linalg.eigvalsh(h[s][:, s]) for s in blocks]
         np.testing.assert_array_equal(eigenvalues, np.sort(np.concatenate(lam)))
         assert weyl == max(solve_error(vals, len(vals)) for vals in lam)
     else:  # the Weyl term carries the drop, the rounding of the fold's sums and the solves'
-        # error: each fold half, and the pair's partner, is a block of len(h) / 2
-        rounding = 3 * np.finfo(float).eps * np.linalg.norm(h)
-        solves = solve_error(eigenvalues, len(h) // 2)
+        # error: each block of a J fold is of size len(h) / 2, and R's largest (64 + 8) / 2
+        assert routes == ["R" if case == "reflection" else "J"]
+        rounding = 5 * np.finfo(float).eps * np.linalg.norm(h)
+        solves = solve_error(eigenvalues, 36 if case == "reflection" else len(h) // 2)
         assert 0.999 * dropped + solves <= weyl <= 1.001 * dropped + rounding + solves
         assert within_weyl(eigenvalues, ref, weyl)
 
