@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linops import MetricSpec, _Triplets
+from .linops import MetricSpec, _coefficients, _Triplets
 
 __all__ = [
     "DIM_CAP",
@@ -86,7 +86,7 @@ class FockSpace:
 
     def __post_init__(self):
         if self.modes < 1:
-            raise ValueError("need at least one mode")
+            raise ValueError(f"modes must be at least 1, got {self.modes}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         if self.dim > DIM_CAP:
@@ -266,6 +266,7 @@ def build_metric(space: FockSpace, metric: MetricSpec) -> np.ndarray:
     return similarity(space.occupation_table(), metric.ws)[0]
 
 
+@dataclass(frozen=True)
 class BosonQuadraticForm:
     """Coefficients of a deformed quadratic boson Hamiltonian.
 
@@ -273,24 +274,14 @@ class BosonQuadraticForm:
     matrices; ``metric`` supplies the per-mode deformations ``w_i``.
     """
 
+    alpha: np.ndarray
+    beta: np.ndarray
+    metric: MetricSpec
+
     def __init__(self, alpha, beta, metric: MetricSpec):
-        alpha = np.asarray(alpha, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        n = metric.n
-        for name, m in (("alpha", alpha), ("beta", beta)):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} contains non-finite entries")
-            asym = np.abs(m - m.T)
-            if np.any(asym > 0):
-                i, j = np.unravel_index(np.argmax(asym), m.shape)
-                raise ValueError(
-                    f"{name} must be symmetric: {name}[{i}][{j}] != {name}[{j}][{i}]"
-                )
-        self.alpha = alpha
-        self.beta = beta
-        self.metric = metric
+        object.__setattr__(self, "alpha", _coefficients("alpha", alpha, metric.n))
+        object.__setattr__(self, "beta", _coefficients("beta", beta, metric.n))
+        object.__setattr__(self, "metric", metric)
 
     @property
     def n(self) -> int:
@@ -298,11 +289,7 @@ class BosonQuadraticForm:
 
 
 @_dense
-def build_quadratic_hamiltonian(
-    space: FockSpace,
-    form: BosonQuadraticForm,
-    include_zero_point: bool = True,
-) -> np.ndarray:
+def build_quadratic_hamiltonian(space: FockSpace, form: BosonQuadraticForm) -> np.ndarray:
     """Dense matrix of the deformed quadratic form.
 
     Terms: ``(1/2) sum_ij alpha_ij (e^{w_i - w_j} a_i^dag a_j + e^{-(w_i - w_j)}
@@ -310,11 +297,9 @@ def build_quadratic_hamiltonian(
     e^{w_i + w_j} a_i^dag a_j^dag)``: the ``w = 0`` form, weighted by the
     assembler's rule.
 
-    With ``include_zero_point`` (default) the hopping part is taken in
-    symmetric ordering, which adds the constant ``tr(alpha) / 2`` and makes
-    the exact spectrum equal ``sum_i (n_i + 1/2) Omega_i``; switch it off to
-    get the bare normal-ordered form whose spectrum is shifted down by the
-    same constant.
+    The hopping part is taken in symmetric ordering, which adds the constant
+    ``tr(alpha) / 2`` and makes the exact spectrum equal ``sum_i (n_i + 1/2)
+    Omega_i``.
     """
     _check_metric_matches(space, form.metric)
     terms = []
@@ -326,8 +311,7 @@ def build_quadratic_hamiltonian(
         if b != 0.0:
             terms.append((b, (("a", i), ("a", j))))
             terms.append((b, (("ad", i), ("ad", j))))
-    if include_zero_point:  # the identity: a term without factors
-        terms.append((0.5 * np.trace(form.alpha), ()))
+    terms.append((0.5 * np.trace(form.alpha), ()))  # the identity: a term without factors
     return _assemble(space, terms, form.metric.ws)
 
 

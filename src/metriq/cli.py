@@ -59,6 +59,7 @@ from .verify import (
     CheckResult,
     GradedMatrix,
     _point,
+    _selection,
 )
 
 __all__ = [
@@ -105,13 +106,18 @@ def _positive_int(name, v):
     return v
 
 
+def _refuse(check, *args):
+    """``check(*args)``, a ``ValueError`` or ``TypeError`` it raises made a ``ConfigError``."""
+    try:
+        return check(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _sites(name, v):
     """A site count, held to the chains' one site cap before any per-site list is built."""
     n = _positive_int(name, v)
-    try:
-        _check_chain(n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _refuse(_check_chain, n)
     return n
 
 
@@ -153,18 +159,17 @@ _CHAIN = {  # the fields of a SpinChainSpec
     "fields_c": (False, _real_list, None),
 }
 
-_CHECK_NAMES = tuple(DEFAULT_TOLERANCES) + ("bogoliubov",)
+# the checks the CLI runs and their tolerances: the suite's, and bogoliubov, which it runs itself
+_TOLERANCES = {**DEFAULT_TOLERANCES, "bogoliubov": BOGOLIUBOV_TOL}
 
 
-def _check_names(names: list, kind: str, what: str) -> None:
-    """Refuse an unknown or repeated name, or bogoliubov off bosonQuadratic: checks and --tol."""
-    for i, name in enumerate(names):
-        if name not in _CHECK_NAMES:
-            raise ConfigError(f"unknown {what} {name!r}; expected one of {sorted(_CHECK_NAMES)}")
-        if name in names[:i]:
-            raise ConfigError(f"duplicate {what} {name!r}")
-    if "bogoliubov" in names and kind != "bosonQuadratic":
-        raise ConfigError(f"{what} 'bogoliubov' applies only to bosonQuadratic")
+def _select(checks: list, tolerances: list, kind: str) -> dict:
+    """Checks and ``(name, value)`` tolerances by verify's one rule, with the CLI's own: bogoliubov
+    only on bosonQuadratic.  Returns every tolerance, the overrides applied."""
+    for what, names in (("check", checks), ("tolerance", [k for k, _ in tolerances])):
+        if "bogoliubov" in names and kind != "bosonQuadratic":
+            raise ConfigError(f"{what} 'bogoliubov' applies only to bosonQuadratic")
+    return _refuse(_selection, checks, tolerances, _TOLERANCES)
 
 
 class ModelSpec(NamedTuple):
@@ -319,7 +324,7 @@ def parse_config(text: str) -> RunConfig:
         block = raw["checks"]
         if not isinstance(block, list) or not block:
             raise ConfigError("'checks' must be a non-empty list of names")
-        _check_names(block, model.kind, "check")
+        _select(block, [], model.kind)
         checks = tuple(block)
 
     sweep = _parse_sweep(raw["sweep"], model) if "sweep" in raw else None
@@ -478,12 +483,7 @@ _KINDS: dict[str, _Kind] = {
 
 def _build_model(spec: ModelSpec) -> _Built:
     """Build ``spec``'s model; a builder's ``ValueError`` or ``TypeError`` is a ``ConfigError``."""
-    try:
-        return _KINDS[spec.kind].build(spec.params)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _refuse(_KINDS[spec.kind].build, spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +514,18 @@ def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
 def _execute(
     config: RunConfig,
     seed: int,
-    tolerances: dict,
+    tols: dict,
     *,
     run_checks: bool,
     run_spectrum: bool,
 ) -> tuple[dict, int]:
-    """Run all sweep points; return (report dict, exit code)."""
+    """Run all sweep points at the tolerances ``tols``; return (report dict, exit code)."""
     sweep = config.sweep
     points = [(None, config.model.params)] if sweep is None else [
         (v, _apply_sweep(config.model.params, sweep.path, v)) for v in sweep.values]
     # the checks that run: verify's reader takes the suite's, and the CLI runs bogoliubov itself
     checks = (config.checks or tuple(DEFAULT_TOLERANCES)) if run_checks else ()
     suite, bogoliubov = [c for c in checks if c != "bogoliubov"], "bogoliubov" in checks
-    tols = {**DEFAULT_TOLERANCES, "bogoliubov": BOGOLIUBOV_TOL, **tolerances}
     checks_out: list[dict] = []
     spectra_out: list[dict] = []
     errors: list[str] = []
@@ -600,19 +599,14 @@ def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
 
 
 def _parse_tol_flags(pairs: list[str], kind: str, runs: tuple[str, ...]) -> dict:
-    """``--tol NAME=VALUE`` pairs as a dict; refuses a name not in ``runs``, the checks that run."""
-    tols: dict = {}
+    """Every tolerance, the ``--tol NAME=VALUE`` pairs applied; refuses a name not in ``runs``,
+    the checks that run."""
+    overrides = [pair.partition("=")[::2] for pair in pairs]
     for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
+        if "=" not in pair:
             raise ConfigError(f"--tol expects NAME=VALUE, got {pair!r}")
-        _check_names([*tols, name], kind, "tolerance")  # the names before this one, and it
-        try:
-            tols[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"tolerance {name!r} needs a numeric value") from None
-        if not (np.isfinite(tols[name]) and tols[name] > 0):
-            raise ConfigError(f"tolerance {name!r} must be positive and finite")
+    tols = _select([], overrides, kind)
+    for pair, (name, _) in zip(pairs, overrides):
         if name not in runs:
             raise ConfigError(f"--tol {pair}: check {name!r} does not run")
     return tols
@@ -657,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(text)
         # the config's checks block, else the suite's five; spectrum runs none
         runs = () if args.command == "spectrum" else config.checks or tuple(DEFAULT_TOLERANCES)
-        tolerances = _parse_tol_flags(args.tol, config.model.kind, runs)
+        tols = _parse_tol_flags(args.tol, config.model.kind, runs)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:
@@ -675,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     run_checks = args.command in ("run", "verify")
     run_spectrum = args.command in ("run", "spectrum")
     report, code = _execute(
-        config, seed, tolerances, run_checks=run_checks, run_spectrum=run_spectrum
+        config, seed, tols, run_checks=run_checks, run_spectrum=run_spectrum
     )
     if args.command == "verify":
         for check in report["checks"]:

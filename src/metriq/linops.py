@@ -112,6 +112,20 @@ def as_operator(a) -> np.ndarray:
     return arr
 
 
+def _coefficients(name: str, m, n: int | None = None, sign: float = 1.0) -> np.ndarray:
+    """``m`` as a real ``n x n`` (without ``n``, square) coefficient matrix, finite and equal
+    to ``sign`` times its transpose; raises ``ValueError`` naming the first entry that is not."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
+        raise ValueError(f"{name} must be {'square' if n is None else f'{n}x{n}'}, got {m.shape}")
+    bad = np.argwhere(~np.isfinite(m) | (m != sign * m.T))
+    if len(bad):
+        (i, j), rule = bad[0], "symmetric" if sign > 0 else "antisymmetric"
+        raise ValueError(f"{name} must be finite and {rule}: "
+                         f"{name}[{i}][{j}] = {m[i, j]:g}, {name}[{j}][{i}] = {m[j, i]:g}")
+    return m
+
+
 def as_state(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a 1-D complex vector of length ``dim``."""
     vec = np.asarray(v, dtype=complex)

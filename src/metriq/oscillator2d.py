@@ -61,9 +61,9 @@ class OscillatorParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        vals = (self.k1, self.k2, self.k3, self.m, self.gamma, self.xi)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("oscillator parameters must be finite")
+        for name in ("k1", "k2", "k3", "m", "gamma", "xi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.m <= 0:
             raise ValueError("mass must be positive")
 
@@ -289,7 +289,7 @@ def lz_ladder_identity(space: FockSpace, n: int, m: int) -> float:
     requires ``n + m + 1 < cutoff`` so no term touches the cutoff.
     """
     if n < 0 or m < 0:
-        raise ValueError("quantum numbers must be non-negative")
+        raise ValueError(f"n and m must be non-negative, got {n} and {m}")
     if n + m + 1 >= space.cutoff:
         raise ValueError(
             f"n + m + 1 = {n + m + 1} must stay below the cutoff {space.cutoff}"
@@ -328,7 +328,7 @@ def matrix_element_equivalence(
     """
     ahat = as_operator(ahat)
     if ahat.shape[0] != space.dim:
-        raise ValueError("operator dimension does not match the Fock space")
+        raise ValueError(f"ahat is {ahat.shape[0]}-dimensional, the Fock space {space.dim}")
     w = complex(w)
     _require_two_modes(space)
     lz = _assemble(space, [(-1j * c, f) for c, f in _I_LZ]).dense()

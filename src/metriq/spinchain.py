@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bosonic import FockSpace, _assemble, _dense, _guard_overflow, similarity
-from .linops import MetricSpec, _Triplets
+from .linops import MetricSpec, _coefficients, _Triplets, is_pseudo_hermitian
 
 __all__ = [
     "MAX_SITES",
@@ -155,7 +155,7 @@ class SpinChainSpec:
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, out)
         if not (np.isfinite(self.gamma_exchange) and np.isfinite(self.delta)):
-            raise ValueError("couplings must be finite")
+            raise ValueError("gamma_exchange and delta must be finite")
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -296,28 +296,9 @@ class FermionQuadraticSpec:
     metric: MetricSpec
 
     def __init__(self, hopping, pairing, metric: MetricSpec):
-        n = metric.n
-        _check_chain(n)
-        hop = np.asarray(hopping, dtype=float)
-        pair = np.asarray(pairing, dtype=float)
-        if hop.shape != (n, n):
-            raise ValueError(f"hopping must be {n}x{n}, got {hop.shape}")
-        if pair.shape != (n, n):
-            raise ValueError(f"pairing must be {n}x{n}, got {pair.shape}")
-        if not (np.all(np.isfinite(hop)) and np.all(np.isfinite(pair))):
-            raise ValueError("coefficients must be finite")
-        bad = np.abs(hop - hop.T)
-        if np.any(bad > 0):
-            i, j = np.unravel_index(np.argmax(bad), hop.shape)
-            raise ValueError(f"hopping must be symmetric: entry [{i}][{j}]")
-        bad = np.abs(pair + pair.T)
-        if np.any(bad > 0):
-            i, j = np.unravel_index(np.argmax(bad), pair.shape)
-            raise ValueError(
-                f"pairing must be antisymmetric: entry [{i}][{j}] (diagonal included)"
-            )
-        object.__setattr__(self, "hopping", hop)
-        object.__setattr__(self, "pairing", pair)
+        _check_chain(metric.n)
+        object.__setattr__(self, "hopping", _coefficients("hopping", hopping, metric.n))
+        object.__setattr__(self, "pairing", _coefficients("pairing", pairing, metric.n, -1.0))
         object.__setattr__(self, "metric", metric)
 
     @property
@@ -401,7 +382,5 @@ def spin_orbit_check(
     h = np.zeros((dim_l * dim_s, dim_l * dim_s), dtype=complex)
     for lo, so in zip(orb, spn):
         h += np.kron(lo, so)
-    from .linops import is_pseudo_hermitian
-
     _, residual = is_pseudo_hermitian(h, eta)
     return residual

@@ -45,7 +45,7 @@ import numpy as np
 
 from .bosonic import _guard_overflow, similarity
 from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, eigenvalues, spectrum
-from .linops import _EPS, _pattern_components, _real_form, _Triplets
+from .linops import _EPS, _coefficients, _pattern_components, _real_form, _Triplets
 
 __all__ = [
     "DEFAULT_SEED",
@@ -424,6 +424,28 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     return results, eigenvalues_of_h
 
 
+def _selection(checks: Sequence[str], tolerances: Sequence[tuple[str, object]],
+               table: Mapping[str, float] = DEFAULT_TOLERANCES) -> dict[str, float]:
+    """The one rule on a selection of checks and ``(name, tolerance)`` overrides: refuses a
+    name that is not in ``table`` or that either list repeats, and a tolerance that is not a
+    positive, finite number.  Returns ``table``'s tolerances with the overrides."""
+    known, tols = tuple(table), dict(table)
+    for what, names in (("check", list(checks)), ("tolerance", [k for k, _ in tolerances])):
+        for i, name in enumerate(names):
+            if name not in known:
+                raise ValueError(f"unknown {what} {name!r}; expected one of {sorted(known)}")
+            if name in names[:i]:
+                raise ValueError(f"duplicate {what} {name!r}")
+    for name, value in tolerances:
+        try:
+            tols[name] = float(value)
+        except (TypeError, ValueError):
+            tols[name] = np.nan
+        if not (np.isfinite(tols[name]) and tols[name] > 0):
+            raise ValueError(f"tolerance {name!r} must be positive and finite, got {value!r}")
+    return tols
+
+
 def run_suite(
     h,
     w,
@@ -441,17 +463,18 @@ def run_suite(
     w : array_like
         Real weights, the diagonal of the metric: ``eta = diag(w)``.
     checks : sequence of str, optional
-        Subset (in any order) of ``DEFAULT_TOLERANCES`` keys; default all.
+        Subset (in any order, each name once) of ``DEFAULT_TOLERANCES`` keys; default all.
     tolerances : mapping, optional
-        Per-check tolerance overrides.
+        Per-check tolerance overrides, each a positive, finite number.
     seed : int
         Non-negative integer seed for the random probe state of the eta-norm check,
         which samples 32 times on [0, 10].
 
     Returns a :class:`VerificationReport` of the selected checks in their
     given order; failing checks are entries, not exceptions, and an unknown
-    check or tolerance name, a seed that is negative or not an integer, or a
-    malformed ``w`` raises ``ValueError``.
+    or repeated check or tolerance name, a tolerance that is not positive and
+    finite, a seed that is negative or not an integer, or a malformed ``w``
+    raises ``ValueError``: the CLI refuses checks and tolerances by the same rule.
     Pseudo-hermiticity and isospectrality fail on the hermiticity defect of
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
@@ -464,10 +487,7 @@ def run_suite(
     A dense metric goes through the ``linops`` functions instead.
     """
     selected = list(DEFAULT_TOLERANCES if checks is None else checks)
-    for what, names in (("tolerance", tolerances or ()), ("check", selected)):
-        if unknown := set(names) - set(DEFAULT_TOLERANCES):
-            raise ValueError(f"unknown {what} names: {sorted(unknown)}")
-    tols = {**DEFAULT_TOLERANCES, **{k: float(v) for k, v in (tolerances or {}).items()}}
+    tols = _selection(selected, list((tolerances or {}).items()))
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -508,20 +528,14 @@ class GradedMatrix:
     grades: np.ndarray
 
     def __init__(self, core, grades):
-        core = np.asarray(core, dtype=float)
+        core = _coefficients("core", core)
         grades = np.asarray(grades, dtype=float)
-        if core.ndim != 2 or core.shape[0] != core.shape[1]:
-            raise ValueError("core must be a square matrix")
         if grades.shape != (core.shape[0],):
             raise ValueError(
                 f"grades must have length {core.shape[0]}, got {grades.shape}"
             )
-        if not (np.all(np.isfinite(core)) and np.all(np.isfinite(grades))):
-            raise ValueError("core and grades must be finite")
-        bad = np.abs(core - core.T)
-        if np.any(bad > 0):
-            i, j = np.unravel_index(np.argmax(bad), core.shape)
-            raise ValueError(f"core must be symmetric: entry [{i}][{j}]")
+        if not np.all(np.isfinite(grades)):
+            raise ValueError("grades must be finite")
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "grades", grades)
 

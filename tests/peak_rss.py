@@ -11,11 +11,11 @@ time of the same command on its first point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 
-The twelve gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
+The fifteen gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
 ``fermionQuadratic`` on 12 sites; ``spectrum``, ``run`` and a 4-point ``run`` sweep of the
-transverse chain; ``spectrum`` of the Sz-conserving chain and of the ring; ``verify`` of
-``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of the transverse chain at an
-isospectrality tolerance no bound meets.
+transverse chain; ``spectrum`` of the Sz-conserving chain, of the ring and of the fermion form;
+``verify`` and ``spectrum`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of the
+transverse chain at an isospectrality tolerance no bound meets.
 """
 import json
 import os
@@ -61,14 +61,24 @@ GATES = (
     # the ring's 139,264 nonzeros in the same 13 sectors, folded alike; measured at 49-50 MiB,
     # and at 54 MiB while the sectors of 792 were solved whole
     ("spectrum", "tests/configs/haldane_shastry_n12.json", 53, False),
+    # the all-pairs fermion form conserves only the parity: two sectors of 2048, each solved as
+    # one real block (32 MiB) plus eigvalsh's copy; measured at 125.4-125.5 MiB in 1.2-2.5 s,
+    # so the bound leaves 14.5 MiB, less than one more such block held at once
+    ("spectrum", "tests/configs/fermion_quadratic_n12.json", 140, False),
     # bosonQuadratic at cutoff 40 (dim 1681, two parity sectors, the largest 841): its metric
     # has kappa ~ 2.35e17, and every check must pass on its bound from the hermitian form;
     # measured at 32 MiB, so the bound leaves 28 MiB, less than a dense complex H (43 MiB)
     ("verify", "tests/configs/boson_quadratic_cutoff40.json", 60, True),
+    # its two parity sectors, 841 and 840, each solved as one real block (5.4 MiB); measured at
+    # 44.3-44.5 MiB, so the bound leaves 5.5 MiB, less than one of them made dense as complex
+    ("spectrum", "tests/configs/boson_quadratic_cutoff40.json", 50, False),
     # lmg at cutoff 40 with gammas +-1.45 (dim 1681, 160 sectors, the largest 21): kappa ~ 6e100,
     # and eta_norm's bound misses its tolerance, so a probe is evolved in the eigenvectors of
     # the hermitian form's sectors; every check must pass; measured at 42 MiB
     ("verify", "tests/configs/lmg_cutoff40.json", 60, True),
+    # its 160 sectors, none above 21, each solved on its own; measured at 32.9-33.2 MiB, so the
+    # bound leaves 4.8 MiB, less than a dense real H of dim 1681 (21.6 MiB)
+    ("spectrum", "tests/configs/lmg_cutoff40.json", 38, False),
     # the transverse chain at isospectrality 1e-16: its bound misses, so F's one sector of 4096
     # goes to eigvals, which forms no eigenvectors (256 MiB dense, and LAPACK's copy), and the
     # check fails; measured at 305 MiB in 31 s on one BLAS thread, against 1202 MiB in 60 s while

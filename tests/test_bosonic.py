@@ -173,19 +173,46 @@ def test_quadratic_form_validation():
         BosonQuadraticForm([[1.0, 0.5], [0.3, 1.0]], np.zeros((2, 2)), ms)
     with pytest.raises(ValueError, match="2x2"):
         BosonQuadraticForm([[1.0]], np.zeros((2, 2)), ms)
+    # frozen: a validated field cannot be swapped for one the constructor would refuse
+    form = BosonQuadraticForm(np.eye(2), np.zeros((2, 2)), ms)
+    with pytest.raises(AttributeError):
+        form.alpha = np.array([[1.0, 0.5], [0.3, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FockSpace(0, 3), "modes must be at least 1, got 0"),
+        (lambda: FockSpace(2, 3).index((1,)), "expected 2 occupations, got 1"),
+        (lambda: FockSpace(2, 3).occupations(16), r"basis index 16 outside \[0, 16\)"),
+        (lambda: build_metric(FockSpace(2, 3), MetricSpec([0.1])),
+         "metric has 1 modes but the space has 2"),
+        (lambda: schwinger_su2(FockSpace(3, 2), MetricSpec([0.0] * 3)), "exactly two modes"),
+        (lambda: total_number_indices(FockSpace(2, 3), -1), "total occupation"),
+        (lambda: quadratic_spectrum(SWANSON, [(-1,)]), "occupations must be non-negative"),
+        (lambda: BosonQuadraticForm([1.0, 0.0], np.zeros((2, 2)), MetricSpec([0.1, 0.2])),
+         r"alpha must be 2x2, got \(2,\)"),
+        (lambda: BosonQuadraticForm([[np.nan]], [[0.0]], MetricSpec([0.1])),
+         r"alpha must be finite and symmetric: alpha\[0\]\[0\] = nan"),
+        (lambda: BosonQuadraticForm(np.eye(2), [[0.0, 1.0], [0.0, np.inf]], MetricSpec([0.1, 0.2])),
+         r"beta must be finite and symmetric: beta\[0\]\[1\] = 1, beta\[1\]\[0\] = 0"),
+    ],
+    ids=["modes", "index-length", "occupations-index", "metric-modes", "su2-modes",
+         "total", "levels", "alpha-shape", "alpha-nan", "beta-asymmetric"],
+)
+def test_each_refusal_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_number_operator_limit():
-    # alpha = omega, beta = 0: bare ordering gives exactly omega * n for any w
+    # alpha = omega, beta = 0: symmetric ordering gives exactly omega (n + 1/2) for any w
     omega = 1.3
     space = FockSpace(1, 8)
     form = BosonQuadraticForm([[omega]], [[0.0]], MetricSpec([0.4], [0.3]))
-    h = build_quadratic_hamiltonian(space, form, include_zero_point=False)
-    np.testing.assert_allclose(h, omega * number_op(space, 0), atol=1e-14)
-    # symmetric ordering adds the constant tr(alpha)/2
-    h_sym = build_quadratic_hamiltonian(space, form)
+    h = build_quadratic_hamiltonian(space, form)
     np.testing.assert_allclose(
-        h_sym, omega * (number_op(space, 0) + 0.5 * np.eye(space.dim)), atol=1e-14
+        h, omega * (number_op(space, 0) + 0.5 * np.eye(space.dim)), atol=1e-14
     )
 
 
@@ -350,7 +377,7 @@ def kron_lowering(space, mode):
     return np.kron(np.eye(d ** (space.modes - 1 - mode)), np.kron(a, np.eye(d**mode)))
 
 
-def reference_quadratic(space, form, include_zero_point):
+def reference_quadratic(space, form):
     ws = form.metric.ws
     low = [kron_lowering(space, k) for k in range(space.modes)]
     up = [a.conj().T for a in low]
@@ -363,9 +390,7 @@ def reference_quadratic(space, form, include_zero_point):
             h += 0.5 * form.beta[i, j] * (
                 np.exp(-(ws[i] + ws[j])) * low[i] @ low[j] + np.exp(ws[i] + ws[j]) * up[i] @ up[j]
             )
-    if include_zero_point:
-        h += 0.5 * np.trace(form.alpha) * np.eye(space.dim)
-    return h
+    return h + 0.5 * np.trace(form.alpha) * np.eye(space.dim)
 
 
 def reference_su2(space, metric):
@@ -411,11 +436,7 @@ def test_boson_assembly_matches_kron_reference():
     alpha, beta = rng.normal(size=(2, 3, 3))
     metric = MetricSpec(rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.3)
     form = BosonQuadraticForm(alpha + alpha.T, beta + beta.T, metric)
-    for zero_point in (True, False):
-        close(
-            build_quadratic_hamiltonian(space, form, include_zero_point=zero_point),
-            reference_quadratic(space, form, zero_point),
-        )
+    close(build_quadratic_hamiltonian(space, form), reference_quadratic(space, form))
     space = FockSpace(2, 6)
     metric = MetricSpec([0.3, -0.2], [0.1, 0.25])
     ref = reference_su2(space, metric)

@@ -246,7 +246,7 @@ def test_parse_rejections():
         ({"model": dict(fermion, hopping=[[1.0]])}, r"hopping must be 2x2, got \(1, 1\)"),
         ({"model": dict(fermion, pairing=[[0.0]])}, r"pairing must be 2x2, got \(1, 1\)"),
         ({"model": dict(fermion, hopping=[[1.0, 0.5], [0.4, 1.0]])},
-         r"hopping must be symmetric: entry \[0\]\[1\]"),
+         r"hopping must be finite and symmetric: hopping\[0\]\[1\] = 0.5, hopping\[1\]\[0\]"),
         ({"model": dict(hs, n_sites=1)}, "the exchange ring needs at least two sites"),
         ({"model": dict(hs, n_sites=13)}, r"n_sites must be in \[1, 12\]"),
     ):

@@ -8,6 +8,8 @@ from metriq.linops import (
     NotHermitianError,
     NotPositiveDefiniteError,
     SingularMetricError,
+    as_operator,
+    as_state,
     commutator,
     eigenvalues,
     eta_adjoint,
@@ -43,6 +45,27 @@ def test_metric_spec_rejects_bad_input():
         MetricSpec([])
     with pytest.raises(ValueError, match="finite"):
         MetricSpec([np.inf])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_operator(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: as_operator(np.zeros((0, 0))), "operator dimension must be positive"),
+        (lambda: as_state(np.zeros((2, 2))), "expected a 1-D state vector"),
+        (lambda: as_state(np.zeros(3), 2), "state has length 3, operator expects 2"),
+        (lambda: as_state([1.0, np.nan]), "state contains non-finite entries"),
+        (lambda: spectrum(np.diag([1.0, 2.0])).evolve([1.0, 0.0], [[0.0, 1.0]]),
+         "times must be a 1-D sequence"),
+        (lambda: spectrum(np.diag([1.0, 2.0])).evolve([1.0, 0.0], [0.0, np.inf]),
+         "times contains non-finite entries"),
+    ],
+    ids=["operator-shape", "operator-empty", "state-shape", "state-length", "state-nan",
+         "times-shape", "times-inf"],
+)
+def test_each_refusal_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_eta_adjoint_identity_metric_is_dagger():

@@ -38,6 +38,28 @@ def test_params_regime_flag():
     assert ANISO.w == pytest.approx(0.3 + 0.2j)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OscillatorParams(1.0, 1.0, 0.0, xi=np.nan), "xi must be finite"),
+        (lambda: rotation_angle(1.0, np.inf, 0.0), "k2 must be finite"),
+        (lambda: normal_mode_frequencies(OscillatorParams(1.0, 1.0, 3.0)),
+         "normal modes require k1 > 0, k2 > 0 and 4 k1 k2 > k3"),
+        (lambda: angular_momentum_diag(FockSpace(1, 4)), "needs a two-mode Fock space"),
+        (lambda: transformed_canonical_ops(FockSpace(2, 4), complex(0.1, np.nan)),
+         "w must be finite"),
+        (lambda: lz_ladder_identity(FockSpace(2, 6), -1, 0),
+         "n and m must be non-negative, got -1 and 0"),
+        (lambda: matrix_element_equivalence(FockSpace(2, 2), np.eye(4), 0.1, []),
+         "ahat is 4-dimensional, the Fock space 9"),
+    ],
+    ids=["params-nan", "stiffness-inf", "regime", "modes", "w-nan", "quanta", "ahat-dim"],
+)
+def test_each_refusal_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_complex_frequencies_hermitian_limit():
     f = complex_frequencies(OscillatorParams(2.0, 1.0, 1.0))
     np.testing.assert_allclose([f.m_w1_sq, f.m_w2_sq, f.m_w3_sq], [2, 1, 1], atol=0.0)

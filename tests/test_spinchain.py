@@ -183,6 +183,34 @@ def test_builders_reach_the_site_cap():
     assert pseudo_hermiticity_entrywise(build_fermion_quadratic(fq), w) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PseudoSpinSite(0.7, 0.1), "j must be a positive half-integer"),
+        (lambda: PseudoSpinSite(0.5, complex(np.inf, 0.0)), "beta must be finite"),
+        (lambda: SpinChainSpec(2, fields_b=(0.1, np.nan)), "fields_b contains non-finite"),
+        (lambda: SpinChainSpec(2, delta=np.inf), "gamma_exchange and delta must be finite"),
+        (lambda: build_haldane_shastry(3, MetricSpec([0.0] * 3), sign=2),
+         r"sign must be \+1 or -1"),
+        (lambda: build_haldane_shastry(3, MetricSpec([0.0] * 2)),
+         "metric has 2 sites but the chain has 3"),
+        (lambda: suq2_limit(1, 0.3), "the boundary-field preset needs at least two sites"),
+        (lambda: suq2_limit(3, np.nan), "q must be finite"),
+        (lambda: FermionQuadraticSpec([[0.7, np.inf], [np.inf, 0.7]], np.zeros((2, 2)),
+                                      MetricSpec([0.1, 0.2])),
+         r"hopping must be finite and symmetric: hopping\[0\]\[1\] = inf"),
+        (lambda: FermionQuadraticSpec(np.eye(2), [[0.0, 0.5], [0.5, 0.0]], MetricSpec([0.1, 0.2])),
+         r"pairing must be finite and antisymmetric: pairing\[0\]\[1\] = 0.5, "
+         r"pairing\[1\]\[0\] = 0.5"),
+    ],
+    ids=["j", "beta", "fields", "couplings", "ring-sign", "ring-metric", "suq2-sites",
+         "suq2-q", "hopping-inf", "pairing-symmetric"],
+)
+def test_each_refusal_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_site_spin_ops_basics():
     sx, sy, sz = site_spin_ops(1, 0)
     np.testing.assert_allclose(sz, np.diag([0.5, -0.5]), atol=0.0)

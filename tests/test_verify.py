@@ -79,6 +79,23 @@ def test_check_subset_keeps_requested_order():
     assert [c.name for c in report.checks] == ["reality", "metric_pd"]
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"checks": ["reality", "reality"]}, "duplicate check 'reality'"),
+        ({"tolerances": {"reality": -1.0}}, "tolerance 'reality' must be positive and finite"),
+        ({"tolerances": {"reality": np.nan}}, "tolerance 'reality' must be positive and finite"),
+        ({"tolerances": {"reality": 0.0}}, "tolerance 'reality' must be positive and finite"),
+        ({"tolerances": {"reality": np.inf}}, "tolerance 'reality' must be positive and finite"),
+    ],
+    ids=["duplicate", "negative", "nan", "zero", "inf"],
+)
+def test_run_suite_refuses_what_the_cli_refuses(kwargs, message):
+    # one rule in verify refuses these for run_suite and for the CLI's checks block and --tol
+    with pytest.raises(ValueError, match=message):
+        run_suite(E12 + E12.T, np.ones(2), **kwargs)
+
+
 def test_tolerance_override_is_applied():
     report = run_suite(
         E12,
@@ -1060,7 +1077,8 @@ def test_every_dataclass_validates_or_holds_private_state():
                     or cls.__init__.__code__.co_filename != "<string>"
                     or any(not f.init for f in dataclasses.fields(cls))):
                 plain.append(f"{module.__name__}.{name}")
-    assert {"MetricSpec", "SpectrumResult", "FockSpace", "RunConfig", "GradedMatrix"} <= seen
+    assert {"MetricSpec", "SpectrumResult", "FockSpace", "RunConfig", "GradedMatrix",
+            "BosonQuadraticForm"} <= seen
     assert plain == []
 
 
@@ -1121,7 +1139,10 @@ def test_graded_matrix_validation():
         GradedMatrix(np.zeros((2, 3)), [0.0, 0.0])
     with pytest.raises(ValueError, match="length 2"):
         GradedMatrix(np.zeros((2, 2)), [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match=r"symmetric: entry \[0\]\[1\]"):
+    with pytest.raises(ValueError, match="grades must be finite"):
+        GradedMatrix(np.zeros((2, 2)), [0.0, np.nan])
+    with pytest.raises(ValueError, match=r"core must be finite and symmetric: core\[0\]\[1\] = 1, "
+                                         r"core\[1\]\[0\] = 0.5"):
         GradedMatrix([[0.0, 1.0], [0.5, 0.0]], [0.0, 0.0])
 
 
@@ -1160,6 +1181,8 @@ def test_conjugation_check_is_relative_to_the_scaled_entries():
 
 
 def test_conjugation_check_rejections():
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        graded_conjugation_check(E12, [1, 0], np.nan)
     with pytest.raises(ValueError, match="must be diagonal"):
         graded_conjugation_check(E12, [[1, 1], [0, 0]], 0.1)
     with pytest.raises(ValueError, match="must be integers"):
