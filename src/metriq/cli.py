@@ -23,6 +23,7 @@ echoed in every report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -494,21 +495,10 @@ def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
     try:
         res = bogoliubov_frequencies(form)
     except StabilityError as exc:
-        return CheckResult(
-            "bogoliubov",
-            False,
-            np.inf,
-            tol,
-            f"D not positive definite: dMinEigenvalue={exc.d_min_eigenvalue:.6e}",
-        )
-    omegas = ", ".join(f"{w:.6f}" for w in res.omegas)
-    return CheckResult(
-        "bogoliubov",
-        bool(res.pairing_residual <= tol),
-        float(res.pairing_residual),
-        tol,
-        f"Omega=[{omegas}]",
-    )
+        detail = f"D not positive definite: dMinEigenvalue={exc.d_min_eigenvalue:.6e}"
+        return CheckResult("bogoliubov", False, np.inf, tol, detail)
+    omegas, residual = ", ".join(f"{w:.6f}" for w in res.omegas), float(res.pairing_residual)
+    return CheckResult("bogoliubov", residual <= tol, residual, tol, f"Omega=[{omegas}]")
 
 
 def _execute(
@@ -599,12 +589,15 @@ def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
 
 
 def _parse_tol_flags(pairs: list[str], kind: str, runs: tuple[str, ...]) -> dict:
-    """Every tolerance, the ``--tol NAME=VALUE`` pairs applied; refuses a name not in ``runs``,
-    the checks that run."""
-    overrides = [pair.partition("=")[::2] for pair in pairs]
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {pair!r}")
+    """Every tolerance, the ``--tol NAME=VALUE`` pairs applied, ``VALUE`` as a float where it
+    reads as one; refuses a name not in ``runs``, the checks that run."""
+    overrides = []
+    for name, eq, value in (pair.partition("=") for pair in pairs):
+        if not eq:  # name is the whole pair
+            raise ConfigError(f"--tol expects NAME=VALUE, got {name!r}")
+        with contextlib.suppress(ValueError):
+            value = float(value)
+        overrides.append((name, value))
     tols = _select([], overrides, kind)
     for pair, (name, _) in zip(pairs, overrides):
         if name not in runs:

@@ -12,12 +12,12 @@ change neither hermiticity nor spectrum, so none is taken, and no check that
 its bound certifies solves an eigenproblem.  A bound that misses its
 tolerance reads ``F``'s nonzeros instead, whose eigenvectors, unlike ``H``'s,
 do not carry the metric's condition, and ``H``'s only where ``F`` has no
-finite form: reality and the eta-norm decompose it, and isospectrality, like a
-spectrum past that tolerance, reads only its eigenvalues, the decomposition's
-where one of those formed it and else ``eigenvalues``, which forms no
-eigenvectors.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`, the
-spectrum without checks, wrap one reader of a point, which states that rule
-once and forms ``F``, its decomposition, its eigenvalues and its sectors'
+finite form: the eta-norm alone decomposes it, and reality and isospectrality,
+like a spectrum past that tolerance, read only its eigenvalues, the
+decomposition's where the eta-norm formed it and else ``eigenvalues``, which
+forms no eigenvectors.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`
+(the spectrum without checks) wrap one reader of a point, which states that
+rule once and forms ``F``, its decomposition, its eigenvalues and its sectors'
 ``eigvalsh`` read each on first use; the CLI calls it once per sweep point.
 That spectrum is ``eigvalsh`` of each sector of ``F``, made dense alone, or of
 the blocks that one fold by the index reversal ``J`` (a chain's spin flip), the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -327,15 +328,14 @@ def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
     return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
 
-def _reality_check(form: _HermitianForm | None, decompose, tol: float) -> CheckResult:
+def _reality_check(form: _HermitianForm | None, lam, missed, tol: float) -> CheckResult:
     # lam = x^dag F x for a unit eigenvector x, so |Im lam| <= ||F_a||_2
     worst = np.inf if form is None else form.anti
     detail = f"certified: max |Im| <= {worst:.3e}"
-    if worst > tol:
-        eigs = decompose()
-        lam, sizes = eigs.eigenvalues, [len(s.indices) for s in eigs.sectors]
-        worst = float(np.max(np.abs(lam.imag) / (1.0 + np.abs(lam))))
-        detail = (f"eig: max |Im| {eigs.max_imag_abs:.3e}, eig residual {eigs.residual:.3e}, "
+    if worst > tol:  # the eigenvalues of F's sectors, or of H's where F has no finite form
+        lam_h, sizes = lam(), [len(s) for s in _pattern_components(missed())[0]]
+        worst = float(np.max(np.abs(lam_h.imag) / (1.0 + np.abs(lam_h))))
+        detail = (f"eig: max |Im| {np.max(np.abs(lam_h.imag)):.3e}, "
                   f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}")
     return CheckResult("reality", worst <= tol, worst, tol, detail)
 
@@ -383,7 +383,8 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     a callable for ``H``'s eigenvalues, sorted and complex.  ``F``, its decomposition, its
     eigenvalues and the ``eigvalsh`` read of its sectors (with a sweep's ``solved``, as
     :func:`_eigvalsh_read` reads it) are each formed on first use, then shared by the checks
-    and the spectrum; isospectrality runs last, to read a decomposition's eigenvalues."""
+    and the spectrum; reality and isospectrality run after the eta-norm, to read the eigenvalues
+    of the decomposition that it alone forms, where it forms one."""
     h = _Triplets.of(h)
     w = _weights(w, h.dim)
     form = functools.cache(lambda: _hermitian_form(h, w))
@@ -409,12 +410,12 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     run = {
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
-        "reality": lambda tol: _reality_check(bounds(), decompose, tol),
+        "reality": lambda tol: _reality_check(bounds(), lam, missed, tol),
         "isospectrality": lambda tol: _isospectrality_check(form(), read, lam, tol),
         "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
     }
     results: list[CheckResult] = [None] * len(checks)
-    for i in sorted(range(len(checks)), key=lambda i: checks[i] == "isospectrality"):
+    for i in sorted(range(len(checks)), key=lambda i: checks[i] in ("reality", "isospectrality")):
         name = checks[i]
         try:
             with np.errstate(over="raise", invalid="raise"):  # an overflow fails its check
@@ -428,7 +429,7 @@ def _selection(checks: Sequence[str], tolerances: Sequence[tuple[str, object]],
                table: Mapping[str, float] = DEFAULT_TOLERANCES) -> dict[str, float]:
     """The one rule on a selection of checks and ``(name, tolerance)`` overrides: refuses a
     name that is not in ``table`` or that either list repeats, and a tolerance that is not a
-    positive, finite number.  Returns ``table``'s tolerances with the overrides."""
+    positive, finite real number.  Returns ``table``'s tolerances with the overrides."""
     known, tols = tuple(table), dict(table)
     for what, names in (("check", list(checks)), ("tolerance", [k for k, _ in tolerances])):
         for i, name in enumerate(names):
@@ -436,11 +437,12 @@ def _selection(checks: Sequence[str], tolerances: Sequence[tuple[str, object]],
                 raise ValueError(f"unknown {what} {name!r}; expected one of {sorted(known)}")
             if name in names[:i]:
                 raise ValueError(f"duplicate {what} {name!r}")
-    for name, value in tolerances:
+    for name, value in tolerances:  # a real number: float() would read a bool or a str too
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         try:
-            tols[name] = float(value)
-        except (TypeError, ValueError):
-            tols[name] = np.nan
+            tols[name] = float(value) if real else np.nan
+        except OverflowError:  # an int past float's range
+            tols[name] = np.inf
         if not (np.isfinite(tols[name]) and tols[name] > 0):
             raise ValueError(f"tolerance {name!r} must be positive and finite, got {value!r}")
     return tols
@@ -479,11 +481,11 @@ def run_suite(
     the mapped form, or where it has no finite form (a weight that is not
     positive).  Reality, isospectrality and the eta-norm pass on a bound from
     that defect where it is within their tolerance, and solve no eigenproblem;
-    else they read ``F``: isospectrality compares its eigenvalues (``eig``'s
-    where reality or the eta-norm ran ``spectrum``, else ``eigvals``') with
-    ``eigvalsh`` of ``F``'s sectors, and the eta-norm evolves a seeded probe in
-    ``F``'s frame.  Where ``F`` has no finite form the eta-norm fails
-    too, and reality alone reads ``spectrum(H)``.
+    else they read ``F``: the eta-norm evolves a seeded probe in ``F``'s
+    eigenvectors, and reality reads its eigenvalues, which isospectrality
+    compares with ``eigvalsh`` of ``F``'s sectors (``eig``'s where the eta-norm
+    ran ``spectrum``, else ``eigvals``').  Where ``F`` has no finite form the
+    eta-norm fails too, and reality alone reads ``eigenvalues(H)``.
     A dense metric goes through the ``linops`` functions instead.
     """
     selected = list(DEFAULT_TOLERANCES if checks is None else checks)

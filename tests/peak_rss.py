@@ -11,11 +11,11 @@ time of the same command on its first point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
 
-The fifteen gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
+The sixteen gates: ``verify`` of two XXZ chains, the Haldane-Shastry ring and an all-pairs
 ``fermionQuadratic`` on 12 sites; ``spectrum``, ``run`` and a 4-point ``run`` sweep of the
 transverse chain; ``spectrum`` of the Sz-conserving chain, of the ring and of the fermion form;
 ``verify`` and ``spectrum`` of ``bosonQuadratic`` and ``lmg`` at cutoff 40; ``verify`` of the
-transverse chain at an isospectrality tolerance no bound meets.
+transverse chain at an isospectrality tolerance and at a reality tolerance no bound meets.
 """
 import json
 import os
@@ -84,6 +84,11 @@ GATES = (
     # check fails; measured at 305 MiB in 31 s on one BLAS thread, against 1202 MiB in 60 s while
     # the fallback formed F's eigenvectors and their residuals
     ("verify --tol isospectrality=1e-16", "tests/configs/xxz_transverse_n12.json", 450, True, 1),
+    # the same chain at a reality tolerance no bound meets: reality reads the eigenvalues of the
+    # same sector by eigvals, with no eigenvectors, and every check passes; measured at 305 MiB
+    # in 31 s on one BLAS thread, against 1204 MiB in 60 s while reality decomposed F, so the
+    # bound leaves 95 MiB, less than the sector's real eigenvectors (128 MiB)
+    ("verify --tol reality=1e-30", "tests/configs/xxz_transverse_n12.json", 400, True),
 )
 
 

@@ -560,8 +560,11 @@ def test_tol_flags(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", path, "--tol", "bogus=1"]) == EXIT_CONFIG_ERROR
     assert "unknown tolerance" in capsys.readouterr().err
+    # each VALUE is read as a float first, and text that reads as none is refused as it is
+    assert main(["verify", path, "--tol", "reality=1e-3"]) == EXIT_OK
+    assert "tolerance=1.0e-03" in capsys.readouterr().out
     assert main(["verify", path, "--tol", "reality=abc"]) == EXIT_CONFIG_ERROR
-    capsys.readouterr()
+    assert "must be positive and finite, got 'abc'" in capsys.readouterr().err
     assert main(["verify", path, "--tol", "reality"]) == EXIT_CONFIG_ERROR
     capsys.readouterr()
     assert main(["verify", path, "--tol", "reality=0"]) == EXIT_CONFIG_ERROR
@@ -805,13 +808,14 @@ def test_an_isospectrality_fallback_reads_the_sweeps_one_sector_read(
 
 def test_an_isospectrality_fallback_forms_no_eigenvectors_unless_a_check_does(
         tmp_path, capsys, monkeypatch):
-    # isospectrality reads only eigenvalues: eigvals of F, unless reality or the eta-norm
-    # decomposes F at the point, whose eigenvalues it then reads; no point solves twice
+    # isospectrality and reality read only eigenvalues: eigvals of F, unless the eta-norm
+    # decomposes F at the point, whose eigenvalues they then read; no point solves twice
     chain_n6 = {**CHAIN_N10, "n_sites": 6, "gammas": CHAIN_N10["gammas"][:6],
                 "xis": CHAIN_N10["xis"][:6]}
     config = write_config(tmp_path, {"model": chain_n6})
     counts = []
-    for flags in (["isospectrality=1e-16"], ["isospectrality=1e-16", "reality=1e-30"]):
+    for flags in (["isospectrality=1e-16"], ["isospectrality=1e-16", "reality=1e-30"],
+                  ["isospectrality=1e-16", "eta_norm=1e-30"]):
         with verify_calls(monkeypatch, "spectrum") as decomposed, \
                 verify_calls(monkeypatch, "eigenvalues") as read:
             code = main(["verify", config, *(a for f in flags for a in ("--tol", f))])
@@ -819,7 +823,7 @@ def test_an_isospectrality_fallback_forms_no_eigenvectors_unless_a_check_does(
         assert code == EXIT_CHECK_FAILED and lines[3].startswith("FAIL isospectrality:")
         assert "  eig: max eigenvalue deviation" in lines[3]
         counts.append((len(decomposed), len(read)))
-    assert counts == [(0, 1), (1, 0)]
+    assert counts == [(0, 1), (0, 1), (1, 0)]
 
 
 def test_a_sweep_that_changes_the_pattern_solves_each_point(tmp_path, capsys, monkeypatch):

@@ -87,11 +87,15 @@ def test_check_subset_keeps_requested_order():
         ({"tolerances": {"reality": np.nan}}, "tolerance 'reality' must be positive and finite"),
         ({"tolerances": {"reality": 0.0}}, "tolerance 'reality' must be positive and finite"),
         ({"tolerances": {"reality": np.inf}}, "tolerance 'reality' must be positive and finite"),
+        ({"tolerances": {"reality": True}}, r"positive and finite, got True"),
+        ({"tolerances": {"reality": "1e-3"}}, r"positive and finite, got '1e-3'"),
+        ({"tolerances": {"reality": 10**400}}, r"positive and finite, got 1000"),
     ],
-    ids=["duplicate", "negative", "nan", "zero", "inf"],
+    ids=["duplicate", "negative", "nan", "zero", "inf", "bool", "str", "past-float"],
 )
 def test_run_suite_refuses_what_the_cli_refuses(kwargs, message):
-    # one rule in verify refuses these for run_suite and for the CLI's checks block and --tol
+    # one rule in verify refuses these for run_suite and for the CLI's checks block and --tol;
+    # a tolerance is a real number, not anything float() reads
     with pytest.raises(ValueError, match=message):
         run_suite(E12 + E12.T, np.ones(2), **kwargs)
 
@@ -263,6 +267,49 @@ def test_decomposition_is_shared_and_only_computed_when_needed(monkeypatch):
     root = np.sqrt(1.0 / eta)
     (f,) = decomposed
     np.testing.assert_allclose(f.dense(), root[:, None] * h / root, rtol=1e-15, atol=0)
+
+
+MISSED = {"reality": 1e-30, "isospectrality": 1e-16}  # tolerances no bound meets
+
+
+@pytest.mark.parametrize(
+    "weight, checks, tolerances, calls",
+    [
+        (None, None, MISSED, {"eigenvalues": 1}),
+        (None, ["isospectrality", "reality"], MISSED, {"eigenvalues": 1}),
+        (None, ["reality", "isospectrality", "eta_norm"], MISSED | {"eta_norm": 1e-30},
+         {"spectrum": 1}),
+        (0.0, None, {}, {"eigenvalues": 1}),
+    ],
+    ids=["eta-norm-certifies", "eta-norm-not-selected", "all-three-miss", "no-finite-form"],
+)
+def test_no_point_solves_f_twice_and_only_the_eta_norm_decomposes(
+        monkeypatch, weight, checks, tolerances, calls):
+    # reality and isospectrality read only eigenvalues: one eigvals read of F's sectors, shared,
+    # unless the eta-norm's bound missed and it decomposed F, which runs first so that they read
+    # that decomposition's; where F has no finite form, reality reads eigenvalues(H)
+    import metriq.verify
+
+    counted, args = collections.Counter(), []
+    for name in ("spectrum", "eigenvalues"):
+        def count(a, _name=name, _real=getattr(metriq.verify, name)):
+            counted[_name] += 1
+            args.append(a)
+            return _real(a)
+
+        monkeypatch.setattr(metriq.verify, name, count)
+    h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
+    if weight is not None:
+        w = np.where(np.arange(len(w)) == 0, weight, w)
+    report = run_suite(h, w, checks=checks, tolerances=tolerances)
+    assert counted == calls
+    entries = {c.name: c for c in report.checks}
+    assert entries["reality"].detail.startswith("eig: max |Im| ")
+    if "eta_norm" in entries and weight is None:
+        assert entries["eta_norm"].detail.startswith("eig:" if "spectrum" in calls else "cert")
+    (a,) = args
+    root = np.sqrt(w) if weight is None else np.ones(len(w))  # F, or H itself
+    np.testing.assert_allclose(a.dense(), root[:, None] * h / root, rtol=1e-15, atol=0)
 
 
 def pseudo_hermitian_pair(dim, n_sectors, seed):
@@ -501,13 +548,13 @@ def test_hermitian_form_is_read_as_real_only_within_the_weyl_bound(monkeypatch, 
     [
         (lambda: chain(4), None, r"certified: max \|Im\| <= \d\.\d{3}e-\d\d"),
         (lambda: pseudo_hermitian_pair(BLOCK + 1, 5, seed=9), 1e-30,
-         r"eig: max \|Im\| \S+, eig residual \S+, 5 sectors, largest 26"),
+         r"eig: max \|Im\| \S+, 5 sectors, largest 26"),
     ],
     ids=["chain", "complex-hermitian-form"],
 )
 def test_reality_detail_names_sectors_only_where_it_solves(case, tol, detail):
-    # a certified entry reads F's defect and solves nothing; the fallback, eig of F's
-    # sectors, names how many it solved and the largest
+    # a certified entry reads F's defect and solves nothing; the fallback, the eigenvalues of
+    # F's sectors, names how many it solved and the largest
     tolerances = None if tol is None else {"reality": tol}
     (reality,) = run_suite(*case(), checks=["reality"], tolerances=tolerances).checks
     assert re.fullmatch(detail, reality.detail)
@@ -939,13 +986,13 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
 @pytest.mark.parametrize("weight", [0.0, -1.0])
 def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(monkeypatch, weight):
     # F has no finite form: pseudo_hermiticity, isospectrality and eta_norm fail naming the
-    # weight, metric_pd fails on it, and reality alone reads spectrum(H) instead
+    # weight, metric_pd fails on it, and reality alone reads eigenvalues(H) instead
     import metriq.verify
 
     decomposed = []
-    real_spectrum = metriq.verify.spectrum
-    monkeypatch.setattr(metriq.verify, "spectrum",
-                        lambda a: decomposed.append(a) or real_spectrum(a))
+    real_eigenvalues = metriq.verify.eigenvalues
+    monkeypatch.setattr(metriq.verify, "eigenvalues",
+                        lambda a: decomposed.append(a) or real_eigenvalues(a))
     h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
     w = w.copy()
     w[0] = weight
