@@ -24,7 +24,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,24 +148,20 @@ def anticommutator(a, b) -> np.ndarray:
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str, name: str = "operator") -> None:
     if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {name} is {a.shape[0]}-dimensional, "
-            f"{what} is {b.shape[0]}-dimensional"
-        )
+        raise ValueError(f"dimension mismatch: {name} is {a.shape[0]}-dimensional, "
+                         f"{what} is {b.shape[0]}-dimensional")
 
 
 def _require_hermitian(a: np.ndarray, tol: float, what: str) -> None:
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > tol * max(1.0, scale):
+    if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
         raise NotHermitianError(f"{what} is not hermitian within tolerance {tol}")
 
 
 def _require_invertible_metric(eta: np.ndarray) -> None:
     cond = np.linalg.cond(eta)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMetricError(
-            f"metric condition number {cond:.3e} exceeds limit {COND_LIMIT:.1e}"
-        )
+        raise SingularMetricError(f"metric condition number {cond:.3e} exceeds limit "
+                                  f"{COND_LIMIT:.1e}")
 
 
 @dataclass(frozen=True)
@@ -185,9 +181,7 @@ class MetricSpec:
         g = tuple(float(x) for x in gammas)
         x = tuple(float(v) for v in xis) if xis is not None else (0.0,) * len(g)
         if len(g) != len(x):
-            raise ValueError(
-                f"gammas has length {len(g)} but xis has length {len(x)}"
-            )
+            raise ValueError(f"gammas has length {len(g)} but xis has length {len(x)}")
         if not g:
             raise ValueError("MetricSpec needs at least one mode")
         for name, vals in (("gammas", g), ("xis", x)):
@@ -269,10 +263,8 @@ class SpectrumResult:
         ])
         cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise DefectiveMatrixError(
-                f"eigenvector matrix condition {cond:.3e} exceeds "
-                f"{COND_LIMIT:.1e}; matrix is numerically defective"
-            )
+            raise DefectiveMatrixError(f"eigenvector matrix condition {cond:.3e} exceeds "
+                                       f"{COND_LIMIT:.1e}; matrix is numerically defective")
         out = np.empty((len(tgrid), len(psi0)), dtype=complex)
         for idx, lam, vecs in self.sectors:
             coeff = np.linalg.solve(vecs, psi0[idx])
@@ -324,8 +316,7 @@ def is_pseudo_hermitian(a, eta, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     _check_same_dim(a, eta, "metric")
     _require_hermitian(eta, 1e-10, "metric")
     _require_invertible_metric(eta)
-    lhs = a.conj().T @ eta
-    rhs = eta @ a
+    lhs, rhs = a.conj().T @ eta, eta @ a
     residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
     return residual <= tol, residual
 
@@ -342,17 +333,12 @@ def matrix_sqrt_pd(eta) -> InnerProductSpace:
     vals, vecs = np.linalg.eigh(eta)
     vmin, vmax = float(vals[0]), float(vals[-1])
     if vmax <= 0.0 or vmin <= EPS_PD * vmax:
-        raise NotPositiveDefiniteError(
-            f"metric is not positive definite: min eigenvalue {vmin:.6e} "
-            f"(max {vmax:.6e})",
-            min_eigenvalue=vmin,
-        )
+        raise NotPositiveDefiniteError(f"metric is not positive definite: min eigenvalue "
+                                       f"{vmin:.6e} (max {vmax:.6e})", min_eigenvalue=vmin)
     root = np.sqrt(vals)
-    rho = (vecs * root) @ vecs.conj().T
-    rho_inv = (vecs / root) @ vecs.conj().T
+    rho, rho_inv = (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
     # Symmetrize away the last rounding asymmetry.
-    rho = 0.5 * (rho + rho.conj().T)
-    rho_inv = 0.5 * (rho_inv + rho_inv.conj().T)
+    rho, rho_inv = 0.5 * (rho + rho.conj().T), 0.5 * (rho_inv + rho_inv.conj().T)
     return InnerProductSpace(metric=eta, rho=rho, rho_inverse=rho_inv)
 
 
@@ -375,8 +361,7 @@ def to_hermitian(h, space: InnerProductSpace, u=None) -> np.ndarray:
     h = as_operator(h)
     _check_same_dim(h, space.metric, "inner-product space")
     if u is None:
-        left = space.rho
-        right = space.rho_inverse
+        left, right = space.rho, space.rho_inverse
     else:
         u = as_operator(u)
         _check_same_dim(h, u, "unitary")
@@ -423,15 +408,22 @@ class _Triplets(NamedTuple):
         out[self.rows, self.cols] = self.vals
         return out
 
-    def find(self, rows, cols) -> np.ndarray:
-        """Positions of the entries at ``(rows, cols)``; -1 where the entry is zero."""
-        keys, want = self.rows * self.dim + self.cols, rows * self.dim + cols
-        at = np.searchsorted(keys, want)
-        return np.where(np.append(keys, -1)[at] == want, at, -1)
+    def finder(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A lookup of the entries at ``(rows, cols)``: their positions, -1 where the entry is
+        zero.  It searches the sorted keys ``rows * dim + cols``, built once per finder."""
+        keys = self.rows * self.dim + self.cols
+
+        def find(rows, cols) -> np.ndarray:
+            at = np.searchsorted(keys, want := rows * self.dim + cols)
+            at[(keys.take(at, mode="clip") if len(keys) else -1) != want] = -1
+            return at
+        return find
 
     def sector(self, idx: np.ndarray) -> _Triplets:
         """The principal block on ``idx``, numbered in its order, a set that no entry links
         outside."""
+        if np.array_equal(idx, np.arange(self.dim)):  # the whole matrix, shared, not copied
+            return self
         at = np.full(self.dim, -1)
         at[idx] = np.arange(len(idx))
         held = at[self.rows] >= 0
@@ -441,9 +433,9 @@ class _Triplets(NamedTuple):
 
 
 def _real_form(b: _Triplets, d, bound: float) -> tuple[_Triplets, float] | None:
-    """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None) and the ``||Im||_F`` it drops, if
-    that is ``<= bound``."""
-    x = b.vals if d is None else d[b.rows] * b.vals * d.conj()[b.cols]
+    """``Re(d_i b_ij conj(d_j))`` (``Re b`` if ``d`` is None; the product formed in place) and
+    the ``||Im||_F`` it drops, if that is ``<= bound``."""
+    x = b.vals if d is None else np.multiply(x := d[b.rows] * b.vals, d.conj()[b.cols], out=x)
     im = float(np.linalg.norm(x.imag))
     return (b._replace(vals=x.real), im) if im <= bound else None
 
@@ -459,15 +451,15 @@ def _pattern_components(t: _Triplets) -> tuple[list[np.ndarray], np.ndarray]:
         np.minimum.at(root, i, last[j])
         root = root[root]
     roots = root == np.arange(t.dim)
-    d, seen, frontier = np.ones(t.dim, dtype=complex), roots, roots
+    d, seen, frontier, find = np.ones(t.dim, dtype=complex), roots, roots, t.finder()
     while frontier.any():  # from every root at once, one level per pass
         link = frontier[i] & ~seen[j]
         parent = np.full(t.dim, t.dim)
         np.minimum.at(parent, j[link], i[link])  # least linked: one search per component's tree
         frontier = parent < t.dim
         new, seen = np.flatnonzero(frontier), seen | frontier
-        p, at = parent[new], t.find(parent[new], new)
-        z = d[p] * np.where(at >= 0, t.vals[at], t.vals[t.find(new, p)].conj())
+        p, at = parent[new], find(parent[new], new)
+        z = d[p] * np.where(at >= 0, t.vals[at], t.vals[find(new, p)].conj())
         d[new] = z / np.abs(z)
     return [np.flatnonzero(root == r) for r in np.flatnonzero(roots)], d
 
@@ -517,12 +509,16 @@ def eigenvalues(a) -> np.ndarray:
     so this costs less time and memory than :func:`spectrum` when only the
     eigenvalues are read; it goes as its real gauge form under the same bound.
     """
-    t = _Triplets.of(a)
+    return _eigenvalues(_Triplets.of(a))[0]
+
+
+def _eigenvalues(t: _Triplets) -> tuple[np.ndarray, list[int]]:
+    """:func:`eigenvalues` of ``t``, and the sizes of the sectors that its one walk found."""
     sectors, d = _pattern_components(t)
     blocks = ((t.sector(idx), d[idx]) for idx in sectors)
     reads = ((_real_form(b, di, _EPS * np.linalg.norm(b.vals)) or (b,))[0] for b, di in blocks)
     lam = [np.linalg.eigvals(g.dense()) for g in reads]
-    return _sorted(np.concatenate(lam).astype(complex))
+    return _sorted(np.concatenate(lam).astype(complex)), [len(idx) for idx in sectors]
 
 
 def evolve(h, psi0, times) -> np.ndarray:

@@ -45,8 +45,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import _guard_overflow, similarity
-from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, eigenvalues, spectrum
-from .linops import _EPS, _coefficients, _pattern_components, _real_form, _Triplets
+from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, spectrum
+from .linops import _EPS, _coefficients, _eigenvalues, _pattern_components, _real_form, _Triplets
 
 __all__ = [
     "DEFAULT_SEED",
@@ -116,9 +116,8 @@ def _weights(w, dim: int) -> np.ndarray:
     if w.ndim != 1 or np.iscomplexobj(w) or not np.all(np.isfinite(w)):
         raise ValueError("metric weights must be a real, finite 1-D vector")
     if len(w) != dim:
-        raise ValueError(
-            f"dimension mismatch: H is {dim}-dimensional, metric is {len(w)}-dimensional"
-        )
+        raise ValueError(f"dimension mismatch: H is {dim}-dimensional, "
+                         f"metric is {len(w)}-dimensional")
     return w.astype(float)
 
 
@@ -177,13 +176,17 @@ def _real_read(b: _Triplets, d: np.ndarray) -> tuple[_Triplets, float | None]:
     within the Weyl floor, with that drop; else of ``b`` itself, and None."""
     bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
     b, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
+    drop = None if im is None else np.sqrt(2.0) * im
+    if np.all((at := b.finder()(b.cols, b.rows)) >= 0):  # b's pattern, its uppers looked up
+        vals = b.vals[at]  # each entry's transpose, conjugated, then the lower triangle's own
+        np.copyto(np.conjugate(vals, out=vals), b.vals, where=b.rows >= b.cols)
+        return b._replace(vals=vals), drop
     low = b.rows >= b.cols
     r, c, v = b.rows[low], b.cols[low], b.vals[low]
     off = r > c
     rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
     vals, order = np.concatenate([v, v[off].conj()]), np.argsort(rows * b.dim + cols)
-    read = _Triplets(b.dim, rows[order], cols[order], vals[order])
-    return read, None if im is None else np.sqrt(2.0) * im
+    return _Triplets(b.dim, rows[order], cols[order], vals[order]), drop
 
 
 def _norm(x: np.ndarray) -> float:
@@ -192,13 +195,18 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.add.reduce(np.abs(x) ** 2)))
 
 
-def _image_gap(t: _Triplets, rows: np.ndarray, cols: np.ndarray) -> float:
-    """``||t - t'||_F`` over both patterns, ``t'`` holding the conjugate of each entry of ``t``
-    at its image ``(rows, cols)`` under an involution, such as the transpose or ``P t P`` for a
-    permutation ``P``: an entry whose image is zero counts for both positions."""
-    at = t.find(rows, cols)
-    return float(np.hypot(_norm(t.vals - np.where(at >= 0, t.vals[at], 0).conj()),
-                          _norm(t.vals[at < 0])))
+def _image_gaps(t: _Triplets, images) -> list[float]:
+    """``||t - t'||_F`` over both patterns for each ``(rows, cols)`` of ``images``: ``t'`` holds
+    the conjugate of each entry of ``t`` at its image under an involution, such as the transpose
+    or ``P t P`` for a permutation ``P``, and an entry whose image is zero counts for both
+    positions.  ``t``'s keys are built once, and each difference is formed in place."""
+    find, gaps = t.finder(), []
+    for rows, cols in images:
+        x = t.vals[at := find(rows, cols)]
+        x[at < 0] = 0
+        x = np.subtract(t.vals, np.conjugate(x, out=x), out=x)
+        gaps.append(float(np.hypot(_norm(x), _norm(t.vals[at < 0]))))
+    return gaps
 
 
 def _fold(g: _Triplets, gens: list) -> list[_Triplets]:
@@ -252,13 +260,16 @@ def _sector_eigenvalues(f: _Triplets, sectors, d) -> list[tuple[list, np.ndarray
         at[u] = np.arange(len(u))
         maps = {} if drop is None else {k: q for k, p in invs.items()
                                         if (q := at[p[u]]).min() >= 0 and np.any(q != at[u])}
-        gaps = {k: x / 2 for k, q in maps.items()  # ||g - P g P||_F / 2, g real
-                if (x := _image_gap(g, q[g.rows], q[g.cols])) / 2 <= _weyl_floor(norm, len(u))}
+        floor = _weyl_floor(norm, len(u))  # ||g - P g P||_F / 2 for each P, g real
+        gaps = _image_gaps(g, ((q[g.rows], q[g.cols]) for q in maps.values()))
+        gaps = {k: x / 2 for k, x in zip(maps, gaps) if x / 2 <= floor}
         gens = list(gaps)[:2 if len(gaps) == 3 else 1]
         if pair and gens[:1] != ["J"]:
             return None
+        blocks = _fold(g, [(maps[k], np.ones(len(u))) for k in gens])
+        del g, maps, at  # the sector's read and index maps: only its blocks outlive its fold
         solved = []  # a block equal to one solved takes its eigenvalues
-        for b in _fold(g, [(maps[k], np.ones(len(u))) for k in gens]):
+        for b in blocks:
             same = [v for o, v in solved if all(map(np.array_equal, o, b))]
             solved.append((b, same[0] if same else np.linalg.eigvalsh(b.dense())))
         # eigvalsh's values are exact for a block of size m within m eps ||b||_2 of it, and
@@ -287,8 +298,8 @@ def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
         raise NotPositiveDefiniteError(
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
     root = np.sqrt(w)
-    f = h._replace(vals=h.vals * root[h.rows] * (1.0 / root)[h.cols])
-    diff, a = _image_gap(f, f.cols, f.rows), np.abs(f.vals)  # ||F - F^dag||_F
+    f = h._replace(vals=np.multiply(v := h.vals * root[h.rows], (1.0 / root)[h.cols], out=v))
+    [diff], a = _image_gaps(f, [(f.cols, f.rows)]), np.abs(f.vals)  # ||F - F^dag||_F
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
     anti = float(diff / 2.0 + _F_ROUNDING * np.sqrt(row * col))
@@ -328,12 +339,12 @@ def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
     return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
 
 
-def _reality_check(form: _HermitianForm | None, lam, missed, tol: float) -> CheckResult:
+def _reality_check(form: _HermitianForm | None, lam, tol: float) -> CheckResult:
     # lam = x^dag F x for a unit eigenvector x, so |Im lam| <= ||F_a||_2
     worst = np.inf if form is None else form.anti
     detail = f"certified: max |Im| <= {worst:.3e}"
     if worst > tol:  # the eigenvalues of F's sectors, or of H's where F has no finite form
-        lam_h, sizes = lam(), [len(s) for s in _pattern_components(missed())[0]]
+        lam_h, sizes = lam()
         worst = float(np.max(np.abs(lam_h.imag) / (1.0 + np.abs(lam_h))))
         detail = (f"eig: max |Im| {np.max(np.abs(lam_h.imag)):.3e}, "
                   f"{len(sizes)} sector{'s' if len(sizes) > 1 else ''}, largest {max(sizes)}")
@@ -351,7 +362,7 @@ def _isospectrality_check(form: _HermitianForm, read, lam, tol: float) -> CheckR
     residual = max(dev / (1.0 + max(top - dev, 0.0)), defect)  # top - dev <= max |lam_H|
     route = "certified: eigenvalue deviation <="
     if residual > tol:  # else the eigenvalues of F itself, which are H's, against eigvalsh's
-        lam_h = lam()
+        lam_h = lam()[0]
         dev = float(np.max(np.abs(lam_h - read().eigenvalues)))
         residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
         route = "eig: max eigenvalue deviation"
@@ -390,8 +401,12 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     form = functools.cache(lambda: _hermitian_form(h, w))
     read = functools.cache(lambda: _eigvalsh_read(form(), h, solved))
     decompose = functools.cache(lambda: spectrum(missed()))  # where a bound does not certify
-    lam = functools.cache(lambda: decompose().eigenvalues if decompose.cache_info().currsize
-                          else eigenvalues(missed()))
+
+    @functools.cache
+    def lam() -> tuple[np.ndarray, list[int]]:  # the eigenvalues, and the sizes of the sectors
+        if decompose.cache_info().currsize:
+            return decompose().eigenvalues, [len(s.indices) for s in decompose().sectors]
+        return _eigenvalues(missed())
 
     def bounds() -> _HermitianForm | None:  # None where F has no finite form
         with contextlib.suppress(NotPositiveDefiniteError):
@@ -405,12 +420,12 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
         f = bounds()
         if f is not None and f.defect / (1.0 + f.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
             return read().eigenvalues.astype(complex)
-        return lam()
+        return lam()[0]
 
     run = {
         "metric_pd": lambda tol: _metric_pd_check(w, tol),
         "pseudo_hermiticity": lambda tol: _pseudo_hermiticity_check(form(), tol),
-        "reality": lambda tol: _reality_check(bounds(), lam, missed, tol),
+        "reality": lambda tol: _reality_check(bounds(), lam, tol),
         "isospectrality": lambda tol: _isospectrality_check(form(), read, lam, tol),
         "eta_norm": lambda tol: _eta_norm_check(form(), decompose, tol, seed),
     }
@@ -448,14 +463,9 @@ def _selection(checks: Sequence[str], tolerances: Sequence[tuple[str, object]],
     return tols
 
 
-def run_suite(
-    h,
-    w,
-    *,
-    checks: Sequence[str] | None = None,
-    tolerances: Mapping[str, float] | None = None,
-    seed: int = DEFAULT_SEED,
-) -> VerificationReport:
+def run_suite(h, w, *, checks: Sequence[str] | None = None,
+              tolerances: Mapping[str, float] | None = None,
+              seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run the standard check battery on ``H`` and the diagonal metric ``diag(w)``.
 
     Parameters
@@ -533,9 +543,7 @@ class GradedMatrix:
         core = _coefficients("core", core)
         grades = np.asarray(grades, dtype=float)
         if grades.shape != (core.shape[0],):
-            raise ValueError(
-                f"grades must have length {core.shape[0]}, got {grades.shape}"
-            )
+            raise ValueError(f"grades must have length {core.shape[0]}, got {grades.shape}")
         if not np.all(np.isfinite(grades)):
             raise ValueError("grades must be finite")
         object.__setattr__(self, "core", core)
@@ -563,9 +571,8 @@ def pseudo_symmetric_symmetrize(m: GradedMatrix) -> np.ndarray:
     return (rho[:, None] * m.realized) * (1.0 / rho)[None, :]
 
 
-def graded_conjugation_check(
-    x, grading, gamma: float, cycles: Sequence[Sequence[int]] = ()
-) -> float:
+def graded_conjugation_check(x, grading, gamma: float,
+                             cycles: Sequence[Sequence[int]] = ()) -> float:
     """Residual of the graded conjugation identity.
 
     For an integer grading ``m_i`` (given as a vector or a diagonal matrix)
@@ -591,8 +598,7 @@ def graded_conjugation_check(
         raise ValueError("grading entries must be integers")
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    rho = np.diag(np.exp(-gamma * m))
-    rho_inv = np.diag(np.exp(gamma * m))
+    rho, rho_inv = np.diag(np.exp(-gamma * m)), np.diag(np.exp(gamma * m))
     conj = rho_inv @ x @ rho
     expected = x * np.exp(gamma * (m[:, None] - m[None, :]))
     worst = float(np.max(np.abs(conj - expected) / (1.0 + np.abs(expected))))
@@ -600,10 +606,8 @@ def graded_conjugation_check(
         idx = list(cycle)
         if len(idx) < 2:
             raise ValueError("cycles need at least two indices")
-        prod_conj = 1.0 + 0.0j
-        prod_bare = 1.0 + 0.0j
+        prod_conj = prod_bare = 1.0 + 0.0j
         for a, b in zip(idx, idx[1:] + idx[:1]):
-            prod_conj *= conj[a, b]
-            prod_bare *= x[a, b]
+            prod_conj, prod_bare = prod_conj * conj[a, b], prod_bare * x[a, b]
         worst = max(worst, abs(prod_conj - prod_bare) / (1.0 + abs(prod_bare)))
     return worst

@@ -6,7 +6,9 @@ Run from the repository root.  Each gate runs one CLI command as a child
 process, with every RuntimeWarning raised as an error as in tier-1, and
 passes if the child exits with its code (0 unless the gate states one) within
 its bound on ``ru_maxrss``; its wall time is printed beside its peak, and
-bounds nothing.  A sweep's gate also prints its point count times the wall
+bounds nothing.  Before the gates it prints, ungated, the peak of a child that
+only imports ``metriq.cli``: a gate's peak that moves with that floor follows
+the source's size, not the run.  A sweep's gate also prints its point count times the wall
 time of the same command on its first point alone, the gate before it.
 The peak is read per child with ``os.wait4``: ``RUSAGE_CHILDREN`` would keep
 the largest peak of all children so far.  Exits 1 if any gate fails.
@@ -43,17 +45,19 @@ GATES = (
     ("verify", "tests/configs/fermion_quadratic_n12.json", 75, True),
     # one sector of 4096, which the spin flip J and the site reflection R fold into blocks of
     # 1056, 992, 1024 and 1024, built and solved one at a time: one block (8.5 MiB) plus
-    # eigvalsh's own copy, over ~50 MiB for the interpreter, numpy, the nonzeros and the
-    # fold's reads; measured at 64-65 MiB, so the bound leaves 10 MiB, less than one half of J
-    # alone made dense (32 MiB); 108-110 MiB while J alone folded it
-    ("spectrum", "tests/configs/xxz_transverse_n12.json", 75, False),
+    # eigvalsh's own copy, over ~42 MiB for the interpreter, numpy, the nonzeros and the
+    # blocks' triplets; measured at 59-63 MiB (which, as the fold's freed transients are or are
+    # not trimmed, turns on the source's path), so the bound leaves 4 MiB, less than one block
+    # made dense; 64-65 MiB while the sector's read and the pass's transients outlived the fold,
+    # and 108-110 MiB while J alone folded it
+    ("spectrum", "tests/configs/xxz_transverse_n12.json", 67, False),
     # the same sector: the checks solve nothing, so the peak is the spectrum's, as above
-    ("run", "tests/configs/xxz_transverse_n12.json", 75, False),
+    ("run", "tests/configs/xxz_transverse_n12.json", 67, False),
     # the same chain over 4 values of gammas[0]: the deformation leaves F as it is, so the
     # later points take the first point's eigenvalues and solve nothing; holding the solved
-    # point's F costs O(nnz) and must not raise the peak; measured at 65 MiB in 0.8 s,
-    # against 0.6 s for the one point above
-    ("run", "tests/configs/xxz_transverse_n12_sweep.json", 75, False),
+    # point's F costs O(nnz) and must not raise the peak; measured at 59-63 MiB, as the one
+    # point above, in 0.8 s against 0.6 s for it, and at 64-65 MiB before
+    ("run", "tests/configs/xxz_transverse_n12_sweep.json", 67, False),
     # 13 Sz sectors: J ties each pair it swaps into one unit, and J and R fold each unit into
     # blocks of at most 396; measured at 38 MiB, and at 45 MiB while the two sectors of 792
     # were solved whole, so the bound leaves 4 MiB, less than one of those and its copy (10 MiB)
@@ -92,19 +96,25 @@ GATES = (
 )
 
 
+def spawn(argv: list[str], show: bool) -> tuple[int, float, float]:
+    """Exit code, wall time in seconds and peak RSS in MiB of one child running ``argv``."""
+    quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    started = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - started, usage.ru_maxrss / 1024
+
+
 def main() -> int:
+    # a child that only imports the CLI: the floor under every gate, which follows the source's
+    # size and the interpreter's, not the run; printed, not gated
+    _, _, floor = spawn([sys.executable, "-c", "import metriq.cli"], False)
+    print(f"python -c 'import metriq.cli': peak RSS {floor:.2f} MiB (not gated)", flush=True)
     failed, last_wall = False, 0.0
     for command, config, limit, show, *expected in GATES:
         command, *flags = command.split()
-        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "metriq.cli", command, config,
-                *flags]
-        quiet = [] if show else [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-        started = time.perf_counter()
-        pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
-        _, status, usage = os.wait4(pid, 0)
-        wall = time.perf_counter() - started
-        code = os.waitstatus_to_exitcode(status)
-        peak_mib = usage.ru_maxrss / 1024
+        code, wall, peak_mib = spawn([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                                      "metriq.cli", command, config, *flags], show)
         with open(config) as f:
             sweep = json.load(f).get("sweep")
         against = "" if sweep is None else (

@@ -275,11 +275,11 @@ MISSED = {"reality": 1e-30, "isospectrality": 1e-16}  # tolerances no bound meet
 @pytest.mark.parametrize(
     "weight, checks, tolerances, calls",
     [
-        (None, None, MISSED, {"eigenvalues": 1}),
-        (None, ["isospectrality", "reality"], MISSED, {"eigenvalues": 1}),
+        (None, None, MISSED, {"_eigenvalues": 1}),
+        (None, ["isospectrality", "reality"], MISSED, {"_eigenvalues": 1}),
         (None, ["reality", "isospectrality", "eta_norm"], MISSED | {"eta_norm": 1e-30},
          {"spectrum": 1}),
-        (0.0, None, {}, {"eigenvalues": 1}),
+        (0.0, None, {}, {"_eigenvalues": 1}),
     ],
     ids=["eta-norm-certifies", "eta-norm-not-selected", "all-three-miss", "no-finite-form"],
 )
@@ -287,11 +287,11 @@ def test_no_point_solves_f_twice_and_only_the_eta_norm_decomposes(
         monkeypatch, weight, checks, tolerances, calls):
     # reality and isospectrality read only eigenvalues: one eigvals read of F's sectors, shared,
     # unless the eta-norm's bound missed and it decomposed F, which runs first so that they read
-    # that decomposition's; where F has no finite form, reality reads eigenvalues(H)
+    # that decomposition's; where F has no finite form, reality reads _eigenvalues(H)
     import metriq.verify
 
     counted, args = collections.Counter(), []
-    for name in ("spectrum", "eigenvalues"):
+    for name in ("spectrum", "_eigenvalues"):
         def count(a, _name=name, _real=getattr(metriq.verify, name)):
             counted[_name] += 1
             args.append(a)
@@ -311,6 +311,34 @@ def test_no_point_solves_f_twice_and_only_the_eta_norm_decomposes(
     root = np.sqrt(w) if weight is None else np.ones(len(w))  # F, or H itself
     np.testing.assert_allclose(a.dense(), root[:, None] * h / root, rtol=1e-15, atol=0)
 
+
+
+@pytest.mark.parametrize(
+    "weight, checks, tolerances",
+    [
+        (None, ["reality"], {"reality": 1e-30}),
+        (None, ["eta_norm", "reality"], {"reality": 1e-30, "eta_norm": 1e-30}),
+        (0.0, ["reality"], {}),
+    ],
+    ids=["eigvals", "decomposition", "no-finite-form"],
+)
+def test_the_reality_fallback_names_its_sectors_from_the_walk_that_read_them(
+        monkeypatch, weight, checks, tolerances):
+    # the sector count and the largest sector in reality's detail come from the one walk of the
+    # matrix whose eigenvalues it read (F, or H where F has no finite form), not from a second
+    import metriq.linops
+    import metriq.verify
+
+    walked, real = [], metriq.linops._pattern_components
+    for module in (metriq.linops, metriq.verify):
+        monkeypatch.setattr(module, "_pattern_components", lambda t: walked.append(t) or real(t))
+    h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
+    if weight is not None:
+        w = np.where(np.arange(len(w)) == 0, weight, w)
+    reality = run_suite(h, w, checks=checks, tolerances=tolerances).checks[-1]
+    # 129 indices in 5 interleaved sectors: four of 26 and one of 25
+    assert re.fullmatch(r"eig: max \|Im\| \S+, 5 sectors, largest 26", reality.detail)
+    assert len(walked) == 1
 
 def pseudo_hermitian_pair(dim, n_sectors, seed):
     """``H = (U rho)^{-1} F (U rho)`` and its metric's weights, with ``F`` hermitian, nonzero
@@ -426,6 +454,29 @@ def test_spectrum_step_makes_only_the_real_sector_dense():
     np.testing.assert_array_equal(lam, hermitian_form_eigenvalues(h, built.w))
 
 
+
+def test_each_eigvalsh_holds_its_block_and_a_fixed_multiple_of_the_nonzeros(monkeypatch):
+    import tracemalloc
+
+    # fields that differ by site break the site reflection: the spin flip alone folds the one
+    # sector of 1024 into two blocks of 512
+    built = build_model({**CHAIN_N10, "fields_a": [0.4 + 0.02 * k for k in range(10)]})
+    h = built.h
+    triplets = h.rows.nbytes + h.cols.nbytes + h.vals.nbytes
+    live, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: live.append(
+        (len(a), tracemalloc.get_traced_memory()[0])) or real(a))
+    tracemalloc.start()
+    try:
+        hermitian_form_eigenvalues(h, built.w)
+    finally:
+        tracemalloc.stop()
+    assert [m for m, _ in live] == [512, 512]
+    # beside each dense block (8 m^2 bytes) live F's values (half of H's triplet bytes) and the
+    # two blocks' triplets (three quarters): measured at 1.39 times H's triplet bytes, and at
+    # 2.19 while the sector's read and its index maps outlived the fold
+    assert all(traced <= 8 * m * m + 1.5 * triplets for m, traced in live)
+
 def test_hermitian_form_eigenvalues_leave_h_as_it_was():
     # F = [[1, 1], [1, 3]] is hermitian: its eigenvalues are read, and h keeps its entries
     h = np.array([[1.0, 2.0], [0.5, 3.0]], dtype=complex)
@@ -472,8 +523,8 @@ def test_hermitian_form_eigenvalues_decompose_f_past_the_tolerance(monkeypatch):
     import metriq.verify
 
     decomposed = []
-    real_eigenvalues = metriq.verify.eigenvalues
-    monkeypatch.setattr(metriq.verify, "eigenvalues",
+    real_eigenvalues = metriq.verify._eigenvalues
+    monkeypatch.setattr(metriq.verify, "_eigenvalues",
                         lambda a: decomposed.append(a) or real_eigenvalues(a))
     h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=5)
     h[-1, -6] += 1e-6  # F's defect now exceeds the isospectrality tolerance
@@ -661,6 +712,23 @@ def full_blocks(f, sectors, d):
     return [np.linalg.eigvalsh(_real_read(f.sector(idx), d[idx])[0].dense()) for idx in sectors]
 
 
+
+def concatenated_read(b, d):
+    """:func:`_real_read` with the lower triangle mirrored by concatenation and one argsort, as
+    it always was before the transpose lookup: the reference for both of its routes."""
+    from metriq.linops import _real_form
+    from metriq.verify import _weyl_floor
+
+    bound = _weyl_floor(float(np.linalg.norm(b.vals)), b.dim) / np.sqrt(2.0)
+    b, im = _real_form(b, None, bound) or _real_form(b, d, bound) or (b, None)
+    low = b.rows >= b.cols
+    r, c, v = b.rows[low], b.cols[low], b.vals[low]
+    off = r > c
+    rows, cols = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+    vals, order = np.concatenate([v, v[off].conj()]), np.argsort(rows * b.dim + cols)
+    read = _Triplets(b.dim, rows[order], cols[order], vals[order])
+    return read, None if im is None else np.sqrt(2.0) * im
+
 def within_weyl(vals, full, moved):
     """``vals`` match ``full`` within ``moved``, plus ``sqrt(m) eps max |lam|`` for each of
     the two ``eigvalsh`` solves (at m = 4096 a fold and a full solve differ by up to 38 eps
@@ -675,6 +743,32 @@ def unit_references(f, sectors, d, units):
     full = full_blocks(f, sectors, d)
     return [np.sort(np.concatenate([full[k] for k in unit])) for unit, *_ in units]
 
+
+
+def test_the_real_read_mirrors_as_the_concatenating_reference_does(monkeypatch):
+    import metriq.verify
+
+    reads, real = [], metriq.verify._real_read
+    monkeypatch.setattr(metriq.verify, "_real_read",
+                        lambda b, d: reads.append((b, d)) or real(b, d))
+    # a library H: index 0 has no entry, an empty sector, and h[1, 3] is a nonzero whose
+    # transpose is zero, far inside the isospectrality tolerance, so the read takes both routes
+    h = np.diag(np.arange(6.0)).astype(complex)
+    for i in range(1, 5):
+        h[i, i + 1], h[i + 1, i] = 0.5 + 0.1j * i, 0.5 - 0.1j * i
+    h[1, 3] = 1e-17
+    run_suite(h, np.ones(6), checks=["isospectrality"], tolerances={"isospectrality": 1e-30})
+    # and a chain's one sector, whose every entry has its transpose
+    chain = build_model({**CHAIN_N10, "n_sites": 6, "gammas": CHAIN_N10["gammas"][:6],
+                         "xis": CHAIN_N10["xis"][:6], "fields_a": [0.4] * 6})
+    hermitian_form_eigenvalues(chain.h, chain.w)
+    patterns = [set(zip(b.rows.tolist(), b.cols.tolist())) for b, _ in reads]
+    assert set() in patterns and any((c, r) not in p for p in patterns for r, c in p)
+    for b, d in reads:
+        (read, drop), (expected, expected_drop) = real(b, d), concatenated_read(b, d)
+        assert read.dim == expected.dim and drop == expected_drop
+        for x, y in zip(read[1:], expected[1:]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 def bit_reversal(n):
     return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(2**n)])
@@ -986,12 +1080,12 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
 @pytest.mark.parametrize("weight", [0.0, -1.0])
 def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(monkeypatch, weight):
     # F has no finite form: pseudo_hermiticity, isospectrality and eta_norm fail naming the
-    # weight, metric_pd fails on it, and reality alone reads eigenvalues(H) instead
+    # weight, metric_pd fails on it, and reality alone reads _eigenvalues(H) instead
     import metriq.verify
 
     decomposed = []
-    real_eigenvalues = metriq.verify.eigenvalues
-    monkeypatch.setattr(metriq.verify, "eigenvalues",
+    real_eigenvalues = metriq.verify._eigenvalues
+    monkeypatch.setattr(metriq.verify, "_eigenvalues",
                         lambda a: decomposed.append(a) or real_eigenvalues(a))
     h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
     w = w.copy()
