@@ -42,7 +42,7 @@ from .bosonic import (
     build_metric,
     build_quadratic_hamiltonian,
 )
-from .linops import MetricSpec, _Triplets
+from .linops import MetricSpec, _finite, _Triplets
 from .oscillator2d import OscillatorParams, build_xy_hamiltonian, oscillator_metric
 from .spinchain import (
     FermionQuadraticSpec,
@@ -93,10 +93,7 @@ class ConfigError(ValueError):
 def _real(name, v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field '{name}' must be a number, got {v!r}")
-    v = float(v)
-    if not np.isfinite(v):
-        raise ConfigError(f"field '{name}' must be finite")
-    return v
+    return _refuse(_finite, f"field '{name}'", float(v))
 
 
 def _positive_int(name, v):

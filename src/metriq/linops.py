@@ -107,9 +107,14 @@ def as_operator(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("operator dimension must be positive")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("operator contains non-finite entries")
-    return arr
+    return _finite("operator", arr)
+
+
+def _finite(name: str, x):
+    """``x``; raises ``ValueError`` unless every entry of it, real or complex, is finite."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def _coefficients(name: str, m, n: int | None = None, sign: float = 1.0) -> np.ndarray:
@@ -133,9 +138,7 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D state vector, got shape {vec.shape}")
     if dim is not None and vec.shape[0] != dim:
         raise ValueError(f"state has length {vec.shape[0]}, operator expects {dim}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("state contains non-finite entries")
-    return vec
+    return _finite("state", vec)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -155,13 +158,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str, name: str = "operat
 def _require_hermitian(a: np.ndarray, tol: float, what: str) -> None:
     if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
         raise NotHermitianError(f"{what} is not hermitian within tolerance {tol}")
-
-
-def _require_invertible_metric(eta: np.ndarray) -> None:
-    cond = np.linalg.cond(eta)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMetricError(f"metric condition number {cond:.3e} exceeds limit "
-                                  f"{COND_LIMIT:.1e}")
 
 
 @dataclass(frozen=True)
@@ -184,11 +180,8 @@ class MetricSpec:
             raise ValueError(f"gammas has length {len(g)} but xis has length {len(x)}")
         if not g:
             raise ValueError("MetricSpec needs at least one mode")
-        for name, vals in (("gammas", g), ("xis", x)):
-            if not all(np.isfinite(v) for v in vals):
-                raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "xis", x)
+        object.__setattr__(self, "gammas", _finite("gammas", g))
+        object.__setattr__(self, "xis", _finite("xis", x))
 
     @property
     def n(self) -> int:
@@ -254,8 +247,7 @@ class SpectrumResult:
         tgrid = np.atleast_1d(np.asarray(times, dtype=float))
         if tgrid.ndim != 1:
             raise ValueError("times must be a 1-D sequence")
-        if not np.all(np.isfinite(tgrid)):
-            raise ValueError("times contains non-finite entries")
+        _finite("times", tgrid)
         # a sector solved as real G holds conj(d) * v_G: D is unitary, so take the real v_G
         sigma = np.concatenate([
             np.linalg.svd(vecs if d is None else (d[:, None] * vecs).real, compute_uv=False)
@@ -290,6 +282,19 @@ class InnerProductSpace(NamedTuple):
         return self.metric.shape[0]
 
 
+def _with_metric(a, eta) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and a dense metric ``eta`` as operators of one dimension; raises unless ``eta``
+    is hermitian and its condition number is within ``COND_LIMIT``."""
+    a, eta = as_operator(a), as_operator(eta)
+    _check_same_dim(a, eta, "metric")
+    _require_hermitian(eta, 1e-10, "metric")
+    cond = np.linalg.cond(eta)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularMetricError(f"metric condition number {cond:.3e} exceeds limit "
+                                  f"{COND_LIMIT:.1e}")
+    return a, eta
+
+
 def eta_adjoint(a, eta) -> np.ndarray:
     """Adjoint of ``a`` with respect to the metric: ``eta^{-1} a^dag eta``.
 
@@ -297,11 +302,7 @@ def eta_adjoint(a, eta) -> np.ndarray:
     ``eta = I``.  Raises on dimension mismatch, non-hermitian or numerically
     singular ``eta``.
     """
-    a = as_operator(a)
-    eta = as_operator(eta)
-    _check_same_dim(a, eta, "metric")
-    _require_hermitian(eta, 1e-10, "metric")
-    _require_invertible_metric(eta)
+    a, eta = _with_metric(a, eta)
     return np.linalg.solve(eta, a.conj().T @ eta)
 
 
@@ -311,11 +312,7 @@ def is_pseudo_hermitian(a, eta, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     The residual is ``||a^dag eta - eta a||_F / (1 + ||eta a||_F)``, so the
     test is relative for large operators but remains meaningful near zero.
     """
-    a = as_operator(a)
-    eta = as_operator(eta)
-    _check_same_dim(a, eta, "metric")
-    _require_hermitian(eta, 1e-10, "metric")
-    _require_invertible_metric(eta)
+    a, eta = _with_metric(a, eta)
     lhs, rhs = a.conj().T @ eta, eta @ a
     residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
     return residual <= tol, residual

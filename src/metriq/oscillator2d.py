@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import FockSpace, _assemble, _dense, _guard_overflow, similarity
-from .linops import as_operator
+from .linops import _finite, as_operator
 
 __all__ = [
     "OscillatorParams",
@@ -62,8 +62,7 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("k1", "k2", "k3", "m", "gamma", "xi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _finite(name, getattr(self, name))
         if self.m <= 0:
             raise ValueError("mass must be positive")
 
@@ -152,8 +151,7 @@ def rotation_angle(k1: float, k2: float, k3: float) -> RotatedFrame:
     the off-diagonal coupling.
     """
     for name, v in (("k1", k1), ("k2", k2), ("k3", k3)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite")
+        _finite(name, v)
     if k1 == k2:
         theta = 0.0 if k3 == 0.0 else np.pi / 4.0
     else:
@@ -269,9 +267,7 @@ def transformed_canonical_ops(
     determinant, so ``X^2 + Y^2 = x^2 + y^2`` and ``PX^2 + PY^2 = px^2 +
     py^2`` hold as matrix identities and ``[X, PX] = 1j`` below the cutoff.
     """
-    w = complex(w)
-    if not (np.isfinite(w.real) and np.isfinite(w.imag)):
-        raise ValueError("w must be finite")
+    w = _finite("w", complex(w))
     lz = np.diag(angular_momentum_diag(space).astype(complex))
     return (*(_assemble(space, t, (w, -w)).dense() for t in _XY_TERMS), lz)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bosonic import FockSpace, _assemble, _dense, _guard_overflow, similarity
-from .linops import MetricSpec, _coefficients, _Triplets, is_pseudo_hermitian
+from .linops import MetricSpec, _coefficients, _finite, _Triplets, is_pseudo_hermitian
 
 __all__ = [
     "MAX_SITES",
@@ -107,9 +107,7 @@ class PseudoSpinSite:
     def __post_init__(self):
         if int(2 * self.j) != 2 * self.j or self.j < 0.5:
             raise ValueError("j must be a positive half-integer")
-        b = complex(self.beta)
-        if not (np.isfinite(b.real) and np.isfinite(b.imag)):
-            raise ValueError("beta must be finite")
+        _finite("beta", complex(self.beta))
 
 
 def pseudo_spin_ops(site: PseudoSpinSite) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,11 +149,9 @@ class SpinChainSpec:
             out = tuple(map(cast, () if vals is None else vals)) or (cast(0),) * self.n_sites
             if len(out) != self.n_sites:
                 raise ValueError(f"{name} must have {self.n_sites} entries, got {len(out)}")
-            if not all(np.isfinite(v) for v in out):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, out)
-        if not (np.isfinite(self.gamma_exchange) and np.isfinite(self.delta)):
-            raise ValueError("gamma_exchange and delta must be finite")
+            object.__setattr__(self, name, _finite(name, out))
+        _finite("gamma_exchange", self.gamma_exchange)
+        _finite("delta", self.delta)
 
     @property
     def gammas(self) -> tuple[float, ...]:
@@ -345,8 +341,7 @@ def suq2_limit(n_sites: int, q: float, ws: Sequence[complex] = ()) -> SpinChainS
     _check_chain(n_sites)
     if n_sites < 2:
         raise ValueError("the boundary-field preset needs at least two sites")
-    if not np.isfinite(q):
-        raise ValueError("q must be finite")
+    _finite("q", q)
     fields_c = [0.0] * n_sites
     fields_c[0] = -float(np.sinh(q))
     fields_c[-1] = float(np.sinh(q))

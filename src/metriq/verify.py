@@ -45,8 +45,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bosonic import _guard_overflow, similarity
-from .linops import REALITY_TOL, NotPositiveDefiniteError, as_operator, spectrum
-from .linops import _EPS, _coefficients, _eigenvalues, _pattern_components, _real_form, _Triplets
+from .linops import REALITY_TOL, NotPositiveDefiniteError, _Triplets, as_operator, spectrum
+from .linops import _EPS, _coefficients, _eigenvalues, _finite, _pattern_components, _real_form
 
 __all__ = [
     "DEFAULT_SEED",
@@ -231,7 +231,7 @@ def _fold(g: _Triplets, gens: list) -> list[_Triplets]:
         r, k = g.rows[on], g.cols[on]
         keys, sums = np.unique(at[r] * len(reps) + at[k], return_inverse=True)
         vals = np.bincount(sums, g.vals[on] * (c[r] * c[k]) / np.sqrt(n[r] * n[k]), len(keys))
-        block = _Triplets(len(reps), *np.divmod(keys, len(reps)), vals.astype(float))
+        block = _Triplets(len(reps), *np.divmod(keys, len(reps)), vals.astype(float, copy=False))
         if len(reps):
             blocks += _fold(block, [(at[q[reps]], t[reps] * c[q[reps]]) for q, t in rest])
     return blocks
@@ -544,10 +544,8 @@ class GradedMatrix:
         grades = np.asarray(grades, dtype=float)
         if grades.shape != (core.shape[0],):
             raise ValueError(f"grades must have length {core.shape[0]}, got {grades.shape}")
-        if not np.all(np.isfinite(grades)):
-            raise ValueError("grades must be finite")
         object.__setattr__(self, "core", core)
-        object.__setattr__(self, "grades", grades)
+        object.__setattr__(self, "grades", _finite("grades", grades))
 
     @property
     def realized(self) -> np.ndarray:
@@ -596,8 +594,7 @@ def graded_conjugation_check(x, grading, gamma: float,
         raise ValueError(f"grading must have length {x.shape[0]}, got {m.shape}")
     if np.any(m != np.round(m)):
         raise ValueError("grading entries must be integers")
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    _finite("gamma", gamma)
     rho, rho_inv = np.diag(np.exp(-gamma * m)), np.diag(np.exp(gamma * m))
     conj = rho_inv @ x @ rho
     expected = x * np.exp(gamma * (m[:, None] - m[None, :]))

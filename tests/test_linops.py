@@ -52,16 +52,19 @@ def test_metric_spec_rejects_bad_input():
     [
         (lambda: as_operator(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
         (lambda: as_operator(np.zeros((0, 0))), "operator dimension must be positive"),
+        (lambda: as_operator([[np.inf]]), "operator must be finite"),
         (lambda: as_state(np.zeros((2, 2))), "expected a 1-D state vector"),
         (lambda: as_state(np.zeros(3), 2), "state has length 3, operator expects 2"),
-        (lambda: as_state([1.0, np.nan]), "state contains non-finite entries"),
+        (lambda: as_state([1.0, np.nan]), "state must be finite"),
         (lambda: spectrum(np.diag([1.0, 2.0])).evolve([1.0, 0.0], [[0.0, 1.0]]),
          "times must be a 1-D sequence"),
         (lambda: spectrum(np.diag([1.0, 2.0])).evolve([1.0, 0.0], [0.0, np.inf]),
-         "times contains non-finite entries"),
+         "times must be finite"),
+        (lambda: MetricSpec([np.nan]), "gammas must be finite"),
+        (lambda: MetricSpec([0.1], [np.inf]), "xis must be finite"),
     ],
-    ids=["operator-shape", "operator-empty", "state-shape", "state-length", "state-nan",
-         "times-shape", "times-inf"],
+    ids=["operator-shape", "operator-empty", "operator-inf", "state-shape", "state-length",
+         "state-nan", "times-shape", "times-inf", "gammas-nan", "xis-inf"],
 )
 def test_each_refusal_names_its_field(call, message):
     with pytest.raises(ValueError, match=message):
@@ -304,7 +307,7 @@ def test_eigenvalues_match_spectrum():
     lam = eigenvalues(a)
     assert np.max(np.abs(lam - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
     a[2, 5] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="operator must be finite"):
         eigenvalues(a)
 
 

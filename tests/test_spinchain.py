@@ -188,8 +188,10 @@ def test_builders_reach_the_site_cap():
     [
         (lambda: PseudoSpinSite(0.7, 0.1), "j must be a positive half-integer"),
         (lambda: PseudoSpinSite(0.5, complex(np.inf, 0.0)), "beta must be finite"),
-        (lambda: SpinChainSpec(2, fields_b=(0.1, np.nan)), "fields_b contains non-finite"),
-        (lambda: SpinChainSpec(2, delta=np.inf), "gamma_exchange and delta must be finite"),
+        (lambda: SpinChainSpec(2, fields_b=(0.1, np.nan)), "fields_b must be finite"),
+        (lambda: SpinChainSpec(2, delta=np.inf), "delta must be finite"),
+        (lambda: SpinChainSpec(2, ws=(np.nan, 0)), "ws must be finite"),
+        (lambda: SpinChainSpec(2, gamma_exchange=np.inf), "gamma_exchange must be finite"),
         (lambda: build_haldane_shastry(3, MetricSpec([0.0] * 3), sign=2),
          r"sign must be \+1 or -1"),
         (lambda: build_haldane_shastry(3, MetricSpec([0.0] * 2)),
@@ -203,8 +205,8 @@ def test_builders_reach_the_site_cap():
          r"pairing must be finite and antisymmetric: pairing\[0\]\[1\] = 0.5, "
          r"pairing\[1\]\[0\] = 0.5"),
     ],
-    ids=["j", "beta", "fields", "couplings", "ring-sign", "ring-metric", "suq2-sites",
-         "suq2-q", "hopping-inf", "pairing-symmetric"],
+    ids=["j", "beta", "fields", "couplings", "ws-nan", "exchange-inf", "ring-sign", "ring-metric",
+         "suq2-sites", "suq2-q", "hopping-inf", "pairing-symmetric"],
 )
 def test_each_refusal_names_its_field(call, message):
     with pytest.raises(ValueError, match=message):

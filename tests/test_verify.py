@@ -1223,6 +1223,31 @@ def test_every_dataclass_validates_or_holds_private_state():
     assert plain == []
 
 
+def test_only_the_finite_rule_calls_isfinite_on_an_input():
+    # linops._finite is the one finiteness rule for inputs; the combined rules state their own
+    # messages, and a computed condition number `cond` is no input
+    import ast
+    import pathlib
+
+    import metriq
+
+    rules = {"linops._finite", "linops._coefficients", "verify._weights", "verify._selection"}
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            inner = f"{scope}.{child.name}" if named else scope
+            if (isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "isfinite"
+                    and ast.unparse(child.args[0]) != "cond"):
+                yield inner
+            yield from calls(child, inner)
+
+    found = [where for path in sorted(pathlib.Path(metriq.__file__).parent.glob("*.py"))
+             for where in calls(ast.parse(path.read_text()), path.stem)]
+    assert [where for where in found if where not in rules] == []
+    assert "linops._finite" in found
+
+
 # ---------------------------------------------------------------------------
 # Graded matrices
 
