@@ -15,8 +15,8 @@ Subcommands
 ``metriq verify <config.json>``
     Checks only, one summary line per check.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 config
-error, 3 numerical failure.  Reports are deterministic for a fixed
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 config or
+output error, 3 numerical failure.  Reports are deterministic for a fixed
 ``(config, seed)`` pair at a fixed BLAS build and thread count; the seed is
 echoed in every report.
 """
@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -48,6 +47,7 @@ from .spinchain import (
     FermionQuadraticSpec,
     SpinChainSpec,
     _check_chain,
+    _check_ring,
     build_fermion_quadratic,
     build_haldane_shastry,
     build_xxz_asymmetric,
@@ -184,35 +184,25 @@ class SweepSpec(NamedTuple):
     path: str
     values: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "values": list(self.values)}
-
 
 class OutputSpec(NamedTuple):
     path: str
     format: str = "json"
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "format": self.format}
 
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     model: ModelSpec
     checks: tuple[str, ...] | None = None
     sweep: SweepSpec | None = None
     output: OutputSpec | None = None
-    # the model parse_config built to validate it, kept for a config with no sweep
-    _built: _Built | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out: dict = {"model": self.model.to_dict()}
         if self.checks is not None:
             out["checks"] = list(self.checks)
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-        if self.output is not None:
-            out["output"] = self.output.to_dict()
+        for name, spec in (("sweep", self.sweep), ("output", self.output)):
+            if spec is not None:
+                out[name] = spec._asdict()
         return out
 
 
@@ -298,7 +288,7 @@ def _apply_sweep(params: dict, path: str, value: float) -> dict:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config; reject unknown keys."""
+    """Parse and validate a JSON config; reject unknown keys.  Assembles no Hamiltonian."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -315,7 +305,7 @@ def parse_config(text: str) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("config needs a 'model' block")
     model = _normalize_model(raw["model"])
-    built = _build_model(model)
+    _build_model(model)  # the specs and the metric hold every refusal a build makes
 
     checks: tuple[str, ...] | None = None
     if "checks" in raw:
@@ -342,9 +332,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"output format must be 'json' or 'csv', got {fmt!r}")
         output = OutputSpec(block["path"], fmt)
 
-    config = RunConfig(model, checks, sweep, output)
-    object.__setattr__(config, "_built", built if sweep is None else None)
-    return config
+    return RunConfig(model, checks, sweep, output)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -357,20 +345,20 @@ def serialize_config(config: RunConfig) -> str:
 
 
 class _Built(NamedTuple):
-    """Hamiltonian as its nonzeros and metric weights ``w`` (``eta = diag(w)``)."""
+    """Metric weights ``w`` (``eta = diag(w)``) and ``h()``, which assembles ``H``'s nonzeros."""
 
-    h: _Triplets
+    h: Callable[[], _Triplets]
     w: np.ndarray
     form: BosonQuadraticForm | None = None
 
 
-# Each builder takes w from its model's module before h, so the metric refuses a deformation past
-# the overflow guard.
+# Each builder's specs and its metric, from its model's module, make every refusal: h()'s assembler
+# cannot pass the overflow guard once w has, as a move carries half a log-weight difference.
 def _build_oscillator(p: dict) -> _Built:
     params = OscillatorParams(p["k1"], p["k2"], p["k3"], m=p["m"], gamma=p["gamma"], xi=p["xi"])
     space = FockSpace(2, p["cutoff"])
     w = oscillator_metric(params, space)
-    return _Built(build_xy_hamiltonian._triplets(params, space), w)
+    return _Built(lambda: build_xy_hamiltonian._triplets(params, space), w)
 
 
 def _metric_spec(p: dict, n: int) -> MetricSpec:
@@ -389,7 +377,7 @@ def _build_boson_quadratic(p: dict) -> _Built:
     form = BosonQuadraticForm(p["alpha"], p["beta"], ms)
     space = FockSpace(ms.n, p["cutoff"])
     w = build_metric(space, ms)
-    return _Built(build_quadratic_hamiltonian._triplets(space, form), w, form=form)
+    return _Built(lambda: build_quadratic_hamiltonian._triplets(space, form), w, form=form)
 
 
 def _build_lmg_model(p: dict) -> _Built:
@@ -398,32 +386,33 @@ def _build_lmg_model(p: dict) -> _Built:
         raise ConfigError(f"lmg needs exactly 2 gammas, got {ms.n}")
     space = FockSpace(2, p["cutoff"])
     w = build_metric(space, ms)
-    return _Built(build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w)
+    return _Built(lambda: build_lmg._triplets(space, ms, p["omega0"], p["omega"]), w)
 
 
 def _build_fermion(p: dict) -> _Built:
     ms = _metric_spec(p, len(p["gammas"]))
     spec = FermionQuadraticSpec(p["hopping"], p["pairing"], ms)
     w = fermion_metric(spec)
-    return _Built(build_fermion_quadratic._triplets(spec), w)
+    return _Built(lambda: build_fermion_quadratic._triplets(spec), w)
 
 
 def _build_chain(p: dict, ms: MetricSpec) -> _Built:
     """Both XXZ kinds: the chain fields of ``p`` deformed by ``ms``."""
     spec = SpinChainSpec(**{k: p[k] for k in _CHAIN if k in p}, ws=tuple(ms.ws))
     w = build_zeta_metric(spec)
-    return _Built(build_xxz_asymmetric._triplets(spec), w)
+    return _Built(lambda: build_xxz_asymmetric._triplets(spec), w)
 
 
 def _build_haldane_shastry(p: dict) -> _Built:
     ms = _metric_spec(p, p["n_sites"])
     w = build_zeta_metric(SpinChainSpec(ms.n, ws=tuple(ms.ws)))  # the ring's metric is the chain's
-    return _Built(build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w)
+    _check_ring(ms.n, p["sign"], ms)
+    return _Built(lambda: build_haldane_shastry._triplets(ms.n, ms, p["sign"]), w)
 
 
 def _build_graded(p: dict) -> _Built:
     gm = GradedMatrix(p["core"], p["grades"])
-    return _Built(w=gm.metric_weights, h=_Triplets.of(gm.realized))
+    return _Built(w=gm.metric_weights, h=lambda: _Triplets.of(gm.realized))
 
 
 class _Kind(NamedTuple):
@@ -521,8 +510,8 @@ def _execute(
     for value, params in points:
         label = "" if value is None else f"[{sweep.path}={value:g}] "
         try:
-            built = config._built or _build_model(ModelSpec(config.model.kind, params))
-            results, eigenvalues_of = _point(built.h, built.w, suite, tols, seed, solved)
+            built = _build_model(ModelSpec(config.model.kind, params))
+            results, eigenvalues_of = _point(built.h(), built.w, suite, tols, seed, solved)
             if bogoliubov:
                 results.append(_bogoliubov_check(built.form, tols["bogoliubov"]))
             if run_spectrum:
@@ -554,7 +543,7 @@ def _execute(
         "version": __version__,
     }
     if sweep is not None:
-        report["sweep"] = sweep.to_dict()
+        report["sweep"] = sweep._asdict()
     if errors:
         report["error"] = "; ".join(errors)
     return report, exit_code
@@ -578,7 +567,6 @@ def _emit(report: dict, out_dir: str | None, fmt: str) -> None:
             print(json.dumps(report, indent=2))
         return
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     (directory / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if fmt == "csv":
         csv_text = "\n".join(_spectra_csv_lines(report["spectra"]))
@@ -644,14 +632,19 @@ def main(argv: list[str] | None = None) -> int:
         tols = _parse_tol_flags(args.tol, config.model.kind, runs)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.format is not None and args.command == "verify":
+            raise ConfigError(f"--format {args.format}: verify writes no spectra")
+        out_dir = args.out if args.out is not None else config.output and config.output.path
+        if out_dir is not None:  # before the run, so a path that cannot be written costs none
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    out_dir = args.out if args.out is not None else (
-        config.output.path if config.output else None
-    )
     fmt = args.format if args.format is not None else (
         config.output.format if config.output else "json"
     )
@@ -661,6 +654,12 @@ def main(argv: list[str] | None = None) -> int:
     report, code = _execute(
         config, seed, tols, run_checks=run_checks, run_spectrum=run_spectrum
     )
+    try:  # verify writes its report before its summary, so a failed write prints none
+        if args.command != "verify" or out_dir is not None:
+            _emit(report, out_dir, "json" if args.command == "verify" else fmt)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if args.command == "verify":
         for check in report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
@@ -669,10 +668,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{status} {check['name']}: residual={check['residual']:.3e} "
                 f"tolerance={check['tolerance']:.1e}{detail}"
             )
-        if out_dir is not None:
-            _emit(report, out_dir, "json")
-    else:
-        _emit(report, out_dir, fmt)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
     return code

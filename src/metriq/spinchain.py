@@ -239,6 +239,16 @@ def chain_unitary(spec: SpinChainSpec) -> np.ndarray:
     return similarity(0.5 - site_occupations(spec.n_sites), spec.ws)[1]
 
 
+def _check_ring(n_sites: int, sign: int, metric: MetricSpec) -> None:
+    _check_chain(n_sites)
+    if n_sites < 2:
+        raise ValueError("the exchange ring needs at least two sites")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if metric.n != n_sites:
+        raise ValueError(f"metric has {metric.n} sites but the chain has {n_sites}")
+
+
 @_dense
 def build_haldane_shastry(
     n_sites: int, metric: MetricSpec, sign: int = 1
@@ -250,13 +260,7 @@ def build_haldane_shastry(
     equal to zero this is the standard model; any deformation leaves the
     spectrum untouched.
     """
-    _check_chain(n_sites)
-    if n_sites < 2:
-        raise ValueError("the exchange ring needs at least two sites")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if metric.n != n_sites:
-        raise ValueError(f"metric has {metric.n} sites but the chain has {n_sites}")
+    _check_ring(n_sites, sign, metric)
     terms = []
     for i in range(n_sites):
         for j in range(i + 1, n_sites):

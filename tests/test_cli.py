@@ -58,6 +58,9 @@ UNSTABLE_BOSON = {
 }
 
 
+CONFIG_DIR = Path(__file__).with_name("configs")
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -169,15 +172,26 @@ def test_round_trip_identity():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def patch_assemblers(monkeypatch, assemble):
+    """Route every Hamiltonian assembly through ``assemble(original, *args)``: the assembler
+    where each model module binds it, and the graded matrix's realization."""
+    from metriq import bosonic, oscillator2d, spinchain
+    from metriq.verify import GradedMatrix
+
+    for module in (bosonic, oscillator2d, spinchain):
+        monkeypatch.setattr(module, "_assemble",
+                            lambda *a, _f=module._assemble, **k: assemble(_f, *a, **k))
+    realized = GradedMatrix.realized.fget
+    monkeypatch.setattr(GradedMatrix, "realized", property(lambda gm: assemble(realized, gm)))
+
+
 @pytest.mark.parametrize("command", ["run", "spectrum", "verify"])
 @pytest.mark.parametrize("sweep", [None, {"path": "delta", "values": [0.0, 0.5, 1.0]}])
 def test_the_model_is_built_once_per_point_and_once_to_validate_a_sweep(
         tmp_path, capsys, monkeypatch, command, sweep):
-    import metriq.cli as cli
-
-    builds = []
-    build = cli._build_model
-    monkeypatch.setattr(cli, "_build_model", lambda spec: builds.append(spec) or build(spec))
+    # parse_config validates from the specs and the metric; only a point assembles H
+    assemblies = []
+    patch_assemblers(monkeypatch, lambda f, *a, **k: assemblies.append(f) or f(*a, **k))
     payload = {"model": {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
                          "gammas": [0.3, 0.0, -0.2], "xis": [0.1, 0.0, 0.2]}}
     if sweep:
@@ -185,8 +199,22 @@ def test_the_model_is_built_once_per_point_and_once_to_validate_a_sweep(
     code = main([command, write_config(tmp_path, payload)])
     capsys.readouterr()
     assert code == EXIT_OK
-    # parse_config validates by building; with no sweep that build is the one point's
-    assert len(builds) == (1 if sweep is None else 1 + len(sweep["values"]))
+    assert len(assemblies) == (1 if sweep is None else len(sweep["values"]))
+
+
+def _config_texts():
+    """The JSON text of each golden config and of each ``tests/configs`` config."""
+    return {**{f"golden {name}": json.dumps({"model": m}) for name, m in GOLDEN_CONFIGS.items()},
+            **{path.name: path.read_text() for path in CONFIG_DIR.glob("*.json")}}
+
+
+@pytest.mark.parametrize("name", sorted(_config_texts()))
+def test_parse_config_assembles_no_hamiltonian(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config assembled a Hamiltonian")
+
+    patch_assemblers(monkeypatch, refuse)
+    assert parse_config(_config_texts()[name]).model.kind
 
 
 def test_parse_rejections():
@@ -248,6 +276,8 @@ def test_parse_rejections():
         ({"model": dict(fermion, hopping=[[1.0, 0.5], [0.4, 1.0]])},
          r"hopping must be finite and symmetric: hopping\[0\]\[1\] = 0.5, hopping\[1\]\[0\]"),
         ({"model": dict(hs, n_sites=1)}, "the exchange ring needs at least two sites"),
+        # the ring's own checks run once every field is read, so the sign is named first
+        ({"model": dict(hs, n_sites=1, sign=2)}, "field 'sign' must be 1 or -1"),
         ({"model": dict(hs, n_sites=13)}, r"n_sites must be in \[1, 12\]"),
     ):
         with pytest.raises(ConfigError, match=msg):
@@ -528,6 +558,39 @@ def test_out_directory(tmp_path, capsys):
     csv_lines = (out_dir / "spectra.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "sweep-value,index,re,im"
     assert len(csv_lines) == 1 + (payload["model"]["cutoff"] + 1) ** 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_an_output_path_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command, via):
+    afile, taken = tmp_path / "afile", tmp_path / "taken"
+    afile.write_text("kept")
+    (taken / "report.json").mkdir(parents=True)
+    # a file in the way, a directory under a file, and a report.json that is a directory
+    for out in (afile, afile / "sub", taken):
+        if via == "flag":
+            argv = [write_config(tmp_path, OSC_CONFIG), "--out", str(out)]
+        else:
+            argv = [write_config(tmp_path, {**OSC_CONFIG, "output": {"path": str(out)}})]
+        assert main([command, *argv]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
+    assert afile.read_text() == "kept"
+
+
+def test_verify_refuses_a_spectra_format(tmp_path, capsys):
+    path = write_config(tmp_path, OSC_CONFIG)
+    for fmt in ("csv", "json"):
+        assert main(["verify", path, "--format", fmt]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"error: --format {fmt}: verify writes no spectra\n")
+    # a config's output format stays allowed, since one config serves all three commands
+    out = tmp_path / "out"
+    csv = write_config(tmp_path, {**OSC_CONFIG, "output": {"path": str(out), "format": "csv"}})
+    assert main(["verify", csv]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PASS metric_pd")
+    assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 def test_csv_on_stdout_forms_no_json_text(tmp_path, capsys, monkeypatch):
@@ -923,33 +986,37 @@ def _deformed(model, scale):
     return {**model, key: [scale * x for x in g] if isinstance(g, list) else scale * g}
 
 
+# One model of each CLI kind at the overflow guard's edge.
+GUARD_EDGE_MODELS = [
+    # Just inside the rule: the largest metric exponent |2 Q.gamma| is 119.2
+    # (Lz and occupations up to the cutoff 4) or 119.4 (S^z = +-1/2, fermion
+    # occupations up to 1, grades); scaled by 1.01 it is just outside.
+    {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0, "gamma": 14.9,
+     "cutoff": 4},
+    # the exponent sums over the modes of one sign: 2 * 4 * (7.45 + 7.45)
+    {"kind": "bosonQuadratic",
+     "alpha": [[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.8]],
+     "beta": [[0.4, 0.1, 0.0], [0.1, -0.2, 0.0], [0.0, 0.0, 0.1]],
+     "gammas": [7.45, 7.45, -14.9], "cutoff": 4},
+    {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [14.9, -14.9], "cutoff": 4},
+    # 2 * (29.85 + 29.85), though sum |gamma| = 119.4
+    {"kind": "fermionQuadratic",
+     "hopping": [[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.5]],
+     "pairing": [[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]],
+     "gammas": [29.85, 29.85, -59.7]},
+    {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
+     "gammas": [39.8, 39.8, -39.8]},
+    {"kind": "xxzSymmetric", "n_sites": 3, "delta": 0.5,
+     "fields_a": [0.4, 0.4, 0.4], "gamma": 39.8},
+    {"kind": "haldaneShastry", "n_sites": 3, "gammas": [39.8, -39.8, 39.8]},
+    {"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
+     "grades": [59.7, -59.7]},
+]
+
+
 @pytest.mark.parametrize(
     "model",
-    [
-        # Just inside the rule: the largest metric exponent |2 Q.gamma| is 119.2
-        # (Lz and occupations up to the cutoff 4) or 119.4 (S^z = +-1/2, fermion
-        # occupations up to 1, grades); scaled by 1.01 it is just outside.
-        {"kind": "oscillator2d", "k1": 2.0, "k2": 1.0, "k3": 1.0, "gamma": 14.9,
-         "cutoff": 4},
-        # the exponent sums over the modes of one sign: 2 * 4 * (7.45 + 7.45)
-        {"kind": "bosonQuadratic",
-         "alpha": [[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.8]],
-         "beta": [[0.4, 0.1, 0.0], [0.1, -0.2, 0.0], [0.0, 0.0, 0.1]],
-         "gammas": [7.45, 7.45, -14.9], "cutoff": 4},
-        {"kind": "lmg", "omega0": 1.0, "omega": 0.4, "gammas": [14.9, -14.9], "cutoff": 4},
-        # 2 * (29.85 + 29.85), though sum |gamma| = 119.4
-        {"kind": "fermionQuadratic",
-         "hopping": [[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.5]],
-         "pairing": [[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]],
-         "gammas": [29.85, 29.85, -59.7]},
-        {"kind": "xxzAsymmetric", "n_sites": 3, "delta": 0.5,
-         "gammas": [39.8, 39.8, -39.8]},
-        {"kind": "xxzSymmetric", "n_sites": 3, "delta": 0.5,
-         "fields_a": [0.4, 0.4, 0.4], "gamma": 39.8},
-        {"kind": "haldaneShastry", "n_sites": 3, "gammas": [39.8, -39.8, 39.8]},
-        {"kind": "gradedMatrix", "core": [[1.0, 0.5], [0.5, -1.0]],
-         "grades": [59.7, -59.7]},
-    ],
+    GUARD_EDGE_MODELS,
     ids=lambda m: m["kind"],
 )
 def test_overflow_guard_sums_over_modes(tmp_path, capsys, model):
@@ -1037,10 +1104,10 @@ def test_public_builders_return_the_dense_matrix_bit_for_bit(monkeypatch, name):
     digest = hashlib.sha256()
     for params in points:
         calls.clear()
-        built = _build_model(ModelSpec(spec.kind, params))
+        h = _build_model(ModelSpec(spec.kind, params)).h()
         # the public builder on the arguments the CLI passed; gradedMatrix calls none
-        dense = built.h.dense() if not calls else calls[0][0](*calls[0][1], **calls[0][2])
-        assert dense.dtype == complex and np.array_equal(dense, built.h.dense())
+        dense = h.dense() if not calls else calls[0][0](*calls[0][1], **calls[0][2])
+        assert dense.dtype == complex and np.array_equal(dense, h.dense())
         digest.update(dense.tobytes())
     assert digest.hexdigest()[:16] == BUILDER_PINS["sha256"][name]
     if f"{name}:oracle" in BUILDER_PINS["sha256"]:
@@ -1052,8 +1119,9 @@ def _cli_build(name):
     """The CLI's build of ``tests/configs/NAME.json``: ``H``'s nonzeros and ``w``."""
     from metriq.cli import _build_model, _normalize_model
 
-    model = json.loads((Path(__file__).with_name("configs") / f"{name}.json").read_text())["model"]
-    return _build_model(_normalize_model(model))
+    model = json.loads((CONFIG_DIR / f"{name}.json").read_text())["model"]
+    built = _build_model(_normalize_model(model))
+    return built._replace(h=built.h())
 
 
 # sha256 of the int64 rows, int64 cols and complex vals of each CLI build, recorded when the
@@ -1074,7 +1142,7 @@ def test_cli_builds_keep_their_nonzeros_bit_for_bit(name):
 def test_cli_builds_hold_contiguous_int64_indices(name):
     from metriq.cli import _build_model, _normalize_model
 
-    h = _build_model(_normalize_model(GOLDEN_CONFIGS[name])).h
+    h = _build_model(_normalize_model(GOLDEN_CONFIGS[name])).h()
     for index in (h.rows, h.cols):
         assert index.dtype == np.int64 and index.flags.c_contiguous
 

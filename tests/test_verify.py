@@ -169,7 +169,6 @@ SMALL_MODELS = [
 
 @pytest.mark.parametrize("model", SMALL_MODELS, ids=lambda m: m["kind"])
 def test_diagonal_path_matches_dense_reference(model):
-    from metriq.cli import _build_model, parse_config
     from metriq.linops import (
         evolve,
         is_pseudo_hermitian,
@@ -179,7 +178,7 @@ def test_diagonal_path_matches_dense_reference(model):
         to_hermitian,
     )
 
-    built = _build_model(parse_config(json.dumps({"model": model})).model)
+    built = build_model(model)
     h, w = built.h.dense(), built.w
     report = run_suite(built.h, w)  # the CLI's route: H as its nonzeros
     got = {c.name: c for c in report.checks}
@@ -210,9 +209,7 @@ def test_diagonal_path_matches_dense_reference(model):
 
 def test_isospectrality_fails_for_the_wrong_metric_root():
     # with 1/w the mapped form is rho^{-1} H rho: isospectral with H, not hermitian
-    from metriq.cli import _build_model, parse_config
-
-    built = _build_model(parse_config(json.dumps({"model": SMALL_MODELS[4]})).model)
+    built = build_model(SMALL_MODELS[4])
     checks = {c.name: c for c in run_suite(built.h, 1.0 / built.w).checks}
     iso = checks["isospectrality"]
     assert not iso.passed
@@ -412,9 +409,11 @@ CHAIN_N10 = {"kind": "xxzAsymmetric", "n_sites": 10, "delta": 0.6,
 
 
 def build_model(model):
+    """The CLI's build of ``model``, its Hamiltonian assembled: ``h`` is its nonzeros."""
     from metriq.cli import _build_model, parse_config
 
-    return _build_model(parse_config(json.dumps({"model": model})).model)
+    built = _build_model(parse_config(json.dumps({"model": model})).model)
+    return built._replace(h=built.h())
 
 
 def test_checks_hold_no_temporary_the_size_of_h():
@@ -1186,7 +1185,9 @@ def _plain_records():
         (cli.ModelSpec, dict(kind="oscillator2d", params={"cutoff": 4})),
         (cli.SweepSpec, dict(path="gamma", values=(0.0, 0.1))),
         (cli.OutputSpec, dict(path="out", format="csv")),
-        (cli._Built, dict(h=_Triplets.of(eye), w=np.ones(2), form=None)),
+        (cli.RunConfig, dict(model=cli.ModelSpec("lmg", {"cutoff": 4}), checks=("reality",),
+                             sweep=cli.SweepSpec("omega", (0.5,)), output=None)),
+        (cli._Built, dict(h=lambda: _Triplets.of(eye), w=np.ones(2), form=None)),
     ]
 
 
@@ -1218,7 +1219,7 @@ def test_every_dataclass_validates_or_holds_private_state():
                     or cls.__init__.__code__.co_filename != "<string>"
                     or any(not f.init for f in dataclasses.fields(cls))):
                 plain.append(f"{module.__name__}.{name}")
-    assert {"MetricSpec", "SpectrumResult", "FockSpace", "RunConfig", "GradedMatrix",
+    assert {"MetricSpec", "SpectrumResult", "FockSpace", "GradedMatrix",
             "BosonQuadraticForm"} <= seen
     assert plain == []
 
