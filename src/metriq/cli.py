@@ -16,7 +16,8 @@ Subcommands
     Checks only, one summary line per check.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 config or
-output error, 3 numerical failure.  Reports are deterministic for a fixed
+output error, 3 numerical failure, 141 stdout closed by its reader before the
+output ended, with nothing on stderr.  Reports are deterministic for a fixed
 ``(config, seed)`` pair at a fixed BLAS build and thread count; the seed is
 echoed in every report.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -78,6 +80,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program that a closed pipe ends
 
 BOGOLIUBOV_TOL = 1e-10
 
@@ -488,19 +491,14 @@ def _bogoliubov_check(form: BosonQuadraticForm, tol: float) -> CheckResult:
 
 
 def _execute(
-    config: RunConfig,
-    seed: int,
-    tols: dict,
-    *,
-    run_checks: bool,
-    run_spectrum: bool,
+    config: RunConfig, seed: int, tols: dict, checks: tuple[str, ...], reads_spectrum: bool
 ) -> tuple[dict, int]:
-    """Run all sweep points at the tolerances ``tols``; return (report dict, exit code)."""
+    """Run ``checks`` at the tolerances ``tols`` on all sweep points, and read each point's
+    spectrum if ``reads_spectrum``; return (report dict, exit code)."""
     sweep = config.sweep
     points = [(None, config.model.params)] if sweep is None else [
         (v, _apply_sweep(config.model.params, sweep.path, v)) for v in sweep.values]
-    # the checks that run: verify's reader takes the suite's, and the CLI runs bogoliubov itself
-    checks = (config.checks or tuple(DEFAULT_TOLERANCES)) if run_checks else ()
+    # verify's reader runs the suite's checks, and the CLI runs bogoliubov itself
     suite, bogoliubov = [c for c in checks if c != "bogoliubov"], "bogoliubov" in checks
     checks_out: list[dict] = []
     spectra_out: list[dict] = []
@@ -514,13 +512,13 @@ def _execute(
             results, eigenvalues_of = _point(built.h(), built.w, suite, tols, seed, solved)
             if bogoliubov:
                 results.append(_bogoliubov_check(built.form, tols["bogoliubov"]))
-            if run_spectrum:
+            if reads_spectrum:
                 lam = eigenvalues_of()
         except (np.linalg.LinAlgError, FloatingPointError) as exc:  # a numerical failure
             errors.append(f"{label}numerical failure: {exc}")
             exit_code = EXIT_NUMERICAL_FAILURE
             continue
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             errors.append(f"{label}invalid model: {exc}")
             exit_code = EXIT_CONFIG_ERROR
             break
@@ -529,7 +527,7 @@ def _execute(
             if label:
                 entry["detail"] = (label + entry["detail"]).strip()
             checks_out.append(entry)
-        if run_spectrum:
+        if reads_spectrum:
             eigenvalues = [[float(z.real), float(z.imag)] for z in lam]
             spectra_out.append({"sweepValue": value, "eigenvalues": eigenvalues})
     if exit_code == EXIT_OK and any(not c["passed"] for c in checks_out):
@@ -590,17 +588,21 @@ def _parse_tol_flags(pairs: list[str], kind: str, runs: tuple[str, ...]) -> dict
     return tols
 
 
+# command -> (help, runs the checks, reads the spectrum); one that reads none prints a summary
+_COMMANDS = {
+    "run": ("run checks and spectra, write a report", True, True),
+    "spectrum": ("compute spectra only", False, True),
+    "verify": ("run checks only", True, False),
+}
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metriq",
         description="Metric-aware model checks: build, verify, sweep, report.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("run", "run checks and spectra, write a report"),
-        ("spectrum", "compute spectra only"),
-        ("verify", "run checks only"),
-    ):
+    for name, (doc, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -620,6 +622,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
+    _, runs_checks, reads_spectrum = _COMMANDS[args.command]
     try:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -627,13 +630,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         config = parse_config(text)
-        # the config's checks block, else the suite's five; spectrum runs none
-        runs = () if args.command == "spectrum" else config.checks or tuple(DEFAULT_TOLERANCES)
+        # the config's checks block, else the suite's five, for a command that runs checks
+        runs = (config.checks or tuple(DEFAULT_TOLERANCES)) if runs_checks else ()
         tols = _parse_tol_flags(args.tol, config.model.kind, runs)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        if args.format is not None and args.command == "verify":
-            raise ConfigError(f"--format {args.format}: verify writes no spectra")
+        if args.format is not None and not reads_spectrum:
+            raise ConfigError(f"--format {args.format}: {args.command} writes no spectra")
         out_dir = args.out if args.out is not None else config.output and config.output.path
         if out_dir is not None:  # before the run, so a path that cannot be written costs none
             Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -645,29 +648,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    fmt = args.format if args.format is not None else (
-        config.output.format if config.output else "json"
-    )
+    # a command that reads no spectrum writes its report as JSON, and only to a directory
+    fmt = args.format or (config.output.format if config.output and reads_spectrum else "json")
 
-    run_checks = args.command in ("run", "verify")
-    run_spectrum = args.command in ("run", "spectrum")
-    report, code = _execute(
-        config, seed, tols, run_checks=run_checks, run_spectrum=run_spectrum
-    )
-    try:  # verify writes its report before its summary, so a failed write prints none
-        if args.command != "verify" or out_dir is not None:
-            _emit(report, out_dir, "json" if args.command == "verify" else fmt)
+    report, code = _execute(config, seed, tols, runs, reads_spectrum)
+    try:  # the report before the summary, so a failed write prints none
+        if reads_spectrum or out_dir is not None:
+            _emit(report, out_dir, fmt)
+        if not reads_spectrum:
+            for check in report["checks"]:
+                status = "PASS" if check["passed"] else "FAIL"
+                detail = f"  {check['detail']}" if check["detail"] else ""
+                print(f"{status} {check['name']}: residual={check['residual']:.3e} "
+                      f"tolerance={check['tolerance']:.1e}{detail}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early; devnull takes what the exit flushes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if args.command == "verify":
-        for check in report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            detail = f"  {check['detail']}" if check["detail"] else ""
-            print(
-                f"{status} {check['name']}: residual={check['residual']:.3e} "
-                f"tolerance={check['tolerance']:.1e}{detail}"
-            )
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
     return code

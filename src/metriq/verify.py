@@ -11,11 +11,11 @@ hermitian read, and the eta-norm from conserved.  A diagonal unitary would
 change neither hermiticity nor spectrum, so none is taken, and no check that
 its bound certifies solves an eigenproblem.  A bound that misses its
 tolerance reads ``F``'s nonzeros instead, whose eigenvectors, unlike ``H``'s,
-do not carry the metric's condition, and ``H``'s only where ``F`` has no
-finite form: the eta-norm alone decomposes it, and reality and isospectrality,
-like a spectrum past that tolerance, read only its eigenvalues, the
-decomposition's where the eta-norm formed it and else ``eigenvalues``, which
-forms no eigenvectors.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`
+do not carry the metric's condition: the eta-norm alone decomposes ``F``, and
+reality and isospectrality, like a spectrum past that tolerance, read only its
+eigenvalues, the decomposition's where the eta-norm formed it and else
+``eigenvalues``, which forms no eigenvectors and reads ``H`` only where ``F``
+has no finite form.  :func:`run_suite` and :func:`hermitian_form_eigenvalues`
 (the spectrum without checks) wrap one reader of a point, which states that
 rule once and forms ``F``, its decomposition, its eigenvalues and its sectors'
 ``eigvalsh`` read each on first use; the CLI calls it once per sweep point.
@@ -139,6 +139,7 @@ class _HermitianForm(NamedTuple):
     defect: float  # ||F - F^dag||_F
     norm: float  # ||F||_F
     anti: float  # >= ||F_a||_2, F_a = (F - F^dag) / 2 of the exact F
+    relative: float  # defect / (1 + norm): on F a light row weighs as much as a heavy one
 
 
 class _Solved(NamedTuple):
@@ -299,11 +300,11 @@ def _hermitian_form(h: _Triplets, w) -> _HermitianForm:
             f"F has no finite form: weight w[{k}] = {w[k]:.3e} is not positive", w[k])
     root = np.sqrt(w)
     f = h._replace(vals=np.multiply(v := h.vals * root[h.rows], (1.0 / root)[h.cols], out=v))
-    [diff], a = _image_gaps(f, [(f.cols, f.rows)]), np.abs(f.vals)  # ||F - F^dag||_F
+    [defect], a = _image_gaps(f, [(f.cols, f.rows)]), np.abs(f.vals)  # ||F - F^dag||_F
     row, col = (np.bincount(x, a, h.dim).max() for x in (f.rows, f.cols))
     # ||X||_2 <= sqrt(||X||_1 ||X||_inf) for X = |F|, which bounds F's rounding entrywise
-    anti = float(diff / 2.0 + _F_ROUNDING * np.sqrt(row * col))
-    return _HermitianForm(f, float(diff), _norm(a), anti)
+    anti = float(defect / 2.0 + _F_ROUNDING * np.sqrt(row * col))
+    return _HermitianForm(f, defect, norm := _norm(a), anti, defect / (1.0 + norm))
 
 
 def _eigvalsh_read(form: _HermitianForm, h: _Triplets, solved: list | None = None) -> _Solved:
@@ -334,9 +335,8 @@ def _eigvalsh_read(form: _HermitianForm, h: _Triplets, solved: list | None = Non
 
 
 def _pseudo_hermiticity_check(form: _HermitianForm, tol: float) -> CheckResult:
-    # H^dag eta = eta H iff F is hermitian; on F a light row weighs as much as a heavy one
-    residual = form.defect / (1.0 + form.norm)
-    return CheckResult("pseudo_hermiticity", residual <= tol, residual, tol)
+    # H^dag eta = eta H iff F is hermitian
+    return CheckResult("pseudo_hermiticity", form.relative <= tol, form.relative, tol)
 
 
 def _reality_check(form: _HermitianForm | None, lam, tol: float) -> CheckResult:
@@ -356,17 +356,16 @@ def _isospectrality_check(form: _HermitianForm, read, lam, tol: float) -> CheckR
     # / sqrt 2, so H's eigenvalues, F's, pair with M's within sqrt 2 ||F - M||_F (Kahan), plus
     # sqrt 2 c eps ||F||_F for F's rounding; M's largest |lam| is at least ||M||_F / sqrt dim,
     # and ||M||_F >= ||F||_F - ||F - M||_F
-    defect = form.defect / (1.0 + form.norm)
     dev = float(form.defect + 2.0**0.5 * _F_ROUNDING * form.norm)
     top = (form.norm - form.defect / 2.0**0.5) / form.f.dim**0.5  # <= max |lam_M|
-    residual = max(dev / (1.0 + max(top - dev, 0.0)), defect)  # top - dev <= max |lam_H|
+    residual = max(dev / (1.0 + max(top - dev, 0.0)), form.relative)  # top - dev <= max |lam_H|
     route = "certified: eigenvalue deviation <="
     if residual > tol:  # else the eigenvalues of F itself, which are H's, against eigvalsh's
         lam_h = lam()[0]
         dev = float(np.max(np.abs(lam_h - read().eigenvalues)))
-        residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), defect)
+        residual = max(dev / (1.0 + float(np.max(np.abs(lam_h)))), form.relative)
         route = "eig: max eigenvalue deviation"
-    detail = f"{route} {dev:.3e}, hermiticity defect {defect:.3e}"
+    detail = f"{route} {dev:.3e}, hermiticity defect {form.relative:.3e}"
     return CheckResult("isospectrality", residual <= tol, residual, tol, detail)
 
 
@@ -400,25 +399,22 @@ def _point(h, w, checks: Sequence[str], tols: Mapping[str, float], seed: int,
     w = _weights(w, h.dim)
     form = functools.cache(lambda: _hermitian_form(h, w))
     read = functools.cache(lambda: _eigvalsh_read(form(), h, solved))
-    decompose = functools.cache(lambda: spectrum(missed()))  # where a bound does not certify
+    decompose = functools.cache(lambda: spectrum(form().f))  # where a bound does not certify
 
     @functools.cache
     def lam() -> tuple[np.ndarray, list[int]]:  # the eigenvalues, and the sizes of the sectors
         if decompose.cache_info().currsize:
             return decompose().eigenvalues, [len(s.indices) for s in decompose().sectors]
-        return _eigenvalues(missed())
+        return _eigenvalues(h if (f := bounds()) is None else f.f)  # H where F has no form
 
     def bounds() -> _HermitianForm | None:  # None where F has no finite form
         with contextlib.suppress(NotPositiveDefiniteError):
             return form()
 
-    def missed() -> _Triplets:  # what a missed bound decomposes: F, or H where F has no form
-        return h if (f := bounds()) is None else f.f
-
     @np.errstate(over="raise", invalid="raise")  # an overflow is a FloatingPointError
     def eigenvalues_of_h() -> np.ndarray:  # the read, where F is hermitian to the tolerance
         f = bounds()
-        if f is not None and f.defect / (1.0 + f.norm) <= DEFAULT_TOLERANCES["isospectrality"]:
+        if f is not None and f.relative <= DEFAULT_TOLERANCES["isospectrality"]:
             return read().eigenvalues.astype(complex)
         return lam()[0]
 

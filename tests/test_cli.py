@@ -14,6 +14,7 @@ import pytest
 
 from metriq.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_CLOSED_PIPE,
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
@@ -578,6 +579,30 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error(tmp_path, capsy
         assert captured.err.startswith("error: cannot write output: ")
         assert captured.err.count("\n") == 1
     assert afile.read_text() == "kept"
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
+    # the 109 KB report outgrows the pipe, so the child writes on after the reader has gone
+    import metriq
+
+    config = str(Path(__file__).with_name("configs") / "lmg_cutoff40.json")
+    child = subprocess.Popen([sys.executable, "-m", "metriq.cli", "spectrum", config], bufsize=0,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=str(Path(metriq.__file__).parents[1])))
+    assert child.stdout.read(10).startswith(b"{")
+    child.stdout.close()
+    assert child.stderr.read() == b""  # no error line, and no "Exception ignored" at shutdown
+    assert child.wait(timeout=120) == EXIT_CLOSED_PIPE
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum", "verify"])
+def test_every_command_exits_quietly_on_a_closed_stdout(tmp_path, capsys, monkeypatch, command):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main([command, write_config(tmp_path, OSC_CONFIG)]) == EXIT_CLOSED_PIPE
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_refuses_a_spectra_format(tmp_path, capsys):

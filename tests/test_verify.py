@@ -1079,13 +1079,15 @@ def test_hermitian_form_eigenvalues_read_h_itself_past_a_weight_out_of_range(wei
 @pytest.mark.parametrize("weight", [0.0, -1.0])
 def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(monkeypatch, weight):
     # F has no finite form: pseudo_hermiticity, isospectrality and eta_norm fail naming the
-    # weight, metric_pd fails on it, and reality alone reads _eigenvalues(H) instead
+    # weight, metric_pd fails on it, and reality alone reads _eigenvalues(H) instead; the
+    # eta-norm's decomposition, spectrum, reads only F, so it never runs
     import metriq.verify
 
-    decomposed = []
-    real_eigenvalues = metriq.verify._eigenvalues
+    decomposed, spectra = [], []
+    real_eigenvalues, real_spectrum = metriq.verify._eigenvalues, metriq.verify.spectrum
     monkeypatch.setattr(metriq.verify, "_eigenvalues",
                         lambda a: decomposed.append(a) or real_eigenvalues(a))
+    monkeypatch.setattr(metriq.verify, "spectrum", lambda a: spectra.append(a) or real_spectrum(a))
     h, w = pseudo_hermitian_pair(BLOCK + 1, 5, seed=6)
     w = w.copy()
     w[0] = weight
@@ -1098,6 +1100,7 @@ def test_a_weight_out_of_range_fails_the_checks_that_need_f_as_entries(monkeypat
     assert report.checks[2].detail.startswith("eig:")
     (read,) = decomposed
     assert np.array_equal(read.dense(), h)
+    assert not spectra
     again = run_suite(h, w)
     assert [c.to_dict() for c in again.checks] == [c.to_dict() for c in report.checks]
 
